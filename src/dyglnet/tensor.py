@@ -160,6 +160,19 @@ class ConvSpec:
         return out
 
 
+def _taps(spec: ConvSpec, kh: int, kw: int, ho: int, wo: int):
+    """Yield ``(i, j, rows, cols)`` for each kernel tap in row-major order:
+    the slices of the padded input that tap (i, j) reads for an
+    ``ho`` x ``wo`` output."""
+    for i in range(kh):
+        for j in range(kw):
+            hi = i * spec.dilation
+            wi = j * spec.dilation
+            rows = slice(hi, hi + spec.stride * (ho - 1) + 1, spec.stride)
+            cols = slice(wi, wi + spec.stride * (wo - 1) + 1, spec.stride)
+            yield i, j, rows, cols
+
+
 def _conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
 ) -> np.ndarray:
@@ -171,24 +184,24 @@ def _conv2d_forward(
     cout_g = cout // g
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-    wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    acc = np.zeros((n, g, ho * wo, cout_g), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            hi = i * spec.dilation
-            wi = j * spec.dilation
-            patch = xg[
-                :,
-                :,
-                :,
-                hi : hi + spec.stride * (ho - 1) + 1 : spec.stride,
-                wi : wi + spec.stride * (wo - 1) + 1 : spec.stride,
-            ]
+    taps = _taps(spec, kh, kw, ho, wo)
+    if cin_g == cout_g == 1:
+        # Depthwise: a 1x1 per-group matmul is one multiply, so each tap
+        # is a broadcast multiply-accumulate (same products, same order).
+        y = np.zeros((n, cout, ho, wo), dtype=x.dtype)
+        for i, j, rows, cols in taps:
+            y += xp[:, :, rows, cols] * w[:, 0, i, j].reshape(1, cout, 1, 1)
+    else:
+        xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
+        wg = w.reshape(g, cout_g, cin_g, kh, kw)
+        acc = np.zeros((n, g, ho * wo, cout_g), dtype=x.dtype)
+        for i, j, rows, cols in taps:
             # [n,g,P,cin_g] @ [g,cin_g,cout_g] -> [n,g,P,cout_g]
-            pm = patch.reshape(n, g, cin_g, ho * wo).transpose(0, 1, 3, 2)
-            acc += np.matmul(pm, wg[:, :, :, i, j].transpose(0, 2, 1))
-    y = acc.transpose(0, 1, 3, 2).reshape(n, cout, ho, wo)
+            pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)
+            acc += np.matmul(
+                pm.transpose(0, 1, 3, 2), wg[:, :, :, i, j].transpose(0, 2, 1)
+            )
+        y = acc.transpose(0, 1, 3, 2).reshape(n, cout, ho, wo)
     if b is not None:
         y = y + b.reshape(1, cout, 1, 1)
     return y
@@ -201,37 +214,38 @@ def _conv2d_vjp(
     gy: np.ndarray,
     with_bias: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    n, cin, h, wid = x.shape
+    n, _, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
     g = spec.groups
     cout_g = cout // g
     _, _, ho, wo = gy.shape
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-    wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    gyg = gy.reshape(n, g, cout_g, ho * wo).transpose(0, 1, 3, 2)  # [n,g,P,cout_g]
-    gxp = np.zeros_like(xp).reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-    gw = np.zeros_like(w).reshape(g, cout_g, cin_g, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            hi = i * spec.dilation
-            wi = j * spec.dilation
-            sl_h = slice(hi, hi + spec.stride * (ho - 1) + 1, spec.stride)
-            sl_w = slice(wi, wi + spec.stride * (wo - 1) + 1, spec.stride)
-            patch = xg[:, :, :, sl_h, sl_w]
-            pm = patch.reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    taps = _taps(spec, kh, kw, ho, wo)
+    if cin_g == cout_g == 1:
+        for i, j, rows, cols in taps:
+            gxp[:, :, rows, cols] += gy * w[:, 0, i, j].reshape(1, cout, 1, 1)
+            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", xp[:, :, rows, cols], gy)
+    else:
+        xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
+        wg = w.reshape(g, cout_g, cin_g, kh, kw)
+        gyg = gy.reshape(n, g, cout_g, ho * wo).transpose(0, 1, 3, 2)  # [n,g,P,cout_g]
+        gxg = gxp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
+        gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
+        for i, j, rows, cols in taps:
+            pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
             # weight grad: sum_n  [g,cin_g,P] @ [g,P,cout_g]
-            gw[:, :, :, i, j] += np.matmul(pm, gyg).sum(axis=0).transpose(0, 2, 1)
+            gwg[:, :, :, i, j] += np.matmul(pm, gyg).sum(axis=0).transpose(0, 2, 1)
             # input grad: [n,g,P,cout_g] @ [g,cout_g,cin_g] -> [n,g,P,cin_g]
             gpatch = np.matmul(gyg, wg[:, :, :, i, j])
-            gxp[:, :, :, sl_h, sl_w] += gpatch.transpose(0, 1, 3, 2).reshape(
+            gxg[:, :, :, rows, cols] += gpatch.transpose(0, 1, 3, 2).reshape(
                 n, g, cin_g, ho, wo
             )
-    gxp = gxp.reshape(n, cin, xp.shape[2], xp.shape[3])
     gx = gxp[:, :, p : p + h, p : p + wid] if p else gxp
     gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
-    return np.ascontiguousarray(gx), gw.reshape(cout, cin_g, kh, kw), gb
+    return np.ascontiguousarray(gx), gw, gb
 
 
 def conv2d(
@@ -240,7 +254,10 @@ def conv2d(
     """Grouped, dilated 2-d cross-correlation over an NCHW batch.
 
     ``weight`` has shape [out_channels, in_channels/groups, kh, kw];
-    ``bias`` is per-output-channel or None.
+    ``bias`` is per-output-channel or None. Depthwise convs (one input
+    and one output channel per group) run each kernel tap as a single
+    broadcast multiply-accumulate rather than a batched matmul, with the
+    same products summed in the same order.
     """
     _check_conv_args(x, weight, bias, spec)
     b = bias.data if bias is not None else None

@@ -223,6 +223,20 @@ def test_fd_conv2d():
     _fd_ok(fn, [x, w, b])
 
 
+def test_fd_conv2d_depthwise():
+    rng = np.random.default_rng(14)
+    x = param("x", rng.normal(size=(2, 3, 6, 6)))
+    w = param("w", rng.normal(size=(3, 1, 3, 3)) * 0.5)
+    b = param("b", rng.normal(size=(3,)))
+    spec = ConvSpec(stride=2, padding=2, dilation=2, groups=3)
+
+    def fn():
+        y = ad.conv2d(ad.watch(x), ad.watch(w), ad.watch(b), spec)
+        return ad.mean_all(ad.tanh(y))
+
+    _fd_ok(fn, [x, w, b])
+
+
 def test_fd_softmax():
     rng = np.random.default_rng(17)
     x = param("x", rng.normal(size=(2, 5)))

@@ -108,6 +108,67 @@ def test_conv2d_200_random_cases_vs_oracle():
         np.testing.assert_allclose(got.data, want, atol=1e-6, err_msg=f"case {case}")
 
 
+def test_conv2d_depthwise_sweep_vs_oracle():
+    # Strict depthwise (groups == cin == cout) at up to 16 channels.
+    rng = np.random.default_rng(8)
+    for case in range(40):
+        c = int(rng.integers(1, 17))
+        k = int(rng.choice([1, 3]))
+        dilation = int(rng.integers(1, 4))
+        stride = int(rng.choice([1, 2]))
+        pad = int(rng.integers(0, 4))
+        low = max(1, dilation * (k - 1) + 1 - 2 * pad)
+        h, w = rng.integers(low, low + 6, 2)
+        x = rng.normal(size=(int(rng.integers(1, 3)), c, h, w))
+        wt = rng.normal(size=(c, 1, k, k))
+        b = rng.normal(size=(c,)) if rng.random() < 0.5 else None
+        spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=c)
+        got = T.conv2d(t64(x), t64(wt), None if b is None else t64(b), spec)
+        want = oracles.conv2d_naive(x, wt, b, stride, pad, dilation, c)
+        np.testing.assert_allclose(got.data, want, atol=1e-6, err_msg=f"case {case}")
+
+
+def test_conv2d_vjp_adjoint_vs_oracle():
+    # y = conv(x, w) + b is linear in x and in w separately, so for any
+    # cotangent gy each VJP term must reproduce <y_nobias, gy> (and the
+    # bias term <b broadcast, gy>). Covers strict depthwise, grouped with
+    # a channel multiplier, and dense convs.
+    rng = np.random.default_rng(9)
+    for case in range(200):
+        kind = case % 3
+        if kind == 0:
+            groups = int(rng.integers(1, 9))
+            cin_g, cout_g = 1, 1
+        elif kind == 1:
+            groups = int(rng.integers(1, 4))
+            cin_g, cout_g = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        else:
+            groups = 1
+            cin_g, cout_g = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        k = int(rng.choice([1, 3]))
+        dilation = int(rng.integers(1, 4))
+        stride = int(rng.choice([1, 2]))
+        pad = int(rng.integers(0, 4))
+        low = max(1, dilation * (k - 1) + 1 - 2 * pad)
+        n = int(rng.integers(1, 3))
+        x = rng.normal(size=(n, groups * cin_g, *rng.integers(low, low + 5, 2)))
+        wt = rng.normal(size=(groups * cout_g, cin_g, k, k))
+        b = rng.normal(size=(groups * cout_g,))
+        with_bias = rng.random() < 0.5
+        spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=groups)
+        y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
+        gy = rng.normal(size=y.shape)
+        gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, with_bias)
+        assert gx.shape == x.shape and gw.shape == wt.shape
+        terms = [(np.vdot(x, gx), np.vdot(y, gy)), (np.vdot(wt, gw), np.vdot(y, gy))]
+        if with_bias:
+            terms.append((np.vdot(b, gb), np.sum(b.reshape(1, -1, 1, 1) * gy)))
+        else:
+            assert gb is None
+        for got, want in terms:
+            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), f"case {case}"
+
+
 def test_conv2d_group_divisibility_error():
     x = t64(np.zeros((1, 3, 4, 4)))
     w = t64(np.zeros((2, 1, 1, 1)))
