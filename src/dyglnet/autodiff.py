@@ -365,7 +365,10 @@ def batchnorm2d(
 
 def pixel_sample(x: Value, ux: Value, uy: Value) -> Value:
     """Bilinear gather at pixel coordinates; see tensor module for the
-    border convention. x: [N,C,H,W], ux/uy: [N,P] -> [N,C,P]."""
+    border convention. x: [N,C,H,W], ux/uy: [N,P] -> [N,C,P]. G channel
+    groups read at G coordinate sets are one call with the groups folded
+    into the batch ([N*G, C/G, H, W] at [N*G, P]). The VJP reuses the
+    forward's corner plan."""
     xd = x.tensor.data
     uxd, uyd = ux.tensor.data, uy.tensor.data
     if uxd.ndim != 2 or uxd.shape != uyd.shape or uxd.shape[0] != xd.shape[0]:
@@ -373,13 +376,11 @@ def pixel_sample(x: Value, ux: Value, uy: Value) -> Value:
             f"coordinate shapes {uxd.shape}/{uyd.shape} for input {xd.shape}"
         )
     T._check_same_dtype(xd, uxd, uyd)
-    y = Tensor._wrap(T._sample_pixel_forward(xd, uxd, uyd))
+    plan = T._sample_plan(uxd, uyd, xd.shape[2], xd.shape[3])
+    y = Tensor._wrap(T._sample_pixel_forward(xd, plan))
 
     def mk():
-        def vjp(g):
-            return T._sample_pixel_vjp(xd, uxd, uyd, g)
-
-        return vjp
+        return lambda g: T._sample_pixel_vjp(xd, uxd, uyd, plan, g)
 
     return _record(y, (x, ux, uy), mk)
 
@@ -400,27 +401,15 @@ def grid_sample(x: Value, grid: Value) -> Value:
 
 
 def resize_bilinear(x: Value, out_h: int, out_w: int) -> Value:
-    y = T.resize_bilinear(x.tensor, out_h, out_w)
     xd = x.tensor.data
     n, c, h, w = xd.shape
+    if (out_h, out_w) == (h, w):
+        return _record(T.resize_bilinear(x.tensor, h, w), (x,), lambda: lambda g: (g,))
+    plan = T._resize_plan(xd, out_h, out_w)
+    y = Tensor._wrap(T._sample_pixel_forward(xd, plan).reshape(n, c, out_h, out_w))
 
     def mk():
-        if (out_h, out_w) == (h, w):
-            return lambda g: (g,)
-        ux1 = T._resize_coords(out_w, w, xd.dtype)
-        uy1 = T._resize_coords(out_h, h, xd.dtype)
-        ux = np.ascontiguousarray(
-            np.broadcast_to(ux1[None, None, :], (n, out_h, out_w)).reshape(n, -1)
-        )
-        uy = np.ascontiguousarray(
-            np.broadcast_to(uy1[None, :, None], (n, out_h, out_w)).reshape(n, -1)
-        )
-
-        def vjp(g):
-            gx, _, _ = T._sample_pixel_vjp(xd, ux, uy, g.reshape(n, c, -1))
-            return (gx,)
-
-        return vjp
+        return lambda g: (T._sample_scatter(plan, g.reshape(n, c, -1), h, w),)
 
     return _record(y, (x,), mk)
 

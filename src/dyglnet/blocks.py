@@ -416,7 +416,8 @@ class DyFusionUp(Module):
     Pipeline: a zero-initialized 1x1 conv on the low-resolution input
     predicts per-group sub-pixel offsets (rearranged depth-to-space to
     the doubled lattice and scaled by ``offset_range``); each channel
-    group is bilinearly sampled at quarter-pixel-plus-offset positions;
+    group is bilinearly sampled at quarter-pixel-plus-offset positions,
+    all groups in one sampler call with the groups folded into the batch;
     a 1x1 conv aligns the result to the skip width; the skip is
     concatenated in front; a multi-scale dilated stage plus a 3x3 conv
     fuse the pair down to ``skip_channels``.
@@ -453,48 +454,41 @@ class DyFusionUp(Module):
             padding=1,
         )
 
-    def offset_fields(self, x_low: Value) -> list[tuple[Value, Value]] | None:
-        """Scaled per-group (dx, dy) offset fields on the doubled lattice."""
+    def offset_fields(self, x_low: Value) -> tuple[Value, Value] | None:
+        """Scaled (dx, dy) offset fields on the doubled lattice, groups
+        folded into the batch: each is [N*G, 4hw], row i*G + j holding
+        image i, group j."""
         if self.cfg.mode != "dynamic":
             return None
         n, _, h, w = x_low.tensor.shape
-        s = self.cfg.scale
+        s, g = self.cfg.scale, self.cfg.groups
         raw = self.offset(x_low)  # [n, 2g*s*s, h, w]
         planes = ad.depth_to_space(raw, s)  # [n, 2g, s*h, s*w]
-        scaled = ad.scale(planes, self.cfg.offset_range)
-        fields = []
-        for g in range(self.cfg.groups):
-            dx = ad.reshape(ad.narrow(scaled, 1, 2 * g, 1), (n, s * h * s * w))
-            dy = ad.reshape(ad.narrow(scaled, 1, 2 * g + 1, 1), (n, s * h * s * w))
-            fields.append((dx, dy))
-        return fields
+        p = s * h * s * w
+        scaled = ad.reshape(ad.scale(planes, self.cfg.offset_range), (n * g, 2, p))
+        dx = ad.reshape(ad.narrow(scaled, 1, 0, 1), (n * g, p))
+        dy = ad.reshape(ad.narrow(scaled, 1, 1, 1), (n * g, p))
+        return dx, dy
 
     def upsample(self, x_low: Value) -> Value:
-        """The sampling stage alone: [N,C',h,w] -> [N,C',2h,2w]."""
+        """The sampling stage alone: [N,C',h,w] -> [N,C',2h,2w], as one
+        ``pixel_sample`` of [N*G, C'/G, h, w], the G groups folded into
+        the batch, at [N*G, 4hw] coordinates."""
         n, c, h, w = x_low.tensor.shape
-        s = self.cfg.scale
+        s, g = self.cfg.scale, self.cfg.groups
         h2, w2 = s * h, s * w
         if self.cfg.mode == "bilinear":
             return ad.resize_bilinear(x_low, h2, w2)
-        dt = x_low.tensor.data.dtype
-        bx, by = _base_lattice(h2, w2, s, dt)
-        base_x = np.ascontiguousarray(np.broadcast_to(bx[None, :], (n, h2 * w2)))
-        base_y = np.ascontiguousarray(np.broadcast_to(by[None, :], (n, h2 * w2)))
+        bx, by = _base_lattice(h2, w2, s, x_low.tensor.data.dtype)
+        base_x = ad.constant(Tensor._wrap(np.broadcast_to(bx, (n * g, h2 * w2))))
+        base_y = ad.constant(Tensor._wrap(np.broadcast_to(by, (n * g, h2 * w2))))
         fields = self.offset_fields(x_low)
-        cg = c // self.cfg.groups
-        parts = []
-        for g in range(self.cfg.groups):
-            xg = ad.narrow(x_low, 1, g * cg, cg)
-            if fields is None:
-                ux = ad.constant(Tensor._wrap(base_x))
-                uy = ad.constant(Tensor._wrap(base_y))
-            else:
-                dx, dy = fields[g]
-                ux = ad.add(dx, ad.constant(Tensor._wrap(base_x)))
-                uy = ad.add(dy, ad.constant(Tensor._wrap(base_y)))
-            sampled = ad.pixel_sample(xg, ux, uy)  # [n, cg, h2*w2]
-            parts.append(ad.reshape(sampled, (n, cg, h2, w2)))
-        return parts[0] if len(parts) == 1 else ad.concat(parts, 1)
+        if fields is None:
+            ux, uy = base_x, base_y
+        else:
+            ux, uy = ad.add(fields[0], base_x), ad.add(fields[1], base_y)
+        folded = ad.reshape(x_low, (n * g, c // g, h, w))
+        return ad.reshape(ad.pixel_sample(folded, ux, uy), (n, c, h2, w2))
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
         n, c, h, w = x_low.tensor.shape

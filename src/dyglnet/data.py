@@ -252,7 +252,8 @@ def _warp_bilinear(img: np.ndarray, src_x: np.ndarray, src_y: np.ndarray,
     c, hh, ww = img.shape
     ux = src_x.reshape(1, -1).astype(img.dtype)
     uy = src_y.reshape(1, -1).astype(img.dtype)
-    out = T._sample_pixel_forward(img[None], ux, uy)[0].reshape(c, hh, ww)
+    plan = T._sample_plan(ux, uy, hh, ww)
+    out = T._sample_pixel_forward(img[None], plan)[0].reshape(c, hh, ww)
     outside = (src_x < 0) | (src_x > ww - 1) | (src_y < 0) | (src_y > hh - 1)
     out[:, outside] = fill
     return out

@@ -402,81 +402,94 @@ def _pixel_coords(g: np.ndarray, size: int) -> np.ndarray:
     return (g + 1.0) * (size / 2.0) - 0.5
 
 
-def _gather(x3: np.ndarray, yy: np.ndarray, xx: np.ndarray, w: int) -> np.ndarray:
-    # x3: [n, c, h*w]; yy/xx: [n, p] int -> [n, c, p]
-    idx = (yy * w + xx)[:, None, :]
-    return np.take_along_axis(x3, np.broadcast_to(idx, (x3.shape[0], x3.shape[1], idx.shape[2])), axis=2)
-
-
-def _sample_setup(ux: np.ndarray, uy: np.ndarray, h: int, w: int):
+def _sample_plan(ux: np.ndarray, uy: np.ndarray, h: int, w: int) -> tuple:
+    """(r00, sx, sy, fx, fy) of a bilinear read at pixel coords [n, p]:
+    the top-left corner as a flat row of the n*h*w pixel axis, the steps
+    to the right and lower corners (x0 <= w - 2, so a step is 1 unless
+    its axis has one pixel) and the lerp fractions."""
     ucx = np.clip(ux, 0.0, w - 1.0)
     ucy = np.clip(uy, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(ucx), 0, max(w - 2, 0)).astype(np.int64)
-    y0 = np.clip(np.floor(ucy), 0, max(h - 2, 0)).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (ucx - x0).astype(ux.dtype)
-    fy = (ucy - y0).astype(uy.dtype)
-    return x0, x1, y0, y1, fx, fy
+    x0 = np.minimum(np.floor(ucx), max(w - 2, 0))
+    y0 = np.minimum(np.floor(ucy), max(h - 2, 0))
+    r00 = y0.astype(np.int64) * w + x0.astype(np.int64)
+    r00 += np.arange(0, ux.shape[0] * h * w, h * w)[:, None]
+    # Exact in the input precision: x0 <= ucx <= x0 + 1 (Sterbenz).
+    return r00, min(1, w - 1), w * min(1, h - 1), ucx - x0, ucy - y0
 
 
-def _sample_pixel_forward(
-    x: np.ndarray, ux: np.ndarray, uy: np.ndarray
-) -> np.ndarray:
-    """Bilinear gather. x: [n,c,h,w]; ux/uy: [n,p] pixel coords -> [n,c,p]."""
-    n, c, h, w = x.shape
-    x0, x1, y0, y1, fx, fy = _sample_setup(ux, uy, h, w)
-    x3 = x.reshape(n, c, h * w)
-    v00 = _gather(x3, y0, x0, w)
-    v01 = _gather(x3, y0, x1, w)
-    v10 = _gather(x3, y1, x0, w)
-    v11 = _gather(x3, y1, x1, w)
-    fx = fx[:, None, :]
-    fy = fy[:, None, :]
-    top = v00 + fx * (v01 - v00)
-    bot = v10 + fx * (v11 - v10)
-    return top + fy * (bot - top)
+def _corners(plane: np.ndarray, plan: tuple):
+    """The four corner values [n, p] of one channel plane [n*h*w]."""
+    r, sx, sy = plan[:3]
+    return (np.take(plane, r), np.take(plane[sx:], r),
+            np.take(plane[sy:], r), np.take(plane[sy + sx:], r))
 
 
-def _scatter_add_2d(gx3: np.ndarray, yy: np.ndarray, xx: np.ndarray, vals: np.ndarray, w: int) -> None:
-    # gx3: [n, c, h*w] writable; vals: [n, c, p]
-    n, c, hw = gx3.shape
-    p = yy.shape[1]
-    flat_pos = (yy * w + xx)[:, None, :]  # [n,1,p]
-    base = (np.arange(n * c, dtype=np.int64) * hw).reshape(n, c, 1)
-    idx = (base + flat_pos).ravel()
-    acc = np.bincount(idx, weights=vals.ravel(), minlength=n * c * hw)
-    gx3 += acc.reshape(n, c, hw).astype(gx3.dtype)
+def _sample_pixel_forward(x: np.ndarray, plan: tuple) -> np.ndarray:
+    """Bilinear gather. x: [n,c,h,w]; plan from pixel coords [n,p] -> [n,c,p].
+
+    One channel at a time, so temporaries stay at one [n, p] plane."""
+    n, c = x.shape[:2]
+    fx, fy = plan[3:]
+    out = np.empty((n, c, fx.shape[1]), dtype=x.dtype)
+    for ci, plane in enumerate(x.transpose(1, 0, 2, 3).reshape(c, -1)):
+        top, v01, bot, v11 = _corners(plane, plan)
+        v01 -= top
+        v01 *= fx
+        top += v01
+        v11 -= bot
+        v11 *= fx
+        bot += v11
+        bot -= top
+        bot *= fy
+        np.add(top, bot, out=out[:, ci])
+    return out
+
+
+def _sample_scatter(plan: tuple, gy: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Input gradient of a bilinear read: gy [n,c,p] -> gx [n,c,h,w].
+
+    Each corner is summed in float64 by ``bincount`` and the four sums
+    are added in float32, in the fixed order 00, 01, 10, 11."""
+    n, c, _ = gy.shape
+    r00, sx, sy, fx, fy = plan
+    gfx = 1.0 - fx
+    gfy = 1.0 - fy
+    rows = (r00, r00 + sx, r00 + sy, r00 + (sy + sx))
+    weights = (gfx * gfy, fx * gfy, gfx * fy, fx * fy)
+    gx = np.empty((n, c, h * w), dtype=gy.dtype)
+    for ci in range(c):
+        g = gy[:, ci]
+        a00, a01, a10, a11 = (
+            np.bincount(rk.ravel(), (g * wk).ravel(), n * h * w).astype(gy.dtype)
+            for rk, wk in zip(rows, weights)
+        )
+        gx[:, ci] = (a00 + a01 + a10 + a11).reshape(n, h * w)
+    return gx.reshape(n, c, h, w)
 
 
 def _sample_pixel_vjp(
-    x: np.ndarray, ux: np.ndarray, uy: np.ndarray, gy: np.ndarray
+    x: np.ndarray, ux: np.ndarray, uy: np.ndarray, plan: tuple, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, c, h, w = x.shape
-    x0, x1, y0, y1, fx, fy = _sample_setup(ux, uy, h, w)
-    x3 = x.reshape(n, c, h * w)
-    fxb = fx[:, None, :]
-    fyb = fy[:, None, :]
-    w00 = (1.0 - fxb) * (1.0 - fyb)
-    w01 = fxb * (1.0 - fyb)
-    w10 = (1.0 - fxb) * fyb
-    w11 = fxb * fyb
-    gx = np.zeros_like(x3)
-    _scatter_add_2d(gx, y0, x0, gy * w00, w)
-    _scatter_add_2d(gx, y0, x1, gy * w01, w)
-    _scatter_add_2d(gx, y1, x0, gy * w10, w)
-    _scatter_add_2d(gx, y1, x1, gy * w11, w)
-    v00 = _gather(x3, y0, x0, w)
-    v01 = _gather(x3, y0, x1, w)
-    v10 = _gather(x3, y1, x0, w)
-    v11 = _gather(x3, y1, x1, w)
-    dval_du = (1.0 - fyb) * (v01 - v00) + fyb * (v11 - v10)
-    dval_dv = (1.0 - fxb) * (v10 - v00) + fxb * (v11 - v01)
-    in_x = ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
-    in_y = ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
-    gux = (gy * dval_du).sum(axis=1) * in_x
-    guy = (gy * dval_dv).sum(axis=1) * in_y
-    return gx.reshape(n, c, h, w), gux, guy
+    c, h, w = x.shape[1:]
+    fx, fy = plan[3:]
+    gfx = 1.0 - fx
+    gfy = 1.0 - fy
+    gux = np.zeros_like(fx)
+    guy = np.zeros_like(fy)
+    for ci, plane in enumerate(x.transpose(1, 0, 2, 3).reshape(c, -1)):
+        g = gy[:, ci]
+        v00, v01, v10, v11 = _corners(plane, plan)
+        du = (v01 - v00) * gfy
+        du += (v11 - v10) * fy
+        du *= g
+        gux += du
+        dv = (v10 - v00) * gfx
+        dv += (v11 - v01) * fx
+        dv *= g
+        guy += dv
+    gux *= ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
+    guy *= ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
+    return _sample_scatter(plan, gy, h, w), gux, guy
 
 
 def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
@@ -489,9 +502,9 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     n, c, h, w = x.shape
     oh, ow = grid.shape[1], grid.shape[2]
     g2 = grid.data.reshape(n, oh * ow, 2)
-    ux = np.ascontiguousarray(_pixel_coords(g2[:, :, 0], w))
-    uy = np.ascontiguousarray(_pixel_coords(g2[:, :, 1], h))
-    y = _sample_pixel_forward(x.data, ux, uy)
+    ux = _pixel_coords(g2[:, :, 0], w)
+    uy = _pixel_coords(g2[:, :, 1], h)
+    y = _sample_pixel_forward(x.data, _sample_plan(ux, uy, h, w))
     return Tensor._wrap(y.reshape(n, c, oh, ow))
 
 
@@ -507,9 +520,15 @@ def _check_sample_args(x: Tensor, grid: Tensor) -> None:
     _check_same_dtype(x.data, grid.data)
 
 
-def _resize_coords(out_size: int, in_size: int, dtype: np.dtype) -> np.ndarray:
-    j = np.arange(out_size, dtype=dtype)
-    return (j + dtype.type(0.5)) * (in_size / out_size) - dtype.type(0.5)
+def _resize_plan(x: np.ndarray, out_h: int, out_w: int) -> tuple:
+    """Plan of a resize: output pixel j samples (j + 0.5) * in/out - 0.5."""
+    n, _, h, w = x.shape
+    dt = x.dtype.type
+    ux = (np.arange(out_w, dtype=dt) + dt(0.5)) * (w / out_w) - dt(0.5)
+    uy = (np.arange(out_h, dtype=dt) + dt(0.5)) * (h / out_h) - dt(0.5)
+    ux = np.broadcast_to(ux, (n, out_h, out_w)).reshape(n, -1)
+    uy = np.broadcast_to(uy[:, None], (n, out_h, out_w)).reshape(n, -1)
+    return _sample_plan(ux, uy, h, w)
 
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -521,11 +540,7 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return Tensor._wrap(x.data.copy())
-    ux1 = _resize_coords(out_w, w, x.data.dtype)
-    uy1 = _resize_coords(out_h, h, x.data.dtype)
-    ux = np.broadcast_to(ux1[None, None, :], (n, out_h, out_w)).reshape(n, -1)
-    uy = np.broadcast_to(uy1[None, :, None], (n, out_h, out_w)).reshape(n, -1)
-    y = _sample_pixel_forward(x.data, np.ascontiguousarray(ux), np.ascontiguousarray(uy))
+    y = _sample_pixel_forward(x.data, _resize_plan(x.data, out_h, out_w))
     return Tensor._wrap(y.reshape(n, c, out_h, out_w))
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from dyglnet import autodiff as ad
 from dyglnet import tensor as T
 from dyglnet.autodiff import Parameter, Tape, grad_check
@@ -285,6 +286,71 @@ def test_pixel_sample_clamped_coordinate_gradient_is_zero():
         y = ad.pixel_sample(x, ad.watch(ux), ad.watch(uy))
         ad.backward(ad.sum_all(y), tape)
     np.testing.assert_array_equal(ux.grad, np.zeros((1, 1)))
+
+
+def _pixel_sample_grads(x, ux, uy, gy):
+    xp, uxp, uyp = param("x", x), param("ux", ux), param("uy", uy)
+    with Tape() as tape:
+        y = ad.pixel_sample(ad.watch(xp), ad.watch(uxp), ad.watch(uyp))
+        ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
+    return xp.grad, uxp.grad, uyp.grad
+
+
+def _random_sample_case(rng, n_lo):
+    n, c = int(rng.integers(n_lo, 4)), int(rng.integers(1, 5))
+    h, w = (int(v) for v in rng.integers(1, 7, 2))
+    p = int(rng.integers(1, 10))
+    return rng.normal(size=(n, c, h, w)), n, c, h, w, p
+
+
+def test_pixel_sample_vjp_adjoint_vs_oracle():
+    # The sampler is linear in x, so <sample(x, u), gy> = <x, gx> for any
+    # cotangent gy. Extents of 1 give a zero corner step; coordinates
+    # reach 1.5 pixels outside the image on every side.
+    rng = np.random.default_rng(37)
+    for case in range(200):
+        x, n, c, h, w, p = _random_sample_case(rng, 1)
+        ux = rng.uniform(-1.5, w + 0.5, size=(n, p))
+        uy = rng.uniform(-1.5, h + 0.5, size=(n, p))
+        gy = rng.normal(size=(n, c, p))
+        gx, _, _ = _pixel_sample_grads(x, ux, uy, gy)
+        y = np.array([
+            [[oracles.sample_pixel_naive(x[i, k], ux[i, j], uy[i, j]) for j in range(p)]
+             for k in range(c)]
+            for i in range(n)
+        ])
+        want = np.vdot(y, gy)
+        assert abs(np.vdot(x, gx) - want) <= 1e-9 * max(1.0, abs(want)), f"case {case}"
+
+
+def test_pixel_sample_coordinate_grads_vs_central_differences():
+    # Coordinates keep >= 0.1 px from every integer, so no probe crosses a
+    # lattice kink or a clamp border; clamped points must get exactly 0.
+    rng = np.random.default_rng(43)
+    eps = 1e-6
+    for case in range(60):
+        x, n, c, h, w, p = _random_sample_case(rng, 2)
+        ux = rng.integers(-2, w + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
+        uy = rng.integers(-2, h + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
+        gy = rng.normal(size=(n, c, p))
+        _, gux, guy = _pixel_sample_grads(x, ux, uy, gy)
+
+        def f(i, j, dx, dy):
+            return sum(
+                gy[i, k, j] * oracles.sample_pixel_naive(x[i, k], ux[i, j] + dx, uy[i, j] + dy)
+                for k in range(c)
+            )
+
+        for i in range(n):
+            for j in range(p):
+                fd_x = (f(i, j, eps, 0.0) - f(i, j, -eps, 0.0)) / (2 * eps)
+                fd_y = (f(i, j, 0.0, eps) - f(i, j, 0.0, -eps)) / (2 * eps)
+                assert abs(gux[i, j] - fd_x) <= 1e-6, f"case {case} ux[{i},{j}]"
+                assert abs(guy[i, j] - fd_y) <= 1e-6, f"case {case} uy[{i},{j}]"
+                if not 0.0 < ux[i, j] < w - 1:
+                    assert gux[i, j] == 0.0
+                if not 0.0 < uy[i, j] < h - 1:
+                    assert guy[i, j] == 0.0
 
 
 def test_fd_grid_sample():

@@ -427,11 +427,42 @@ def test_dyfusion_unit_offset_prediction_scaled_to_quarter():
     rng = np.random.default_rng(61)
     block = _up_block(rng, in_ch=2, groups=2)
     assign64(block.offset.bias, np.ones(block.cfg.offset_channels))
-    fields = block.offset_fields(v64(rng.normal(size=(1, 2, 3, 3))))
-    assert len(fields) == 2
-    for dx, dy in fields:
-        np.testing.assert_array_equal(dx.tensor.data, np.full((1, 36), 0.25))
-        np.testing.assert_array_equal(dy.tensor.data, np.full((1, 36), 0.25))
+    # Groups are folded into the batch: one (dx, dy) pair of [n*g, 4hw].
+    dx, dy = block.offset_fields(v64(rng.normal(size=(1, 2, 3, 3))))
+    np.testing.assert_array_equal(dx.tensor.data, np.full((2, 36), 0.25))
+    np.testing.assert_array_equal(dy.tensor.data, np.full((2, 36), 0.25))
+
+
+@pytest.mark.parametrize("groups", [2, 4])
+def test_dyfusion_group_fold_matches_per_group_oracle(groups):
+    # Every group and image gets its own non-zero offsets, so a mix-up of
+    # group and offset channel, or of batch and group, in the fold changes
+    # the result. Offset channel (2g + coord)*4 + 2a + b holds sub-pixel
+    # (row a, column b) of group g's x (coord 0) or y (coord 1) field.
+    rng = np.random.default_rng(83 + groups)
+    n, c, h, w = 2, 8, 3, 4
+    cg = c // groups
+    block = _up_block(rng, in_ch=c, groups=groups)
+    wt = rng.normal(size=block.offset.weight.value.shape)
+    bias = rng.normal(size=block.cfg.offset_channels)
+    assign64(block.offset.weight, wt)
+    assign64(block.offset.bias, bias)
+    x = rng.normal(size=(n, c, h, w))
+    got = block.upsample(v64(x)).tensor.data
+    raw = np.einsum("oi,nihw->nohw", wt[:, :, 0, 0], x) + bias.reshape(1, -1, 1, 1)
+    oy, ox = np.mgrid[0 : 2 * h, 0 : 2 * w]
+    sub = (oy % 2) * 2 + ox % 2
+    want = np.empty((n, c, 2 * h, 2 * w))
+    for g in range(groups):
+        dx = raw[:, 8 * g + sub, oy // 2, ox // 2] * block.cfg.offset_range
+        dy = raw[:, 8 * g + 4 + sub, oy // 2, ox // 2] * block.cfg.offset_range
+        ux = (ox + 0.5) / 2.0 - 0.5 + dx
+        uy = (oy + 0.5) / 2.0 - 0.5 + dy
+        grid = np.stack([(ux + 0.5) * 2.0 / w - 1.0, (uy + 0.5) * 2.0 / h - 1.0], axis=-1)
+        part = oracles.bilinear_sample_naive(x[:, g * cg : (g + 1) * cg], grid.reshape(n, -1, 2))
+        want[:, g * cg : (g + 1) * cg] = part.reshape(n, cg, 2 * h, 2 * w)
+    assert np.abs(dx).max() > 0.1
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_dyfusion_offsets_shift_sampling():
