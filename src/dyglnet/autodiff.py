@@ -184,7 +184,7 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops
+# Element-wise ops
 
 
 def add(x: Value, other) -> Value:
@@ -383,21 +383,6 @@ def pixel_sample(x: Value, ux: Value, uy: Value) -> Value:
         return lambda g: T._sample_pixel_vjp(xd, uxd, uyd, plan, g)
 
     return _record(y, (x, ux, uy), mk)
-
-
-def grid_sample(x: Value, grid: Value) -> Value:
-    """Sample at normalized [-1,1] grid points [N,H',W',2]; returns
-    [N,C,H',W']."""
-    T._check_sample_args(x.tensor, grid.tensor)
-    n, c, h, w = x.tensor.shape
-    oh, ow = grid.tensor.shape[1], grid.tensor.shape[2]
-    p = oh * ow
-    flat = reshape(grid, (n, p, 2))
-    gx = reshape(narrow(flat, 2, 0, 1), (n, p))
-    gy = reshape(narrow(flat, 2, 1, 1), (n, p))
-    ux = add(scale(gx, w / 2.0), w / 2.0 - 0.5)
-    uy = add(scale(gy, h / 2.0), h / 2.0 - 0.5)
-    return reshape(pixel_sample(x, ux, uy), (n, c, oh, ow))
 
 
 def resize_bilinear(x: Value, out_h: int, out_w: int) -> Value:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import tensor as T
 from .autodiff import Parameter, Value
-from .errors import ConfigurationError, DimensionError, UnsupportedScaleError
+from .errors import ConfigurationError, DimensionError
 from .tensor import ConvSpec, Tensor
 
 
@@ -341,28 +342,8 @@ class ShdcBlock(Module):
         return self.ffn(h, training)
 
 
-def init_offsets(groups: int, scale: int) -> Tensor:
-    """Constant sub-pixel offset lattice for a 2x upsampler.
-
-    Returns [groups, scale*scale, 2] with rows (dx, dy) ordered so row
-    k serves output sub-pixel (a, b) = (k % scale, k // scale): output
-    pixel (2i + a, 2j + b) samples source coordinate
-    (j + dx_k, i + dy_k) when learned offsets are zero.
-    """
-    if scale != 2:
-        raise UnsupportedScaleError(f"only scale factor 2 is supported, got {scale}")
-    if groups < 1:
-        raise ConfigurationError(f"groups must be >= 1, got {groups}")
-    rows = []
-    for k in range(scale * scale):
-        b, a = divmod(k, scale)
-        rows.append(
-            [(b + 0.5) / scale - 0.5, (a + 0.5) / scale - 0.5]
-        )
-    return Tensor(np.tile(np.asarray(rows, dtype=np.float64), (groups, 1, 1)))
-
-
-_UPSAMPLE_MODES = ("dynamic", "zero_offset", "bilinear")
+_SCALE = 2  # the upsampler doubles each spatial extent
+_UPSAMPLE_MODES = ("dynamic", "bilinear")
 
 
 @dataclass(frozen=True)
@@ -372,16 +353,11 @@ class DyFusionUpConfig:
     in_channels: int
     skip_channels: int
     groups: int = 4
-    scale: int = 2
     offset_range: float = 0.25
     fuse_dilations: tuple[int, ...] = (1, 2, 3)
     mode: str = "dynamic"
 
     def __post_init__(self):
-        if self.scale != 2:
-            raise UnsupportedScaleError(
-                f"only scale factor 2 is supported, got {self.scale}"
-            )
         if self.groups < 1 or self.in_channels % self.groups:
             raise ConfigurationError(
                 f"groups {self.groups} must divide in_channels {self.in_channels}"
@@ -395,19 +371,7 @@ class DyFusionUpConfig:
 
     @property
     def offset_channels(self) -> int:
-        return 2 * self.groups * self.scale * self.scale
-
-
-def _base_lattice(h2: int, w2: int, scale: int, dtype: np.dtype):
-    """Pixel-space source coordinates of the static quarter-pixel grid."""
-    off = init_offsets(1, scale).data[0]
-    jj = np.arange(w2)
-    ii = np.arange(h2)
-    ux = (jj // scale + off[(jj % scale) * scale, 0]).astype(dtype)
-    uy = (ii // scale + off[ii % scale, 1]).astype(dtype)
-    grid_x = np.broadcast_to(ux[None, :], (h2, w2))
-    grid_y = np.broadcast_to(uy[:, None], (h2, w2))
-    return grid_x.reshape(-1), grid_y.reshape(-1)
+        return 2 * self.groups * _SCALE * _SCALE
 
 
 class DyFusionUp(Module):
@@ -422,9 +386,9 @@ class DyFusionUp(Module):
     concatenated in front; a multi-scale dilated stage plus a 3x3 conv
     fuse the pair down to ``skip_channels``.
 
-    With zero offsets the sampling stage equals static 2x bilinear
-    upsampling exactly. Modes: "dynamic" learns offsets,
-    "zero_offset" keeps the static lattice with no predictor, and
+    The offsets are added to the sampling coordinates of a 2x bilinear
+    resize, so with zero offsets the sampling stage equals static 2x
+    bilinear upsampling exactly. Modes: "dynamic" learns offsets, and
     "bilinear" replaces the sampler with a plain resize.
     """
 
@@ -454,14 +418,12 @@ class DyFusionUp(Module):
             padding=1,
         )
 
-    def offset_fields(self, x_low: Value) -> tuple[Value, Value] | None:
+    def offset_fields(self, x_low: Value) -> tuple[Value, Value]:
         """Scaled (dx, dy) offset fields on the doubled lattice, groups
         folded into the batch: each is [N*G, 4hw], row i*G + j holding
         image i, group j."""
-        if self.cfg.mode != "dynamic":
-            return None
         n, _, h, w = x_low.tensor.shape
-        s, g = self.cfg.scale, self.cfg.groups
+        s, g = _SCALE, self.cfg.groups
         raw = self.offset(x_low)  # [n, 2g*s*s, h, w]
         planes = ad.depth_to_space(raw, s)  # [n, 2g, s*h, s*w]
         p = s * h * s * w
@@ -475,29 +437,24 @@ class DyFusionUp(Module):
         ``pixel_sample`` of [N*G, C'/G, h, w], the G groups folded into
         the batch, at [N*G, 4hw] coordinates."""
         n, c, h, w = x_low.tensor.shape
-        s, g = self.cfg.scale, self.cfg.groups
-        h2, w2 = s * h, s * w
+        g = self.cfg.groups
+        h2, w2 = _SCALE * h, _SCALE * w
         if self.cfg.mode == "bilinear":
             return ad.resize_bilinear(x_low, h2, w2)
-        bx, by = _base_lattice(h2, w2, s, x_low.tensor.data.dtype)
-        base_x = ad.constant(Tensor._wrap(np.broadcast_to(bx, (n * g, h2 * w2))))
-        base_y = ad.constant(Tensor._wrap(np.broadcast_to(by, (n * g, h2 * w2))))
-        fields = self.offset_fields(x_low)
-        if fields is None:
-            ux, uy = base_x, base_y
-        else:
-            ux, uy = ad.add(fields[0], base_x), ad.add(fields[1], base_y)
+        dx, dy = self.offset_fields(x_low)
+        bx, by = T._resize_coords(n * g, h, w, h2, w2, x_low.tensor.data.dtype)
+        ux = ad.add(dx, ad.constant(Tensor._wrap(bx)))
+        uy = ad.add(dy, ad.constant(Tensor._wrap(by)))
         folded = ad.reshape(x_low, (n * g, c // g, h, w))
         return ad.reshape(ad.pixel_sample(folded, ux, uy), (n, c, h2, w2))
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
         n, c, h, w = x_low.tensor.shape
-        s = self.cfg.scale
         if c != self.cfg.in_channels:
             raise DimensionError(
                 f"expected {self.cfg.in_channels} input channels, got {c}"
             )
-        expected = (n, self.cfg.skip_channels, s * h, s * w)
+        expected = (n, self.cfg.skip_channels, _SCALE * h, _SCALE * w)
         if x_skip.tensor.shape != expected:
             raise DimensionError(
                 f"skip shape {x_skip.tensor.shape} != required {expected}"

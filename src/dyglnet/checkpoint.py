@@ -13,6 +13,7 @@ return partial state.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -103,7 +104,7 @@ def read_checkpoint(path: str) -> tuple[dict[str, Tensor], str]:
         if code not in _CODE_DTYPES:
             raise FormatError(f"{name}: unknown dtype code {code}", offset=code_off)
         dt = _CODE_DTYPES[code]
-        n_bytes = int(np.prod(dims)) * dt.itemsize
+        n_bytes = math.prod(dims) * dt.itemsize
         payload = r.take(n_bytes, f"{name} payload")
         arr = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
         tensors[name] = Tensor._wrap(arr.astype(arr.dtype.newbyteorder("=")))

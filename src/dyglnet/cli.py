@@ -123,6 +123,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"unknown block {args.block!r}; choose from {sorted(CHECKS)}"
         )
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = tuple(range(args.seeds))
     rows = run_suite(names, seeds=seeds)
     print(f"{'block':<12} {'seed':>4} {'max_rel_err':>12} {'checked':>8} "

@@ -35,10 +35,6 @@ class DegenerateStatisticsError(DyglError):
     """Batch statistics were requested over a single element."""
 
 
-class UnsupportedScaleError(ConfigurationError):
-    """An upsampling scale factor other than the supported one."""
-
-
 class FormatError(DyglError):
     """A byte stream does not parse as the expected file format.
 

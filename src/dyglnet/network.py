@@ -212,10 +212,6 @@ class Model(Module):
         return self(x, training=False).tensor
 
 
-def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> Model:
-    return Model(cfg, seed, dtype)
-
-
 def param_count(model: Model) -> int:
     return sum(p.value.size for p in model.parameters(trainable_only=True))
 

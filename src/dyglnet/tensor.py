@@ -108,21 +108,6 @@ def _validated(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def assert_finite(x: Tensor) -> Tensor:
-    """Validation op: returns ``x`` unchanged, raising if non-finite."""
-    if not np.isfinite(x.data).all():
-        raise NumericError("tensor contains NaN or Inf")
-    return x
-
-
-def zeros(shape: tuple[int, ...], dtype: str = "f32") -> Tensor:
-    return Tensor._wrap(np.zeros(shape, dtype=_np_dtype(dtype)))
-
-
-def full(shape: tuple[int, ...], value: float, dtype: str = "f32") -> Tensor:
-    return Tensor._wrap(np.full(shape, value, dtype=_np_dtype(dtype)))
-
-
 def _check_same_dtype(*arrays: np.ndarray) -> None:
     first = arrays[0].dtype
     for a in arrays[1:]:
@@ -520,15 +505,22 @@ def _check_sample_args(x: Tensor, grid: Tensor) -> None:
     _check_same_dtype(x.data, grid.data)
 
 
-def _resize_plan(x: np.ndarray, out_h: int, out_w: int) -> tuple:
-    """Plan of a resize: output pixel j samples (j + 0.5) * in/out - 0.5."""
-    n, _, h, w = x.shape
-    dt = x.dtype.type
+def _resize_coords(
+    n: int, h: int, w: int, out_h: int, out_w: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coords [n, out_h*out_w] of an h x w -> out_h x out_w resize:
+    output pixel j samples (j + 0.5) * in/out - 0.5."""
+    dt = dtype.type
     ux = (np.arange(out_w, dtype=dt) + dt(0.5)) * (w / out_w) - dt(0.5)
     uy = (np.arange(out_h, dtype=dt) + dt(0.5)) * (h / out_h) - dt(0.5)
     ux = np.broadcast_to(ux, (n, out_h, out_w)).reshape(n, -1)
     uy = np.broadcast_to(uy[:, None], (n, out_h, out_w)).reshape(n, -1)
-    return _sample_plan(ux, uy, h, w)
+    return ux, uy
+
+
+def _resize_plan(x: np.ndarray, out_h: int, out_w: int) -> tuple:
+    n, _, h, w = x.shape
+    return _sample_plan(*_resize_coords(n, h, w, out_h, out_w, x.dtype), h, w)
 
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -584,7 +576,7 @@ def depth_to_space(x: Tensor, s: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops
+# Element-wise ops
 
 # Binary ops accept a same-shape tensor, a scalar tensor of shape (1,), a
 # per-channel vector [C] against an NCHW operand, or a Python number.
@@ -640,29 +632,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._wrap(np.maximum(x.data, 0))
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "relu": relu,
-}
-
-
-def elementwise(x: Tensor, op: str, other=None) -> Tensor:
-    """Dispatch an elementwise op by name; see the named functions."""
-    if op not in _ELEMENTWISE:
-        raise ContractError(f"unknown elementwise op {op!r}")
-    fn = _ELEMENTWISE[op]
-    if op in ("add", "sub", "mul", "scale"):
-        return fn(x, other)
-    if other is not None:
-        raise ContractError(f"op {op!r} takes no second operand")
-    return fn(x)
-
-
 # ---------------------------------------------------------------------------
 # Structure ops
 
@@ -698,19 +667,6 @@ def narrow(x: Tensor, axis: int, start: int, size: int) -> Tensor:
     sl = [slice(None)] * x.rank
     sl[axis] = slice(start, start + size)
     return Tensor._wrap(x.data[tuple(sl)].copy())
-
-
-def split(x: Tensor, axis: int, sizes: list[int]) -> list[Tensor]:
-    if sum(sizes) != x.shape[axis]:
-        raise DimensionError(
-            f"split sizes {sizes} do not sum to extent {x.shape[axis]}"
-        )
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(narrow(x, axis, start, s))
-        start += s
-    return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

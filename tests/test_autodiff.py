@@ -10,7 +10,7 @@ import oracles
 from dyglnet import autodiff as ad
 from dyglnet import tensor as T
 from dyglnet.autodiff import Parameter, Tape, grad_check
-from dyglnet.errors import ContractError, StateError
+from dyglnet.errors import ContractError, DimensionError, StateError
 from dyglnet.losses import dice_loss
 from dyglnet.tensor import ConvSpec, Tensor
 
@@ -353,19 +353,6 @@ def test_pixel_sample_coordinate_grads_vs_central_differences():
                     assert guy[i, j] == 0.0
 
 
-def test_fd_grid_sample():
-    rng = np.random.default_rng(29)
-    x = param("x", rng.normal(size=(1, 2, 4, 4)))
-    grid = param("grid", rng.uniform(-0.8, 0.8, size=(1, 2, 3, 2)))
-    wgt = const64(np.random.default_rng(30).normal(size=(1, 2, 2, 3)))
-
-    def fn():
-        y = ad.grid_sample(ad.watch(x), ad.watch(grid))
-        return ad.sum_all(ad.mul(y, wgt))
-
-    _fd_ok(fn, [x, grid])
-
-
 def test_fd_resize_and_depth_to_space():
     rng = np.random.default_rng(31)
     x = param("x", rng.normal(size=(1, 4, 3, 3)))
@@ -393,6 +380,23 @@ def test_fd_concat_split_narrow():
         )
 
     _fd_ok(fn, [a, b])
+
+
+@pytest.mark.parametrize("channels", [64, 48])
+def test_split_concat_round_trip_bit_identical(channels):
+    rng = np.random.default_rng(41)
+    x = ad.constant(Tensor(rng.normal(size=(1, channels, 3, 3)), dtype="f32"))
+    half = channels // 2
+    parts = ad.split(x, 1, [half, half])
+    assert [p.tensor.shape[1] for p in parts] == [half, half]
+    back = ad.concat(parts, axis=1)
+    np.testing.assert_array_equal(back.tensor.data, x.tensor.data)
+
+
+def test_split_size_mismatch():
+    x = ad.constant(Tensor(np.zeros((1, 4, 2, 2)), dtype="f64"))
+    with pytest.raises(DimensionError):
+        ad.split(x, 1, [3, 2])
 
 
 def test_parameter_assign_and_trainable_flag():

@@ -23,14 +23,8 @@ from dyglnet.blocks import (
     ShdcBlock,
     ShdcConfig,
     SingleHeadAttention,
-    _base_lattice,
-    init_offsets,
 )
-from dyglnet.errors import (
-    ConfigurationError,
-    DimensionError,
-    UnsupportedScaleError,
-)
+from dyglnet.errors import ConfigurationError, DimensionError
 from dyglnet.tensor import Tensor
 
 
@@ -334,46 +328,6 @@ def test_shdc_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Offset lattice
-
-
-def test_init_offsets_exact_rows():
-    off = init_offsets(1, 2)
-    assert off.shape == (1, 4, 2)
-    want = np.array(
-        [[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]]
-    )
-    np.testing.assert_array_equal(off.data[0], want)
-
-
-def test_init_offsets_replicated_per_group_and_zero_mean():
-    off = init_offsets(3, 2)
-    assert off.shape == (3, 4, 2)
-    for g in range(3):
-        np.testing.assert_array_equal(off.data[g], off.data[0])
-    np.testing.assert_array_equal(off.data[0].mean(axis=0), [0.0, 0.0])
-
-
-def test_init_offsets_rejects_other_scales():
-    with pytest.raises(UnsupportedScaleError):
-        init_offsets(1, 3)
-    with pytest.raises(UnsupportedScaleError):
-        init_offsets(1, 1)
-
-
-def test_base_lattice_origin_samples_quarter_pixel():
-    gx, gy = _base_lattice(4, 4, 2, np.dtype(np.float64))
-    assert gx[0] == -0.25 and gy[0] == -0.25
-    # Output pixel (2i+a, 2j+b) reads source (j +/- 0.25, i +/- 0.25).
-    gx2 = gx.reshape(4, 4)
-    gy2 = gy.reshape(4, 4)
-    for oy in range(4):
-        for ox in range(4):
-            assert gx2[oy, ox] == (ox + 0.5) / 2.0 - 0.5
-            assert gy2[oy, ox] == (oy + 0.5) / 2.0 - 0.5
-
-
-# ---------------------------------------------------------------------------
 # DyFusionUp
 
 
@@ -482,7 +436,7 @@ def test_dyfusion_offsets_shift_sampling():
 
 def test_dyfusion_full_block_shape_and_modes():
     rng = np.random.default_rng(71)
-    for mode in ("dynamic", "zero_offset", "bilinear"):
+    for mode in ("dynamic", "bilinear"):
         cfg = DyFusionUpConfig(
             in_channels=4, skip_channels=3, groups=2, fuse_dilations=(1, 2),
             mode=mode,
@@ -494,11 +448,11 @@ def test_dyfusion_full_block_shape_and_modes():
         assert y.tensor.shape == (2, 3, 8, 8)
 
 
-def test_dyfusion_zero_offset_mode_matches_dynamic_at_init():
+def test_dyfusion_bilinear_mode_matches_dynamic_at_init():
     rng1 = np.random.default_rng(73)
     rng2 = np.random.default_rng(73)
     dyn = _up_block(rng1, in_ch=2, groups=1, mode="dynamic")
-    stat = _up_block(rng2, in_ch=2, groups=1, mode="zero_offset")
+    stat = _up_block(rng2, in_ch=2, groups=1, mode="bilinear")
     x = np.random.default_rng(74).normal(size=(1, 2, 3, 3))
     np.testing.assert_array_equal(
         dyn.upsample(v64(x)).tensor.data, stat.upsample(v64(x)).tensor.data
@@ -515,8 +469,8 @@ def test_dyfusion_spatial_mismatch_rejected():
 
 
 def test_dyfusion_config_validation():
-    with pytest.raises(UnsupportedScaleError):
-        DyFusionUpConfig(in_channels=4, skip_channels=2, scale=3)
+    with pytest.raises(ConfigurationError):
+        DyFusionUpConfig(in_channels=4, skip_channels=2, mode="zero_offset")
     with pytest.raises(ConfigurationError):
         DyFusionUpConfig(in_channels=4, skip_channels=2, groups=3)
     with pytest.raises(ConfigurationError):

@@ -115,6 +115,15 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_removed_upsample_mode_exits_2(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("\n".join(_TINY_LINES + ["upsample_mode = zero_offset"]) + "\n")
+    rc = main(["train", "--config", str(path), "--synthetic", "4",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "upsample_mode" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -243,6 +252,16 @@ def test_gradcheck_unknown_block_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_gradcheck_without_seeds_exits_2(seeds, capsys):
+    # No seed means nothing is checked, which must not read as a pass.
+    rc = main(["gradcheck", "--block", "dyt", "--seeds", seeds])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--seeds" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # info
 
@@ -262,6 +281,14 @@ def test_info_reports_count_and_ratio(tiny_ckpt, capsys):
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+
+def test_package_exports_resolve():
+    import dyglnet
+
+    missing = [name for name in dyglnet.__all__ if not hasattr(dyglnet, name)]
+    assert missing == []
+    assert len(set(dyglnet.__all__)) == len(dyglnet.__all__)
 
 
 def test_console_script_help_runs():

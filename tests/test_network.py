@@ -326,6 +326,21 @@ def test_checkpoint_rejects_truncation_everywhere(tmp_path):
             load(trunc)
 
 
+def test_checkpoint_rejects_oversized_dims_with_offset(tmp_path):
+    # 65536**4 elements overflow an int64 product to 0; the payload size
+    # must stay exact so the read fails as truncated, at the payload.
+    path = str(tmp_path / "huge.ckpt")
+    name = b"w"
+    head = b"DYGL" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+    head += struct.pack("<B", 4) + struct.pack("<4I", *(65536,) * 4) + struct.pack("<B", 0)
+    with open(path, "wb") as f:
+        f.write(head)
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert err.value.offset == len(head)
+    assert "payload" in str(err.value)
+
+
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     model = _tiny_model()
     path = str(tmp_path / "m.ckpt")

@@ -416,7 +416,7 @@ def test_resize_random_vs_oracle():
 
 
 # ---------------------------------------------------------------------------
-# elementwise / concat / split / depth_to_space
+# elementwise / concat / depth_to_space
 
 
 def test_elementwise_pinned():
@@ -454,27 +454,6 @@ def test_concat_shapes():
     b = t64(np.ones((1, 3, 2, 2)))
     y = T.concat([a, b], axis=1)
     assert y.shape == (1, 5, 2, 2)
-
-
-def test_split_concat_round_trip_bit_identical():
-    rng = np.random.default_rng(41)
-    x = Tensor(rng.normal(size=(1, 64, 3, 3)).astype(np.float32), dtype="f32")
-    parts = T.split(x, 1, [32, 32])
-    assert [p.shape[1] for p in parts] == [32, 32]
-    back = T.concat(parts, axis=1)
-    np.testing.assert_array_equal(back.data, x.data)
-
-
-def test_split_48_channels_even_ratio():
-    x = t64(np.zeros((1, 48, 2, 2)))
-    parts = T.split(x, 1, [24, 24])
-    assert [p.shape[1] for p in parts] == [24, 24]
-
-
-def test_split_size_mismatch():
-    x = t64(np.zeros((1, 4, 2, 2)))
-    with pytest.raises(DimensionError):
-        T.split(x, 1, [3, 2])
 
 
 def test_depth_to_space_reference_layout():
