@@ -313,6 +313,36 @@ def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value
     return _record(y, parents, mk)
 
 
+def depthwise_residual(
+    x: Value,
+    weights: Sequence[Value],
+    dilations: Sequence[int],
+    bias: Value | None = None,
+) -> Value:
+    """x + sum_k dwconv3x3(x, weights[k]; dilation = padding = dilations[k])
+    (+ bias), as one op and one tape node. Each weight is [C, 1, 3, 3];
+    the bias is per-channel or None."""
+    dilations = tuple(dilations)
+    with_bias = bias is not None
+    b = bias.tensor if with_bias else None
+    T._check_dw_residual_args(x.tensor, [w.tensor for w in weights], dilations, b)
+    xd = x.tensor.data
+    wds = [w.tensor.data for w in weights]
+    y = Tensor._wrap(
+        T._dw_residual_forward(xd, wds, dilations, b.data if with_bias else None)
+    )
+    parents = (x, *weights, bias) if with_bias else (x, *weights)
+
+    def mk():
+        def vjp(g):
+            gx, gws, gb = T._dw_residual_vjp(xd, wds, dilations, g, with_bias)
+            return (gx, *gws, gb) if with_bias else (gx, *gws)
+
+        return vjp
+
+    return _record(y, parents, mk)
+
+
 def batchnorm2d(
     x: Value,
     gamma: Value,

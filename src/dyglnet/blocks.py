@@ -217,7 +217,8 @@ class SingleHeadAttention(Module):
 class MultiScaleDilatedConv(Module):
     """Parallel dilated depthwise 3x3 branches summed with the identity,
     then one shared batchnorm. Padding equals each branch's dilation so
-    the spatial extents are preserved."""
+    the spatial extents are preserved. The sum is one fused
+    ``depthwise_residual`` op; the branch convs hold its weights."""
 
     def __init__(
         self,
@@ -239,9 +240,11 @@ class MultiScaleDilatedConv(Module):
         self.bn = BatchNorm2d(f"{name}.bn", channels, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
-        s = x
-        for branch in self.branches:
-            s = ad.add(s, branch(x))
+        s = ad.depthwise_residual(
+            x,
+            [ad.watch(b.weight) for b in self.branches],
+            [b.spec.dilation for b in self.branches],
+        )
         return self.bn(s, training)
 
 
@@ -332,7 +335,10 @@ class ShdcBlock(Module):
             raise DimensionError(
                 f"block expects {self.cfg.channels} channels, got {x.tensor.shape}"
             )
-        h = ad.add(x, self.pre(x))
+        pre = self.pre
+        h = ad.depthwise_residual(
+            x, [ad.watch(pre.weight)], [pre.spec.dilation], ad.watch(pre.bias)
+        )
         if self.cfg.use_fusion:
             cg = self.cfg.global_channels
             g_in, l_in = ad.split(h, 1, [cg, self.cfg.channels - cg])

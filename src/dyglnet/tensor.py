@@ -169,24 +169,16 @@ def _conv2d_forward(
     cout_g = cout // g
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    taps = _taps(spec, kh, kw, ho, wo)
-    if cin_g == cout_g == 1:
-        # Depthwise: a 1x1 per-group matmul is one multiply, so each tap
-        # is a broadcast multiply-accumulate (same products, same order).
-        y = np.zeros((n, cout, ho, wo), dtype=x.dtype)
-        for i, j, rows, cols in taps:
-            y += xp[:, :, rows, cols] * w[:, 0, i, j].reshape(1, cout, 1, 1)
-    else:
-        xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-        wg = w.reshape(g, cout_g, cin_g, kh, kw)
-        acc = np.zeros((n, g, ho * wo, cout_g), dtype=x.dtype)
-        for i, j, rows, cols in taps:
-            # [n,g,P,cin_g] @ [g,cin_g,cout_g] -> [n,g,P,cout_g]
-            pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)
-            acc += np.matmul(
-                pm.transpose(0, 1, 3, 2), wg[:, :, :, i, j].transpose(0, 2, 1)
-            )
-        y = acc.transpose(0, 1, 3, 2).reshape(n, cout, ho, wo)
+    xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
+    wg = w.reshape(g, cout_g, cin_g, kh, kw)
+    acc = np.zeros((n, g, ho * wo, cout_g), dtype=x.dtype)
+    for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
+        # [n,g,P,cin_g] @ [g,cin_g,cout_g] -> [n,g,P,cout_g]
+        pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)
+        acc += np.matmul(
+            pm.transpose(0, 1, 3, 2), wg[:, :, :, i, j].transpose(0, 2, 1)
+        )
+    y = acc.transpose(0, 1, 3, 2).reshape(n, cout, ho, wo)
     if b is not None:
         y = y + b.reshape(1, cout, 1, 1)
     return y
@@ -208,26 +200,20 @@ def _conv2d_vjp(
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
-    taps = _taps(spec, kh, kw, ho, wo)
-    if cin_g == cout_g == 1:
-        for i, j, rows, cols in taps:
-            gxp[:, :, rows, cols] += gy * w[:, 0, i, j].reshape(1, cout, 1, 1)
-            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", xp[:, :, rows, cols], gy)
-    else:
-        xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-        wg = w.reshape(g, cout_g, cin_g, kh, kw)
-        gyg = gy.reshape(n, g, cout_g, ho * wo).transpose(0, 1, 3, 2)  # [n,g,P,cout_g]
-        gxg = gxp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-        gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
-        for i, j, rows, cols in taps:
-            pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
-            # weight grad: sum_n  [g,cin_g,P] @ [g,P,cout_g]
-            gwg[:, :, :, i, j] += np.matmul(pm, gyg).sum(axis=0).transpose(0, 2, 1)
-            # input grad: [n,g,P,cout_g] @ [g,cout_g,cin_g] -> [n,g,P,cin_g]
-            gpatch = np.matmul(gyg, wg[:, :, :, i, j])
-            gxg[:, :, :, rows, cols] += gpatch.transpose(0, 1, 3, 2).reshape(
-                n, g, cin_g, ho, wo
-            )
+    xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
+    wg = w.reshape(g, cout_g, cin_g, kh, kw)
+    gyg = gy.reshape(n, g, cout_g, ho * wo).transpose(0, 1, 3, 2)  # [n,g,P,cout_g]
+    gxg = gxp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
+    gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
+    for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
+        pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
+        # weight grad: sum_n  [g,cin_g,P] @ [g,P,cout_g]
+        gwg[:, :, :, i, j] += np.matmul(pm, gyg).sum(axis=0).transpose(0, 2, 1)
+        # input grad: [n,g,P,cout_g] @ [g,cout_g,cin_g] -> [n,g,P,cin_g]
+        gpatch = np.matmul(gyg, wg[:, :, :, i, j])
+        gxg[:, :, :, rows, cols] += gpatch.transpose(0, 1, 3, 2).reshape(
+            n, g, cin_g, ho, wo
+        )
     gx = gxp[:, :, p : p + h, p : p + wid] if p else gxp
     gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
     return np.ascontiguousarray(gx), gw, gb
@@ -239,10 +225,7 @@ def conv2d(
     """Grouped, dilated 2-d cross-correlation over an NCHW batch.
 
     ``weight`` has shape [out_channels, in_channels/groups, kh, kw];
-    ``bias`` is per-output-channel or None. Depthwise convs (one input
-    and one output channel per group) run each kernel tap as a single
-    broadcast multiply-accumulate rather than a batched matmul, with the
-    same products summed in the same order.
+    ``bias`` is per-output-channel or None.
     """
     _check_conv_args(x, weight, bias, spec)
     b = bias.data if bias is not None else None
@@ -271,6 +254,123 @@ def _check_conv_args(
     if bias is not None:
         if bias.shape != (cout,):
             raise DimensionError(f"bias shape {bias.shape} != ({cout},)")
+        arrays.append(bias.data)
+    _check_same_dtype(*arrays)
+
+
+# ---------------------------------------------------------------------------
+# Depthwise residual: x + sum_k dwconv3x3(x, w_k; dilation = padding = d_k)
+
+# Bytes of one [n, channel block, h, w] slab. A block's taps all re-read
+# the same slab, so it is sized to stay in a core's L2 cache.
+_DW_BLOCK_BYTES = 1 << 18
+
+
+def _dw_blocks(x: np.ndarray) -> tuple[list[slice], np.ndarray]:
+    """The channel blocks of x [n,c,h,w] and one scratch slab as large
+    as a full block."""
+    n, c, h, w = x.shape
+    cb = max(1, min(c, _DW_BLOCK_BYTES // (n * h * w * x.itemsize)))
+    blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
+    return blocks, np.empty((n, cb, h, w), dtype=x.dtype)
+
+
+def _dw_accumulate(
+    out: np.ndarray,
+    src: np.ndarray,
+    ws: list[np.ndarray],
+    dilations: tuple[int, ...],
+    pad: int,
+    tmp: np.ndarray,
+    mirror: bool,
+) -> None:
+    """out += sum_k dwconv3x3(src, ws[k]; dilation = padding = dilations[k])
+    on one channel block, where ``src`` is the block padded by ``pad`` >=
+    every dilation. ``mirror`` flips each kernel: that is the transpose,
+    so it maps an output gradient to the input gradient."""
+    _, cb, h, w = out.shape
+    t = tmp[:, :cb]
+    for wk, d in zip(ws, dilations):
+        view = src[:, :, pad - d :, pad - d :]
+        for i, j, rows, cols in _taps(ConvSpec(dilation=d), 3, 3, h, w):
+            tap = wk[:, 0, 2 - i, 2 - j] if mirror else wk[:, 0, i, j]
+            np.multiply(view[:, :, rows, cols], tap.reshape(cb, 1, 1), out=t)
+            out += t
+
+
+def _dw_residual_forward(
+    x: np.ndarray,
+    ws: list[np.ndarray],
+    dilations: tuple[int, ...],
+    b: np.ndarray | None,
+) -> np.ndarray:
+    """x + sum_k dwconv3x3(x, ws[k]; dilation = padding = dilations[k])
+    (+ b): one pad by the largest dilation, then each channel block's
+    output starts as its slice of x and takes every tap of every branch."""
+    pad = max(dilations)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    y = np.empty_like(x)
+    blocks, tmp = _dw_blocks(x)
+    for blk in blocks:
+        yb = y[:, blk]
+        if b is None:
+            yb[...] = x[:, blk]
+        else:
+            np.add(x[:, blk], b[blk].reshape(-1, 1, 1), out=yb)
+        _dw_accumulate(yb, xp[:, blk], [w[blk] for w in ws], dilations, pad, tmp, False)
+    return y
+
+
+def _dw_residual_vjp(
+    x: np.ndarray,
+    ws: list[np.ndarray],
+    dilations: tuple[int, ...],
+    gy: np.ndarray,
+    with_bias: bool,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
+    """(gx, [gw_k], gb) of ``_dw_residual_forward``; pads x and gy itself,
+    so the tape keeps nothing but the op's output."""
+    pad = max(dilations)
+    widths = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+    xp = np.pad(x, widths)
+    gyp = np.pad(gy, widths)
+    gx = gy.copy()  # the identity term
+    gws = [np.empty_like(w) for w in ws]
+    _, _, h, w = x.shape
+    blocks, tmp = _dw_blocks(x)
+    for blk in blocks:
+        _dw_accumulate(gx[:, blk], gyp[:, blk], [wk[blk] for wk in ws], dilations, pad, tmp, True)
+        gyb = gy[:, blk]
+        for gw, d in zip(gws, dilations):
+            view = xp[:, blk, pad - d :, pad - d :]
+            for i, j, rows, cols in _taps(ConvSpec(dilation=d), 3, 3, h, w):
+                gw[blk, 0, i, j] = np.einsum("nchw,nchw->c", view[:, :, rows, cols], gyb)
+    gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
+    return gx, gws, gb
+
+
+def _check_dw_residual_args(
+    x: Tensor,
+    weights: list[Tensor],
+    dilations: tuple[int, ...],
+    bias: Tensor | None,
+) -> None:
+    if x.rank != 4:
+        raise DimensionError(f"depthwise_residual input must be rank 4, got {x.shape}")
+    if not weights or len(weights) != len(dilations):
+        raise ContractError(
+            f"{len(weights)} weights for dilations {tuple(dilations)}; need one each"
+        )
+    if any(d < 1 for d in dilations):
+        raise ContractError(f"dilations must be >= 1, got {tuple(dilations)}")
+    c = x.shape[1]
+    for w in weights:
+        if w.shape != (c, 1, 3, 3):
+            raise DimensionError(f"depthwise weight shape {w.shape} != ({c}, 1, 3, 3)")
+    arrays = [x.data] + [w.data for w in weights]
+    if bias is not None:
+        if bias.shape != (c,):
+            raise DimensionError(f"bias shape {bias.shape} != ({c},)")
         arrays.append(bias.data)
     _check_same_dtype(*arrays)
 

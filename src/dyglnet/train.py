@@ -60,8 +60,10 @@ class TrainConfig:
             )
         if self.poly_power <= 0.0:
             raise ConfigurationError(f"poly_power must be positive, got {self.poly_power}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:
+            # train() drops one-sample batches from sets of two or more
+            # samples, so a batch size of 1 would run no step at all.
+            raise ConfigurationError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.clip_norm <= 0.0:
             raise ConfigurationError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.lambda_ <= 1.0:

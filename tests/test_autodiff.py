@@ -238,6 +238,41 @@ def test_fd_conv2d_depthwise():
     _fd_ok(fn, [x, w, b])
 
 
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_fd_depthwise_residual(with_bias):
+    rng = np.random.default_rng(16)
+    x = param("x", rng.normal(size=(2, 3, 4, 5)))
+    ws = [param(f"w{k}", rng.normal(size=(3, 1, 3, 3)) * 0.5) for k in range(3)]
+    b = param("b", rng.normal(size=(3,)))
+    dilations = (1, 2, 4)  # 4 reaches past the 4-row extent
+
+    def fn():
+        bias = ad.watch(b) if with_bias else None
+        y = ad.depthwise_residual(ad.watch(x), [ad.watch(w) for w in ws], dilations, bias)
+        return ad.mean_all(ad.tanh(y))
+
+    _fd_ok(fn, [x, *ws, b] if with_bias else [x, *ws])
+
+
+def test_depthwise_residual_rejects_bad_arguments():
+    x = const64(np.zeros((1, 3, 4, 4)))
+    w = const64(np.zeros((3, 1, 3, 3)))
+    for bad in [(3, 1, 5, 5), (2, 1, 3, 3), (3, 2, 3, 3)]:
+        with pytest.raises(DimensionError):
+            ad.depthwise_residual(x, [w, const64(np.zeros(bad))], (1, 2))
+    with pytest.raises(DimensionError):
+        ad.depthwise_residual(x, [w], (1,), const64(np.zeros(2)))
+    w32 = ad.constant(Tensor(np.zeros((3, 1, 3, 3)), dtype="f32"))
+    with pytest.raises(ContractError):
+        ad.depthwise_residual(x, [w, w32], (1, 2))
+    with pytest.raises(ContractError):
+        ad.depthwise_residual(x, [w], (1,), ad.constant(Tensor(np.zeros(3), dtype="f32")))
+    with pytest.raises(ContractError):
+        ad.depthwise_residual(x, [w, w], (1,))
+    with pytest.raises(ContractError):
+        ad.depthwise_residual(x, [w], (0,))
+
+
 def test_fd_softmax():
     rng = np.random.default_rng(17)
     x = param("x", rng.normal(size=(2, 5)))

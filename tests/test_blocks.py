@@ -236,6 +236,16 @@ def test_msdc_shape_preserved_and_bad_rates():
         MultiScaleDilatedConv("msdc", 4, rng, rates=(0,))
 
 
+def test_msdc_records_one_node_before_batchnorm():
+    # The identity and all branches are one fused op, so the tape holds
+    # its output and the batchnorm's, not a partial sum per branch.
+    rng = np.random.default_rng(29)
+    block = MultiScaleDilatedConv("msdc", 4, rng, dtype="f64")
+    with ad.Tape() as tape:
+        block(v64(rng.normal(size=(2, 4, 5, 5))), training=True)
+    assert len(tape._nodes) == 2
+
+
 # ---------------------------------------------------------------------------
 # Feed-forward
 

@@ -124,6 +124,19 @@ def test_removed_upsample_mode_exits_2(tmp_path, capsys):
     assert "upsample_mode" in capsys.readouterr().err
 
 
+def test_batch_size_one_exits_2(tmp_path, capsys):
+    # A batch of one would be skipped every step: the run would train
+    # nothing and still write final.ckpt, so it is refused up front.
+    path = tmp_path / "one.cfg"
+    lines = [ln for ln in _TINY_LINES if not ln.startswith("batch_size")]
+    path.write_text("\n".join(lines + ["batch_size = 1"]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(path), "--synthetic", "4", "--out", str(out)])
+    assert rc == 2
+    assert "batch_size" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -289,6 +289,36 @@ def test_save_load_round_trip_bit_identical(tmp_path):
     np.testing.assert_array_equal(model.predict(x).data, loaded.predict(x).data)
 
 
+def test_depthwise_parameter_layout_pinned_for_checkpoints(tmp_path):
+    # The fused depthwise-residual op reads the weights of the `pre` and
+    # `local.branch*` convs; their names, shapes and positions are the
+    # checkpoint layout, so files written before the fusion still load.
+    model = _tiny_model()
+    params = model.parameters()
+    assert len(params) == 110
+    got = [
+        (i, p.name, p.value.shape)
+        for i, p in enumerate(params)
+        if ".pre." in p.name or ".local.branch" in p.name
+    ]
+    want = [(6, "enc.stage2.block0.pre.weight", (16, 1, 3, 3)),
+            (7, "enc.stage2.block0.pre.bias", (16,))]
+    for stage, c, first in ((3, 32, 14), (4, 64, 36)):
+        name = f"enc.stage{stage}.block0"
+        want += [(first, f"{name}.pre.weight", (c, 1, 3, 3)),
+                 (first + 1, f"{name}.pre.bias", (c,))]
+        want += [(first + 6 + r, f"{name}.local.branch{r}.weight", (c // 2, 1, 3, 3))
+                 for r in (1, 2, 3)]
+    assert got == want
+    path = str(tmp_path / "model.ckpt")
+    save(model, path)
+    tensors, _ = read_checkpoint(path)
+    assert list(tensors) == [p.name for p in params]
+    loaded = load(path)
+    x = t32(np.random.default_rng(6).normal(size=(2, 3, 32, 32)) * 0.1)
+    np.testing.assert_array_equal(model.predict(x).data, loaded.predict(x).data)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "bad.ckpt")
     with open(path, "wb") as f:

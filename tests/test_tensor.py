@@ -177,6 +177,90 @@ def test_conv2d_group_divisibility_error():
 
 
 # ---------------------------------------------------------------------------
+# depthwise residual: x + sum_k dwconv3x3(x, w_k; dilation = padding = d_k)
+
+_DW_BLOCK_BYTES = T._DW_BLOCK_BYTES
+
+
+def _dw_branch(x, w, d):
+    return oracles.conv2d_naive(x, w, None, padding=d, dilation=d, groups=x.shape[1])
+
+
+def _dw_residual_oracle(x, ws, dilations, b):
+    want = np.array(x, dtype=np.float64)
+    for w, d in zip(ws, dilations):
+        want += _dw_branch(x, w, d)
+    if b is not None:
+        want += b.reshape(1, -1, 1, 1)
+    return want
+
+
+def _channel_blocks(x):
+    return [(s.start, s.stop) for s in T._dw_blocks(x)[0]]
+
+
+@pytest.mark.parametrize(
+    "n, c, h, w, dilations, bias, block_channels",
+    [
+        (2, 5, 6, 7, (1, 2, 3), True, None),
+        (1, 4, 5, 5, (1, 2, 3), False, None),
+        (2, 3, 5, 4, (2, 2), True, None),  # duplicate rates
+        (2, 4, 2, 2, (1, 2, 3), False, None),  # rate >= extent (the tiny net's 2x2 maps)
+        (1, 2, 1, 3, (3,), True, None),
+        (2, 7, 4, 5, (1, 2, 3), True, 3),  # blocks 3, 3 and a partial 1
+        (1, 10, 3, 3, (1, 3), False, 4),  # blocks 4, 4 and a partial 2
+        (4, 3, 64, 64, (2,), True, None),  # the real block size: 2 channels, then 1
+    ],
+)
+def test_dw_residual_vs_oracle(n, c, h, w, dilations, bias, block_channels, monkeypatch):
+    if block_channels is not None:
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block_channels * n * h * w * 8)
+    rng = np.random.default_rng(n * 1000 + c * 100 + h)
+    x = rng.normal(size=(n, c, h, w))
+    ws = [rng.normal(size=(c, 1, 3, 3)) for _ in dilations]
+    b = rng.normal(size=(c,)) if bias else None
+    blocks = _channel_blocks(x)
+    if block_channels is not None or c * n * h * w * 8 > _DW_BLOCK_BYTES:
+        # spans several channel blocks and ends on a partial one
+        assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+    got = T._dw_residual_forward(x, ws, dilations, b)
+    want = _dw_residual_oracle(x, ws, dilations, b)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_dw_residual_vjp_adjoint_vs_oracle(monkeypatch):
+    # y = x + sum_k conv_k(x) + b is linear in x and in each w_k, so for
+    # any cotangent gy: <x, gx> = <y - b, gy>, <w_k, gw_k> = <conv_k(x), gy>
+    # and <b, gb> = <b broadcast, gy>. Odd cases use blocks of 1-3 channels.
+    rng = np.random.default_rng(23)
+    for case in range(60):
+        n = int(rng.integers(1, 3))
+        c = int(rng.integers(1, 9))
+        h, w = (int(v) for v in rng.integers(1, 7, 2))
+        dilations = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 4))))
+        block = n * h * w * 8 * int(rng.integers(1, 4)) if case % 2 else _DW_BLOCK_BYTES
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block)
+        x = rng.normal(size=(n, c, h, w))
+        ws = [rng.normal(size=(c, 1, 3, 3)) for _ in dilations]
+        b = rng.normal(size=(c,))
+        with_bias = rng.random() < 0.5
+        branches = [_dw_branch(x, wk, d) for wk, d in zip(ws, dilations)]
+        gy = rng.normal(size=x.shape)
+        gx, gws, gb = T._dw_residual_vjp(x, ws, dilations, gy, with_bias)
+        assert gx.shape == x.shape and [g.shape for g in gws] == [wk.shape for wk in ws]
+        y_lin = x + sum(branches)
+        terms = [(np.vdot(x, gx), np.vdot(y_lin, gy))]
+        terms += [(np.vdot(wk, g), np.vdot(yk, gy)) for wk, g, yk in zip(ws, gws, branches)]
+        if with_bias:
+            terms.append((np.vdot(b, gb), np.sum(b.reshape(1, -1, 1, 1) * gy)))
+        else:
+            assert gb is None
+        for got, want in terms:
+            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), f"case {case}"
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 

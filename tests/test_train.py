@@ -181,6 +181,7 @@ def test_clip_validation():
         dict(warmup_epochs=10, total_epochs=10),
         dict(poly_power=0.0),
         dict(batch_size=0),
+        dict(batch_size=1),
         dict(clip_norm=0.0),
         dict(lambda_=1.5),
         dict(lambda_=-0.1),
