@@ -1,4 +1,9 @@
-"""Reverse-mode automatic differentiation over the tensor kernels.
+"""Reverse-mode automatic differentiation: the tape and every op.
+
+The element-wise ops (add, mul, scale, tanh, sigmoid, relu, sum_all,
+mean_all) and the layout ops (concat, narrow, split, reshape,
+transpose) are defined here whole: argument checks, forward and VJP.
+The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a :class:`Value` node holding a vector-Jacobian
@@ -186,74 +191,55 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Element-wise ops
 
-
-def add(x: Value, other) -> Value:
-    if isinstance(other, Value):
-        y = T.add(x.tensor, other.tensor)
-        oshape = other.tensor.shape
-
-        def mk():
-            return lambda g: (g, _reduce_to(g, oshape))
-
-        return _record(y, (x, other), mk)
-    y = T.add(x.tensor, other)
-    return _record(y, (x,), lambda: lambda g: (g,))
+# A binary op's second operand has the first's shape, is a scalar of
+# shape (1,), or is a per-channel vector [C] against an NCHW operand.
 
 
-def sub(x: Value, other) -> Value:
-    if isinstance(other, Value):
-        y = T.sub(x.tensor, other.tensor)
-        oshape = other.tensor.shape
-
-        def mk():
-            return lambda g: (g, -_reduce_to(g, oshape))
-
-        return _record(y, (x, other), mk)
-    y = T.sub(x.tensor, other)
-    return _record(y, (x,), lambda: lambda g: (g,))
+def _broadcast_other(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+    if o.shape == x.shape or o.shape == (1,):
+        ob = o
+    elif x.ndim == 4 and o.ndim == 1 and o.shape[0] == x.shape[1]:
+        ob = o.reshape(1, -1, 1, 1)
+    else:
+        raise DimensionError(f"cannot broadcast operand {o.shape} against {x.shape}")
+    T._check_same_dtype(x, o)
+    return ob
 
 
-def mul(x: Value, other) -> Value:
-    if isinstance(other, Value):
-        y = T.mul(x.tensor, other.tensor)
-        xd, od = x.tensor.data, other.tensor.data
-        oshape = od.shape
+def add(x: Value, other: Value) -> Value:
+    xd, od = x.tensor.data, other.tensor.data
+    y = Tensor._wrap(xd + _broadcast_other(xd, od))
+    return _record(y, (x, other), lambda: lambda g: (g, _reduce_to(g, od.shape)))
 
-        def mk():
-            ob = T._broadcast_other(xd, other.tensor)
 
-            def vjp(g):
-                return g * ob, _reduce_to(g * xd, oshape)
-
-            return vjp
-
-        return _record(y, (x, other), mk)
-    y = T.mul(x.tensor, other)
-    s = x.tensor.data.dtype.type(other)
-    return _record(y, (x,), lambda: lambda g: (g * s,))
+def mul(x: Value, other: Value) -> Value:
+    xd, od = x.tensor.data, other.tensor.data
+    ob = _broadcast_other(xd, od)
+    y = Tensor._wrap(xd * ob)
+    return _record(
+        y, (x, other), lambda: lambda g: (g * ob, _reduce_to(g * xd, od.shape))
+    )
 
 
 def scale(x: Value, s: float) -> Value:
-    y = T.scale(x.tensor, s)
     c = x.tensor.data.dtype.type(s)
+    y = Tensor._wrap(x.tensor.data * c)
     return _record(y, (x,), lambda: lambda g: (g * c,))
 
 
 def tanh(x: Value) -> Value:
-    y = T.tanh(x.tensor)
-    yd = y.data
-    return _record(y, (x,), lambda: lambda g: (g * (1.0 - yd * yd),))
+    yd = np.tanh(x.tensor.data)
+    return _record(Tensor._wrap(yd), (x,), lambda: lambda g: (g * (1.0 - yd * yd),))
 
 
 def sigmoid(x: Value) -> Value:
-    y = T.sigmoid(x.tensor)
-    yd = y.data
-    return _record(y, (x,), lambda: lambda g: (g * yd * (1.0 - yd),))
+    yd = T._sigmoid_forward(x.tensor.data)
+    return _record(Tensor._wrap(yd), (x,), lambda: lambda g: (g * yd * (1.0 - yd),))
 
 
 def relu(x: Value) -> Value:
-    y = T.relu(x.tensor)
     xd = x.tensor.data
+    y = Tensor._wrap(np.maximum(xd, 0))
     return _record(y, (x,), lambda: lambda g: (g * (xd > 0),))
 
 
@@ -264,34 +250,13 @@ def relu(x: Value) -> Value:
 def matmul(a: Value, b: Value) -> Value:
     y = T.matmul(a.tensor, b.tensor)
     ad, bd = a.tensor.data, b.tensor.data
-
-    def mk():
-        def vjp(g):
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-            if ga.ndim > ad.ndim:
-                ga = ga.sum(axis=0)
-            if gb.ndim > bd.ndim:
-                gb = gb.sum(axis=0)
-            return ga, gb
-
-        return vjp
-
-    return _record(y, (a, b), mk)
+    return _record(y, (a, b), lambda: lambda g: T._matmul_vjp(ad, bd, g))
 
 
 def softmax(x: Value, axis: int = -1) -> Value:
     y = T.softmax(x.tensor, axis)
     yd = y.data
-
-    def mk():
-        def vjp(g):
-            dot = np.sum(g * yd, axis=axis, keepdims=True)
-            return (yd * (g - dot),)
-
-        return vjp
-
-    return _record(y, (x,), mk)
+    return _record(y, (x,), lambda: lambda g: (T._softmax_vjp(yd, g, axis),))
 
 
 def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value:
@@ -302,13 +267,8 @@ def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value
     parents = (x, weight, bias) if with_bias else (x, weight)
 
     def mk():
-        def vjp(g):
-            gx, gw, gb = T._conv2d_vjp(xd, wd, spec, g, with_bias)
-            if with_bias:
-                return gx, gw, gb
-            return gx, gw
-
-        return vjp
+        # (gx, gw, gb), where gb is None without a bias
+        return lambda g: T._conv2d_vjp(xd, wd, spec, g, with_bias)[: len(parents)]
 
     return _record(y, parents, mk)
 
@@ -358,32 +318,12 @@ def batchnorm2d(
         x.tensor, gamma.tensor, beta.tensor, running_mean, running_var,
         training, momentum, eps,
     )
-    xd = x.tensor.data
-    c = xd.shape[1]
-    dt = xd.dtype
+    xd, gd = x.tensor.data, gamma.tensor.data
 
     def mk():
-        if training:
-            mean, var, m = T._bn_batch_stats(xd)
-        else:
-            mean, var = running_mean.data, running_var.data
-            m = None
-        istd = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(dt)
-        xhat = (xd - mean.reshape(1, c, 1, 1)) * istd.reshape(1, c, 1, 1)
-        gam = gamma.tensor.data
-
-        def vjp(g):
-            ggamma = (g * xhat).sum(axis=(0, 2, 3))
-            gbeta = g.sum(axis=(0, 2, 3))
-            gi = gam.reshape(1, c, 1, 1) * istd.reshape(1, c, 1, 1)
-            if not training:
-                return g * gi, ggamma, gbeta
-            gsum = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            gxhat = ggamma.reshape(1, c, 1, 1)
-            gx = gi / m * (m * g - gsum - xhat * gxhat)
-            return gx.astype(dt), ggamma, gbeta
-
-        return vjp
+        return T._batchnorm2d_vjp(
+            xd, gd, running_mean.data, running_var.data, training, eps
+        )
 
     out = _record(y, (x, gamma, beta), mk)
     return out, new_mean, new_var
@@ -416,14 +356,14 @@ def pixel_sample(x: Value, ux: Value, uy: Value) -> Value:
 
 
 def resize_bilinear(x: Value, out_h: int, out_w: int) -> Value:
+    y = T.resize_bilinear(x.tensor, out_h, out_w)
     xd = x.tensor.data
     n, c, h, w = xd.shape
-    if (out_h, out_w) == (h, w):
-        return _record(T.resize_bilinear(x.tensor, h, w), (x,), lambda: lambda g: (g,))
-    plan = T._resize_plan(xd, out_h, out_w)
-    y = Tensor._wrap(T._sample_pixel_forward(xd, plan).reshape(n, c, out_h, out_w))
 
     def mk():
+        if (out_h, out_w) == (h, w):
+            return lambda g: (g,)
+        plan = T._resize_plan(xd, out_h, out_w)
         return lambda g: (T._sample_scatter(plan, g.reshape(n, c, -1), h, w),)
 
     return _record(y, (x,), mk)
@@ -439,10 +379,23 @@ def depth_to_space(x: Value, s: int) -> Value:
 
 
 def concat(parts: Sequence[Value], axis: int) -> Value:
-    y = T.concat([p.tensor for p in parts], axis)
-    rank = parts[0].tensor.rank
+    if not parts:
+        raise ContractError("concat of zero tensors")
+    arrays = [p.tensor.data for p in parts]
+    rank = arrays[0].ndim
+    if not -rank <= axis < rank:
+        raise DimensionError(f"axis {axis} out of range for rank {rank}")
     ax = axis % rank
-    sizes = [p.tensor.shape[ax] for p in parts]
+    for a in arrays[1:]:
+        if a.ndim != rank:
+            raise DimensionError("concat operands differ in rank")
+        if any(a.shape[i] != arrays[0].shape[i] for i in range(rank) if i != ax):
+            raise DimensionError(
+                f"concat shapes {arrays[0].shape} and {a.shape} differ off-axis"
+            )
+    T._check_same_dtype(*arrays)
+    y = Tensor._wrap(np.concatenate(arrays, axis=ax))
+    sizes = [a.shape[ax] for a in arrays]
 
     def mk():
         def vjp(g):
@@ -461,17 +414,23 @@ def concat(parts: Sequence[Value], axis: int) -> Value:
 
 
 def narrow(x: Value, axis: int, start: int, size: int) -> Value:
-    y = T.narrow(x.tensor, axis, start, size)
-    xshape = x.tensor.shape
-    rank = x.tensor.rank
-    ax = axis % rank
+    """Contiguous slice of ``size`` entries from ``start`` along ``axis``."""
+    xd = x.tensor.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise DimensionError(f"axis {axis} out of range for shape {xd.shape}")
+    if start < 0 or size < 1 or start + size > xd.shape[axis]:
+        raise DimensionError(
+            f"slice [{start}:{start + size}) exceeds extent {xd.shape[axis]}"
+        )
+    sl = [slice(None)] * xd.ndim
+    sl[axis] = slice(start, start + size)
+    sl = tuple(sl)
+    y = Tensor._wrap(xd[sl].copy())
 
     def mk():
         def vjp(g):
-            gx = np.zeros(xshape, dtype=g.dtype)
-            sl = [slice(None)] * rank
-            sl[ax] = slice(start, start + size)
-            gx[tuple(sl)] = g
+            gx = np.zeros(xd.shape, dtype=g.dtype)
+            gx[sl] = g
             return (gx,)
 
         return vjp
@@ -494,13 +453,19 @@ def split(x: Value, axis: int, sizes: Sequence[int]) -> list[Value]:
 
 
 def reshape(x: Value, shape: tuple[int, ...]) -> Value:
-    y = T.reshape(x.tensor, shape)
     xshape = x.tensor.shape
+    if int(np.prod(shape)) != x.tensor.size or any(s < 1 for s in shape):
+        raise DimensionError(f"cannot reshape {xshape} to {shape}")
+    y = Tensor._wrap(x.tensor.data.reshape(shape))
     return _record(y, (x,), lambda: lambda g: (g.reshape(xshape),))
 
 
 def transpose(x: Value, axes: tuple[int, ...]) -> Value:
-    y = T.transpose(x.tensor, axes)
+    if sorted(axes) != list(range(x.tensor.rank)):
+        raise DimensionError(
+            f"axes {axes} is not a permutation of rank {x.tensor.rank}"
+        )
+    y = Tensor._wrap(np.ascontiguousarray(x.tensor.data.transpose(axes)))
     inv = tuple(np.argsort(axes))
     return _record(
         y, (x,), lambda: lambda g: (np.ascontiguousarray(g.transpose(inv)),)
@@ -508,19 +473,19 @@ def transpose(x: Value, axes: tuple[int, ...]) -> Value:
 
 
 def sum_all(x: Value) -> Value:
-    y = T.sum_all(x.tensor)
-    xshape = x.tensor.shape
-    dt = x.tensor.data.dtype
-    return _record(y, (x,), lambda: lambda g: (np.full(xshape, g[0], dtype=dt),))
+    xd = x.tensor.data
+    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64)], dtype=xd.dtype))
+    return _record(
+        y, (x,), lambda: lambda g: (np.full(xd.shape, g[0], dtype=xd.dtype),)
+    )
 
 
 def mean_all(x: Value) -> Value:
-    y = T.mean_all(x.tensor)
-    xshape = x.tensor.shape
-    n = x.tensor.size
-    dt = x.tensor.data.dtype
+    xd = x.tensor.data
+    n = xd.size
+    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64) / n], dtype=xd.dtype))
     return _record(
-        y, (x,), lambda: lambda g: (np.full(xshape, g[0] / n, dtype=dt),)
+        y, (x,), lambda: lambda g: (np.full(xd.shape, g[0] / n, dtype=xd.dtype),)
     )
 
 

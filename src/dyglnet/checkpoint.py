@@ -7,13 +7,14 @@ Layout, all integers little-endian:
                 | u8 dtype code (0=f32, 1=f64) | raw LE IEEE-754 payload
     trailer:    u32 config length | UTF-8 config snapshot
 
-Readers fail with the byte offset of the first inconsistency and never
-return partial state.
+Writers replace the target atomically. Readers fail with the byte offset
+of the first inconsistency and never return partial state.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -45,8 +46,19 @@ def write_checkpoint(
     snapshot = config_text.encode("utf-8")
     chunks.append(struct.pack("<I", len(snapshot)))
     chunks.append(snapshot)
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    # Write a sibling temp file and rename it over the target, so a
+    # crash mid-write leaves the previous file intact.
+    tmp = f"{path}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(b"".join(chunks))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -154,6 +154,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _threshold(text: str) -> float:
+    """argparse type of ``--threshold``: a probability in [0, 1], not NaN."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyglnet",
@@ -175,14 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ckpt", required=True)
     p_eval.add_argument("--data", required=True, help="manifest TSV")
     p_eval.add_argument("--split", default="test", choices=("train", "valid", "test"))
-    p_eval.add_argument("--threshold", type=float, default=0.5)
+    p_eval.add_argument("--threshold", type=_threshold, default=0.5)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_pred = sub.add_parser("predict", help="segment one image")
     p_pred.add_argument("--ckpt", required=True)
     p_pred.add_argument("--image", required=True, help="input P6 file")
     p_pred.add_argument("--out", required=True, help="output P5 mask path")
-    p_pred.add_argument("--threshold", type=float, default=0.5)
+    p_pred.add_argument("--threshold", type=_threshold, default=0.5)
     p_pred.set_defaults(func=_cmd_predict)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient checks")

@@ -1,7 +1,10 @@
-"""Dense CPU tensors and the numeric kernels behind every layer.
+"""Dense CPU tensors and the numeric kernels, each next to its VJP.
 
 Tensors are immutable rank-1..4 float arrays; feature maps use NCHW
-layout. Kernels are vectorized with numpy but keep a shape discipline
+layout. The kernels are convolution, the fused depthwise residual,
+matmul, softmax, batchnorm, bilinear sampling and resize, and
+depth-to-space; the element-wise and layout ops live in ``autodiff``.
+Kernels are vectorized with numpy but keep a shape discipline
 that mirrors the obvious loop nest: convolution walks kernel taps over
 strided views, bilinear sampling gathers four neighbours per point.
 All operations are deterministic, never mutate their inputs, and
@@ -227,14 +230,6 @@ def conv2d(
     ``weight`` has shape [out_channels, in_channels/groups, kh, kw];
     ``bias`` is per-output-channel or None.
     """
-    _check_conv_args(x, weight, bias, spec)
-    b = bias.data if bias is not None else None
-    return Tensor._wrap(_conv2d_forward(x.data, weight.data, b, spec))
-
-
-def _check_conv_args(
-    x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec
-) -> None:
     if x.rank != 4:
         raise DimensionError(f"conv2d input must be rank 4, got {x.shape}")
     if weight.rank != 4:
@@ -256,6 +251,8 @@ def _check_conv_args(
             raise DimensionError(f"bias shape {bias.shape} != ({cout},)")
         arrays.append(bias.data)
     _check_same_dtype(*arrays)
+    b = bias.data if bias is not None else None
+    return Tensor._wrap(_conv2d_forward(x.data, weight.data, b, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +378,6 @@ def _check_dw_residual_args(
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of rank-2 or batched rank-3 operands."""
-    _check_matmul_args(a, b)
-    return Tensor._wrap(np.matmul(a.data, b.data))
-
-
-def _check_matmul_args(a: Tensor, b: Tensor) -> None:
     if a.rank not in (2, 3) or b.rank not in (2, 3):
         raise DimensionError(f"matmul supports rank 2/3, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -393,20 +385,37 @@ def _check_matmul_args(a: Tensor, b: Tensor) -> None:
     if a.rank == 3 and b.rank == 3 and a.shape[0] != b.shape[0]:
         raise DimensionError(f"batch dims differ: {a.shape} @ {b.shape}")
     _check_same_dtype(a.data, b.data)
+    return Tensor._wrap(np.matmul(a.data, b.data))
 
 
-def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    s = np.sum(e, axis=axis, keepdims=True, dtype=np.float64)
-    return (e / s).astype(x.dtype)
+def _matmul_vjp(
+    a: np.ndarray, b: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ga, gb) of a @ b; a rank-2 operand of a batched product gets the
+    batch sum."""
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    if ga.ndim > a.ndim:
+        ga = ga.sum(axis=0)
+    if gb.ndim > b.ndim:
+        gb = gb.sum(axis=0)
+    return ga, gb
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis (max-subtracted)."""
     if not -x.rank <= axis < x.rank:
         raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
-    return Tensor._wrap(_softmax_forward(x.data, axis))
+    m = np.max(x.data, axis=axis, keepdims=True)
+    e = np.exp(x.data - m)
+    s = np.sum(e, axis=axis, keepdims=True, dtype=np.float64)
+    return Tensor._wrap((e / s).astype(x.data.dtype))
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Input gradient of a softmax with output ``y``."""
+    dot = np.sum(g * y, axis=axis, keepdims=True)
+    return y * (g - dot)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +481,39 @@ def batchnorm2d(
     )
     y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
     return Tensor._wrap(y.astype(x.data.dtype)), running_mean, running_var
+
+
+def _batchnorm2d_vjp(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    eps: float,
+):
+    """The VJP of ``batchnorm2d``: a closure g -> (gx, ggamma, gbeta).
+    Training mode differentiates through the batch statistics too."""
+    c = x.shape[1]
+    dt = x.dtype
+    if training:
+        mean, var, m = _bn_batch_stats(x)
+    else:
+        mean, var = running_mean, running_var
+    istd = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(dt)
+    xhat = (x - mean.reshape(1, c, 1, 1)) * istd.reshape(1, c, 1, 1)
+
+    def vjp(g):
+        ggamma = (g * xhat).sum(axis=(0, 2, 3))
+        gbeta = g.sum(axis=(0, 2, 3))
+        gi = gamma.reshape(1, c, 1, 1) * istd.reshape(1, c, 1, 1)
+        if not training:
+            return g * gi, ggamma, gbeta
+        gsum = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+        gxhat = ggamma.reshape(1, c, 1, 1)
+        gx = gi / m * (m * g - gsum - xhat * gxhat)
+        return gx.astype(dt), ggamma, gbeta
+
+    return vjp
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +625,6 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     ``grid`` has shape [N, H', W', 2] with (gx, gy) in [-1, 1] mapping to
     the outer pixel edges; returns [N, C, H', W'].
     """
-    _check_sample_args(x, grid)
-    n, c, h, w = x.shape
-    oh, ow = grid.shape[1], grid.shape[2]
-    g2 = grid.data.reshape(n, oh * ow, 2)
-    ux = _pixel_coords(g2[:, :, 0], w)
-    uy = _pixel_coords(g2[:, :, 1], h)
-    y = _sample_pixel_forward(x.data, _sample_plan(ux, uy, h, w))
-    return Tensor._wrap(y.reshape(n, c, oh, ow))
-
-
-def _check_sample_args(x: Tensor, grid: Tensor) -> None:
     if x.rank != 4:
         raise DimensionError(f"sample input must be rank 4, got {x.shape}")
     if grid.rank != 4 or grid.shape[3] != 2:
@@ -603,6 +634,13 @@ def _check_sample_args(x: Tensor, grid: Tensor) -> None:
             f"grid batch {grid.shape[0]} != input batch {x.shape[0]}"
         )
     _check_same_dtype(x.data, grid.data)
+    n, c, h, w = x.shape
+    oh, ow = grid.shape[1], grid.shape[2]
+    g2 = grid.data.reshape(n, oh * ow, 2)
+    ux = _pixel_coords(g2[:, :, 0], w)
+    uy = _pixel_coords(g2[:, :, 1], h)
+    y = _sample_pixel_forward(x.data, _sample_plan(ux, uy, h, w))
+    return Tensor._wrap(y.reshape(n, c, oh, ow))
 
 
 def _resize_coords(
@@ -676,118 +714,9 @@ def depth_to_space(x: Tensor, s: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Element-wise ops
-
-# Binary ops accept a same-shape tensor, a scalar tensor of shape (1,), a
-# per-channel vector [C] against an NCHW operand, or a Python number.
-
-
-def _broadcast_other(x: np.ndarray, other) -> np.ndarray:
-    if isinstance(other, Tensor):
-        o = other.data
-        if o.shape == x.shape or o.shape == (1,):
-            _check_same_dtype(x, o)
-            return o
-        if x.ndim == 4 and o.ndim == 1 and o.shape[0] == x.shape[1]:
-            _check_same_dtype(x, o)
-            return o.reshape(1, -1, 1, 1)
-        raise DimensionError(
-            f"cannot broadcast operand {o.shape} against {x.shape}"
-        )
-    if isinstance(other, (int, float)):
-        return x.dtype.type(other)
-    raise ContractError(f"unsupported operand type {type(other).__name__}")
-
-
-def add(x: Tensor, other) -> Tensor:
-    return Tensor._wrap(x.data + _broadcast_other(x.data, other))
-
-
-def sub(x: Tensor, other) -> Tensor:
-    return Tensor._wrap(x.data - _broadcast_other(x.data, other))
-
-
-def mul(x: Tensor, other) -> Tensor:
-    return Tensor._wrap(x.data * _broadcast_other(x.data, other))
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    return Tensor._wrap(x.data * x.data.dtype.type(s))
-
-
-def tanh(x: Tensor) -> Tensor:
-    return Tensor._wrap(np.tanh(x.data))
+# Sigmoid, shared by the autodiff op, the fused BCE loss and predict
 
 
 def _sigmoid_forward(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return Tensor._wrap(_sigmoid_forward(x.data))
-
-
-def relu(x: Tensor) -> Tensor:
-    return Tensor._wrap(np.maximum(x.data, 0))
-
-
-# ---------------------------------------------------------------------------
-# Structure ops
-
-
-def concat(parts: list[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ContractError("concat of zero tensors")
-    rank = parts[0].rank
-    if not -rank <= axis < rank:
-        raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    axis %= rank
-    for t in parts[1:]:
-        if t.rank != rank:
-            raise DimensionError("concat operands differ in rank")
-        for ax in range(rank):
-            if ax != axis and t.shape[ax] != parts[0].shape[ax]:
-                raise DimensionError(
-                    f"concat shapes {parts[0].shape} and {t.shape} differ off-axis"
-                )
-    _check_same_dtype(*[t.data for t in parts])
-    return Tensor._wrap(np.concatenate([t.data for t in parts], axis=axis))
-
-
-def narrow(x: Tensor, axis: int, start: int, size: int) -> Tensor:
-    """Contiguous slice of ``size`` entries from ``start`` along ``axis``."""
-    if not -x.rank <= axis < x.rank:
-        raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
-    axis %= x.rank
-    if start < 0 or size < 1 or start + size > x.shape[axis]:
-        raise DimensionError(
-            f"slice [{start}:{start + size}) exceeds extent {x.shape[axis]}"
-        )
-    sl = [slice(None)] * x.rank
-    sl[axis] = slice(start, start + size)
-    return Tensor._wrap(x.data[tuple(sl)].copy())
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.size or any(s < 1 for s in shape):
-        raise DimensionError(f"cannot reshape {x.shape} to {shape}")
-    return Tensor._wrap(x.data.reshape(shape))
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    if sorted(axes) != list(range(x.rank)):
-        raise DimensionError(f"axes {axes} is not a permutation of rank {x.rank}")
-    return Tensor._wrap(np.ascontiguousarray(x.data.transpose(axes)))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return Tensor._wrap(
-        np.asarray([np.sum(x.data, dtype=np.float64)], dtype=x.data.dtype)
-    )
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return Tensor._wrap(
-        np.asarray([np.sum(x.data, dtype=np.float64) / x.size], dtype=x.data.dtype)
-    )

@@ -273,6 +273,56 @@ def test_depthwise_residual_rejects_bad_arguments():
         ad.depthwise_residual(x, [w], (0,))
 
 
+def const32(arr):
+    return ad.constant(Tensor(np.asarray(arr, dtype=np.float32), dtype="f32"))
+
+
+_X4 = np.zeros((2, 3, 4, 4))
+
+
+@pytest.mark.parametrize(
+    "op, err",
+    [
+        pytest.param(lambda: ad.mul(const64(_X4), const64(np.zeros(4))),
+                     DimensionError, id="mul-per-channel-extent"),
+        pytest.param(lambda: ad.add(const64([1.0, 2.0]), const32([1.0, 2.0])),
+                     ContractError, id="add-mixed-dtype"),
+        pytest.param(lambda: ad.mul(const64(_X4), const32(np.zeros(3))),
+                     ContractError, id="mul-mixed-dtype"),
+        pytest.param(lambda: ad.concat([], 0), ContractError, id="concat-empty"),
+        pytest.param(lambda: ad.concat([const64(_X4), const64(_X4)], 4),
+                     DimensionError, id="concat-axis"),
+        pytest.param(lambda: ad.concat([const64(_X4), const64(np.zeros((2, 3, 4)))], 1),
+                     DimensionError, id="concat-rank"),
+        pytest.param(lambda: ad.concat([const64(_X4), const64(np.zeros((2, 3, 5, 4)))], 1),
+                     DimensionError, id="concat-off-axis"),
+        pytest.param(lambda: ad.concat([const64(_X4), const32(_X4)], 1),
+                     ContractError, id="concat-mixed-dtype"),
+        pytest.param(lambda: ad.narrow(const64(_X4), 1, 2, 2), DimensionError,
+                     id="narrow-past-end"),
+        pytest.param(lambda: ad.narrow(const64(_X4), 1, -1, 1), DimensionError,
+                     id="narrow-negative-start"),
+        pytest.param(lambda: ad.narrow(const64(_X4), 1, 0, 0), DimensionError,
+                     id="narrow-empty"),
+        pytest.param(lambda: ad.narrow(const64(_X4), -5, 0, 1), DimensionError,
+                     id="narrow-axis"),
+        pytest.param(lambda: ad.reshape(const64(_X4), (2, 3, 4, 5)), DimensionError,
+                     id="reshape-size"),
+        pytest.param(lambda: ad.transpose(const64(_X4), (0, 1, 2, 2)),
+                     DimensionError, id="transpose-repeat"),
+        pytest.param(lambda: ad.transpose(const64(_X4), (0, 1, 2)), DimensionError,
+                     id="transpose-rank"),
+        pytest.param(lambda: ad.resize_bilinear(const64(_X4), 0, 4), DimensionError,
+                     id="resize-extent"),
+        pytest.param(lambda: ad.resize_bilinear(const64(np.zeros((3, 4, 4))), 2, 2),
+                     DimensionError, id="resize-rank"),
+    ],
+)
+def test_elementwise_and_layout_ops_reject_bad_arguments(op, err):
+    with pytest.raises(err):
+        op()
+
+
 def test_fd_softmax():
     rng = np.random.default_rng(17)
     x = param("x", rng.normal(size=(2, 5)))

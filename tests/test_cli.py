@@ -206,6 +206,16 @@ def test_eval_empty_split_exits_2(tiny_ckpt, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+def test_eval_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, capsys):
+    # NaN or a value outside [0, 1] would score every pixel as background.
+    manifest, _ = disk_dataset
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", tiny_ckpt, "--data", manifest, "--threshold", value])
+    assert exc.value.code == 2
+    assert "threshold" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -222,6 +232,20 @@ def test_predict_writes_binary_mask(tiny_ckpt, disk_dataset, tmp_path, capsys):
     mask = read_pgm(out)
     assert mask.shape == (32, 32)
     assert set(np.unique(mask)) <= {0, 255}
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+def test_predict_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, tmp_path, capsys):
+    manifest, _ = disk_dataset
+    with open(manifest) as f:
+        image_path = f.readline().split("\t")[0]
+    out = tmp_path / "pred.pgm"
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--ckpt", tiny_ckpt, "--image", image_path,
+              "--out", str(out), "--threshold", value])
+    assert exc.value.code == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_then_eval_is_self_consistent(tiny_ckpt, disk_dataset, tmp_path, capsys):

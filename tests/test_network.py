@@ -418,6 +418,26 @@ def test_checkpoint_low_level_round_trip(tmp_path):
         np.testing.assert_array_equal(back[name].data, t.data)
 
 
+def test_checkpoint_write_failure_keeps_old_file(tmp_path, monkeypatch):
+    # A write that dies midway must leave the previous file byte for byte
+    # and no temp file behind.
+    path = str(tmp_path / "best.ckpt")
+    t = Tensor(np.arange(4.0), dtype="f64")
+    write_checkpoint(path, [("a", t)], "note = 1\n")
+    with open(path, "rb") as f:
+        before = f.read()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(path, [("a", Tensor(np.ones(4), dtype="f64"))], "note = 2\n")
+    with open(path, "rb") as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["best.ckpt"]
+
+
 def test_checkpoint_failure_returns_no_partial_state(tmp_path):
     # A load that fails must raise, not hand back a half-filled model.
     model = _tiny_model()
