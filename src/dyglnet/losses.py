@@ -183,6 +183,8 @@ def evaluate(pred_logits: Tensor, target: Tensor, threshold: float = 0.5) -> Met
     ratios score 1.0 when the corresponding error count is zero, else
     0.0 (the empty-mask convention).
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ContractError(f"threshold must lie in [0, 1], got {threshold}")
     if isinstance(pred_logits, Value):
         pred_logits = pred_logits.tensor
     if isinstance(target, Value):

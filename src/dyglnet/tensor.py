@@ -174,16 +174,14 @@ def _conv2d_forward(
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
     wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    acc = np.zeros((n, g, ho * wo, cout_g), dtype=x.dtype)
+    acc = np.zeros((n, g, cout_g, ho * wo), dtype=x.dtype)
     for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
-        # [n,g,P,cin_g] @ [g,cin_g,cout_g] -> [n,g,P,cout_g]
+        # [g,cout_g,cin_g] @ [n,g,cin_g,P] -> [n,g,cout_g,P]
         pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)
-        acc += np.matmul(
-            pm.transpose(0, 1, 3, 2), wg[:, :, :, i, j].transpose(0, 2, 1)
-        )
-    y = acc.transpose(0, 1, 3, 2).reshape(n, cout, ho, wo)
+        acc += np.matmul(wg[:, :, :, i, j], pm)
+    y = acc.reshape(n, cout, ho, wo)
     if b is not None:
-        y = y + b.reshape(1, cout, 1, 1)
+        y += b.reshape(1, cout, 1, 1)
     return y
 
 
@@ -202,23 +200,21 @@ def _conv2d_vjp(
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
+    gw = np.empty_like(w)
     xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
     wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    gyg = gy.reshape(n, g, cout_g, ho * wo).transpose(0, 1, 3, 2)  # [n,g,P,cout_g]
+    gyg = np.ascontiguousarray(gy).reshape(n, g, cout_g, ho * wo)
     gxg = gxp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
     gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
     for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
         pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
-        # weight grad: sum_n  [g,cin_g,P] @ [g,P,cout_g]
-        gwg[:, :, :, i, j] += np.matmul(pm, gyg).sum(axis=0).transpose(0, 2, 1)
-        # input grad: [n,g,P,cout_g] @ [g,cout_g,cin_g] -> [n,g,P,cin_g]
-        gpatch = np.matmul(gyg, wg[:, :, :, i, j])
-        gxg[:, :, :, rows, cols] += gpatch.transpose(0, 1, 3, 2).reshape(
-            n, g, cin_g, ho, wo
-        )
+        # weight grad: sum_n [n,g,cout_g,P] @ [n,g,P,cin_g] -> [g,cout_g,cin_g]
+        gwg[:, :, :, i, j] = np.matmul(gyg, pm.transpose(0, 1, 3, 2)).sum(axis=0)
+        # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,P] -> [n,g,cin_g,P]
+        gpatch = np.matmul(wg[:, :, :, i, j].transpose(0, 2, 1), gyg)
+        gxg[:, :, :, rows, cols] += gpatch.reshape(n, g, cin_g, ho, wo)
     gx = gxp[:, :, p : p + h, p : p + wid] if p else gxp
-    gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
+    gb = gyg.sum(axis=(0, 3)).reshape(cout) if with_bias else None
     return np.ascontiguousarray(gx), gw, gb
 
 

@@ -310,6 +310,16 @@ def test_evaluate_threshold_respected():
     assert r_high.tp == 0 and r_high.fn == 1
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -0.1, 1.5])
+def test_evaluate_rejects_threshold_outside_unit_interval(threshold):
+    # Any of these would otherwise score an all-background (or all-
+    # foreground) mask without a word.
+    logits = np.array([[[[0.2, -0.2]]]])
+    target = np.array([[[[1.0, 0.0]]]])
+    with pytest.raises(ContractError, match="threshold"):
+        evaluate(t64(logits), t64(target), threshold=threshold)
+
+
 def test_report_invariants_and_formats():
     target = np.array([[[[1.0, 0.0], [1.0, 0.0]]]])
     pred = np.array([[[[1.0, 1.0], [0.0, 0.0]]]])

@@ -14,6 +14,7 @@ from dyglnet.errors import (
     DimensionError,
     NumericError,
 )
+from dyglnet.network import Model, ModelConfig
 from dyglnet.tensor import ConvSpec, Tensor
 
 
@@ -168,6 +169,104 @@ def test_conv2d_vjp_adjoint_vs_oracle():
             assert gb is None
         for got, want in terms:
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), f"case {case}"
+
+
+def _conv_jacobians(x, w, stride, pad, dilation, groups):
+    """Dense Jacobians of y = conv(x, w) (raveled) with respect to x and
+    to w. conv is linear in each, so column k is the oracle applied to
+    the k-th unit input (or unit weight) with the other operand fixed."""
+
+    def column(xk, wk):
+        return oracles.conv2d_naive(xk, wk, None, stride, pad, dilation, groups).ravel()
+
+    jx = np.stack([column(e.reshape(x.shape), w) for e in np.eye(x.size)], axis=1)
+    jw = np.stack([column(x, e.reshape(w.shape)) for e in np.eye(w.size)], axis=1)
+    return jx, jw
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, stride, pad, dilation, groups",
+    [
+        ((2, 4, 4, 5), (6, 2, 3, 3), 1, 1, 1, 2),  # groups, channel multiplier 3
+        ((2, 2, 7, 9), (3, 2, 2, 2), 2, 0, 1, 1),  # stride 2, odd extents
+        ((1, 2, 9, 8), (3, 2, 3, 3), 1, 2, 2, 1),  # dilation 2
+        ((2, 2, 8, 7), (2, 1, 3, 3), 1, 1, 3, 2),  # dilation 3, grouped
+        ((1, 3, 4, 5), (2, 3, 3, 3), 2, 3, 1, 1),  # padding 3 > d(k-1) = 2
+    ],
+)
+def test_conv2d_vjp_entrywise_vs_dense_jacobian(
+    x_shape, w_shape, stride, pad, dilation, groups
+):
+    # gx = Jx^T gy and gw = Jw^T gy, compared entry by entry, so a
+    # gradient landing on the wrong tap, channel or pixel fails even
+    # where an inner-product check could balance it out.
+    rng = np.random.default_rng(sum(x_shape) + 7 * sum(w_shape))
+    x = rng.normal(size=x_shape)
+    wt = rng.normal(size=w_shape)
+    spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=groups)
+    y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
+    gy = rng.normal(size=y.shape)
+    jx, jw = _conv_jacobians(x, wt, stride, pad, dilation, groups)
+    gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, False)
+    assert gb is None
+    np.testing.assert_allclose(gx, (jx.T @ gy.ravel()).reshape(x.shape), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(gw, (jw.T @ gy.ravel()).reshape(wt.shape), rtol=0, atol=1e-9)
+    if stride == 2 and pad == 0:
+        # No output reads the last input row or column: 7 and 9 leave
+        # one over after 2-wide taps at stride 2.
+        assert not gx[:, :, -1, :].any() and not gx[:, :, :, -1].any()
+
+
+def _default_model_conv_geometries(monkeypatch):
+    """(weight shape, spec) of every conv2d call one forward of the
+    default model makes, in call order, without repeats."""
+    seen = []
+    conv2d = ad.conv2d
+
+    def spy(x, weight, bias, spec):
+        geometry = (weight.tensor.shape, spec)
+        if geometry not in seen:
+            seen.append(geometry)
+        return conv2d(x, weight, bias, spec)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "conv2d", spy)
+        Model(ModelConfig(), seed=0).predict(Tensor(np.zeros((1, 3, 32, 32)), dtype="f32"))
+    return seen
+
+
+def test_conv2d_vjp_adjoint_on_default_model_geometries(monkeypatch):
+    # Every dense conv of the default model at its own channel counts,
+    # kernel, stride and padding, on a 9..16 px input: <x, gx> and
+    # <w, gw> must both equal <conv(x, w), gy>.
+    geometries = _default_model_conv_geometries(monkeypatch)
+    assert {spec.stride for _, spec in geometries} == {1, 2}
+    assert {w_shape[2] for w_shape, _ in geometries} == {1, 3}
+    rng = np.random.default_rng(17)
+    for (cout, cin_g, kh, kw), spec in geometries:
+        x = rng.normal(size=(2, cin_g * spec.groups, *rng.integers(9, 17, 2)))
+        wt = rng.normal(size=(cout, cin_g, kh, kw))
+        y = T.conv2d(t64(x), t64(wt), None, spec).data
+        gy = rng.normal(size=y.shape)
+        gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True)
+        want = np.vdot(y, gy)
+        for got in (np.vdot(x, gx), np.vdot(wt, gw)):
+            assert abs(got - want) <= 1e-9 * abs(want), (cout, cin_g, kh, spec)
+
+
+def test_conv2d_vjp_non_contiguous_cotangent_bit_identical():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(2, 6, 11, 10))
+    wt = rng.normal(size=(4, 3, 3, 3))
+    spec = ConvSpec(stride=2, padding=1, groups=2)
+    ho, wo = spec.out_size(11, 3), spec.out_size(10, 3)
+    # reversed channels, every other row, transposed spatial axes
+    gy = rng.normal(size=(2, 4, wo, 2 * ho))[:, ::-1, :, ::2].transpose(0, 1, 3, 2)
+    assert gy.shape == (2, 4, ho, wo) and not gy.flags.c_contiguous
+    got = T._conv2d_vjp(x, wt, spec, gy, True)
+    want = T._conv2d_vjp(x, wt, spec, np.ascontiguousarray(gy), True)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_conv2d_group_divisibility_error():

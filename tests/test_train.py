@@ -296,6 +296,14 @@ def test_train_rejects_empty_datasets():
         evaluate_model(model, [])
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+def test_evaluate_model_rejects_bad_threshold(threshold):
+    _, valid_set = _datasets()
+    model = Model(_MODEL_CFG, seed=0)
+    with pytest.raises(ContractError, match="threshold"):
+        evaluate_model(model, valid_set, threshold=threshold)
+
+
 def test_train_divergence_aborts_cleanly(tmp_path):
     # An absurd learning rate blows the weights up after the first
     # post-warmup step; the next forward pass hits non-finite values.
