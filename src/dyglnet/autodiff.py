@@ -8,7 +8,8 @@ The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a :class:`Value` node holding a vector-Jacobian
 closure. :func:`backward` replays the nodes in reverse creation order,
-accumulating into each watched :class:`Parameter`'s ``grad`` buffer.
+accumulating into each watched :class:`Parameter`'s ``grad`` buffer,
+and releases each node as soon as its VJP has run.
 When no tape is active the same op functions run forward-only and keep
 no closures, so evaluation costs nothing extra.
 
@@ -138,11 +139,20 @@ def backward(loss: Value, tape: Tape) -> None:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     tape._consumed = True
     loss._grad = np.ones((1,), dtype=loss.tensor.data.dtype)
-    for v in reversed(tape._nodes):
-        if v._grad is None or v._vjp is None:
+    nodes = tape._nodes
+    while nodes:
+        # Pop each node and drop its closure, upstream gradient and
+        # parent links as soon as its VJP has run, so the activations
+        # and gradients the rest of the walk no longer needs are freed.
+        v = nodes.pop()
+        gv, vjp, parents = v._grad, v._vjp, v._parents
+        v._grad = v._vjp = None
+        v._parents = ()
+        if gv is None or vjp is None:
             continue
-        grads = v._vjp(v._grad)
-        for parent, g in zip(v._parents, grads):
+        grads = vjp(gv)
+        del gv, vjp
+        for parent, g in zip(parents, grads):
             if g is None:
                 continue
             if parent._grad is None:
@@ -154,7 +164,13 @@ def backward(loss: Value, tape: Tape) -> None:
             if not np.isfinite(leaf._grad).all():
                 raise NumericError(f"non-finite gradient for {param.name}")
             param.grad = param.grad + leaf._grad
-    tape._nodes.clear()
+    tape._leaves.clear()
+
+
+def _receives_grad(v: Value) -> bool:
+    """Whether a backward pass over the active tape can reach ``v``: it
+    is an op output recorded there or a watched leaf, not a constant."""
+    return v._vjp is not None or any(leaf is v for _, leaf in _ACTIVE._leaves)
 
 
 def zero_grads(params: Sequence[Parameter]) -> None:
@@ -267,8 +283,10 @@ def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value
     parents = (x, weight, bias) if with_bias else (x, weight)
 
     def mk():
-        # (gx, gw, gb), where gb is None without a bias
-        return lambda g: T._conv2d_vjp(xd, wd, spec, g, with_bias)[: len(parents)]
+        # (gx, gw, gb): gx is None for a constant input, gb without a bias
+        with_gx = _receives_grad(x)
+        k = len(parents)
+        return lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx, with_bias)[:k]
 
     return _record(y, parents, mk)
 
@@ -314,16 +332,14 @@ def batchnorm2d(
     eps: float = 1e-5,
 ) -> tuple[Value, Tensor, Tensor]:
     """Differentiable batchnorm; running statistics flow outside the graph."""
-    y, new_mean, new_var = T.batchnorm2d(
+    y, new_mean, new_var, mean, var = T.batchnorm2d(
         x.tensor, gamma.tensor, beta.tensor, running_mean, running_var,
         training, momentum, eps,
     )
     xd, gd = x.tensor.data, gamma.tensor.data
 
     def mk():
-        return T._batchnorm2d_vjp(
-            xd, gd, running_mean.data, running_var.data, training, eps
-        )
+        return T._batchnorm2d_vjp(xd, gd, mean, var, training, eps)
 
     out = _record(y, (x, gamma, beta), mk)
     return out, new_mean, new_var

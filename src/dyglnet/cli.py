@@ -31,6 +31,7 @@ from .errors import (
     FormatError,
 )
 from .gradsuite import CHECKS, run_suite
+from .losses import _check_threshold
 from .network import Model, ModelConfig
 from .tensor import Tensor, _sigmoid_forward
 from .train import TrainConfig, evaluate_model, train
@@ -157,8 +158,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _threshold(text: str) -> float:
     """argparse type of ``--threshold``: a probability in [0, 1], not NaN."""
     value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {text}")
+    try:
+        _check_threshold(value)
+    except ContractError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return value
 
 

@@ -174,6 +174,12 @@ def _image_metrics(tp: int, fp: int, fn: int, tn: int) -> tuple[float, ...]:
     return dice, iou, precision, recall, specificity, accuracy
 
 
+def _check_threshold(threshold: float) -> None:
+    """A foreground threshold is a probability in [0, 1], not NaN."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ContractError(f"threshold must lie in [0, 1], got {threshold}")
+
+
 def evaluate(pred_logits: Tensor, target: Tensor, threshold: float = 0.5) -> MetricsReport:
     """Threshold sigmoid(logits) and score against a binary target.
 
@@ -183,8 +189,7 @@ def evaluate(pred_logits: Tensor, target: Tensor, threshold: float = 0.5) -> Met
     ratios score 1.0 when the corresponding error count is zero, else
     0.0 (the empty-mask convention).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ContractError(f"threshold must lie in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     if isinstance(pred_logits, Value):
         pred_logits = pred_logits.tensor
     if isinstance(target, Value):

@@ -190,8 +190,10 @@ def _conv2d_vjp(
     w: np.ndarray,
     spec: ConvSpec,
     gy: np.ndarray,
+    with_gx: bool,
     with_bias: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """(gx, gw, gb); gx is None unless ``with_gx``, gb unless ``with_bias``."""
     n, _, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
     g = spec.groups
@@ -199,23 +201,27 @@ def _conv2d_vjp(
     _, _, ho, wo = gy.shape
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    gxp = np.zeros_like(xp)
     gw = np.empty_like(w)
     xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-    wg = w.reshape(g, cout_g, cin_g, kh, kw)
+    if with_gx:
+        gxp = np.zeros_like(xp)
+        gxg = gxp.reshape(xg.shape)
+        wg = w.reshape(g, cout_g, cin_g, kh, kw)
     gyg = np.ascontiguousarray(gy).reshape(n, g, cout_g, ho * wo)
-    gxg = gxp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
     gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
     for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
         pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
         # weight grad: sum_n [n,g,cout_g,P] @ [n,g,P,cin_g] -> [g,cout_g,cin_g]
         gwg[:, :, :, i, j] = np.matmul(gyg, pm.transpose(0, 1, 3, 2)).sum(axis=0)
-        # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,P] -> [n,g,cin_g,P]
-        gpatch = np.matmul(wg[:, :, :, i, j].transpose(0, 2, 1), gyg)
-        gxg[:, :, :, rows, cols] += gpatch.reshape(n, g, cin_g, ho, wo)
-    gx = gxp[:, :, p : p + h, p : p + wid] if p else gxp
+        if with_gx:
+            # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,P] -> [n,g,cin_g,P]
+            gpatch = np.matmul(wg[:, :, :, i, j].transpose(0, 2, 1), gyg)
+            gxg[:, :, :, rows, cols] += gpatch.reshape(n, g, cin_g, ho, wo)
+    gx = None
+    if with_gx:
+        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid]) if p else gxp
     gb = gyg.sum(axis=(0, 3)).reshape(cout) if with_bias else None
-    return np.ascontiguousarray(gx), gw, gb
+    return gx, gw, gb
 
 
 def conv2d(
@@ -434,13 +440,16 @@ def batchnorm2d(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, Tensor, Tensor, np.ndarray, np.ndarray]:
     """Per-channel batch normalization over an NCHW batch.
 
-    Training mode normalizes with biased batch statistics and returns
-    running statistics advanced by ``(1-momentum)*old + momentum*new``
-    (the running variance uses the unbiased estimate). Eval mode
-    normalizes with the running statistics and returns them unchanged.
+    Returns ``(y, new_running_mean, new_running_var, mean, var)``, where
+    ``mean`` and ``var`` are the statistics ``y`` was normalized with;
+    the VJP reuses them instead of computing them again. Training mode
+    normalizes with biased batch statistics and returns running
+    statistics advanced by ``(1-momentum)*old + momentum*new`` (the
+    running variance uses the unbiased estimate). Eval mode normalizes
+    with the running statistics and returns them unchanged.
     """
     if x.rank != 4:
         raise DimensionError(f"batchnorm2d input must be rank 4, got {x.shape}")
@@ -460,54 +469,53 @@ def batchnorm2d(
             raise DegenerateStatisticsError(
                 "batch statistics over a single element (N*H*W == 1)"
             )
-        xhat = (x.data - mean.reshape(1, c, 1, 1)) / np.sqrt(
-            var.reshape(1, c, 1, 1) + x.data.dtype.type(eps)
-        )
         unbiased = var * (m / (m - 1))
         new_mean = (1.0 - momentum) * running_mean.data + momentum * mean
         new_var = (1.0 - momentum) * running_var.data + momentum * unbiased
-        y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
-        return (
-            Tensor._wrap(y.astype(x.data.dtype)),
-            Tensor._wrap(new_mean.astype(x.data.dtype)),
-            Tensor._wrap(new_var.astype(x.data.dtype)),
-        )
-    xhat = (x.data - running_mean.data.reshape(1, c, 1, 1)) / np.sqrt(
-        running_var.data.reshape(1, c, 1, 1) + x.data.dtype.type(eps)
-    )
-    y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
-    return Tensor._wrap(y.astype(x.data.dtype)), running_mean, running_var
+        new_mean = Tensor._wrap(new_mean.astype(x.data.dtype))
+        new_var = Tensor._wrap(new_var.astype(x.data.dtype))
+    else:
+        mean, var = running_mean.data, running_var.data
+        new_mean, new_var = running_mean, running_var
+    # gamma * (x - mean) / sqrt(var + eps) + beta, in one buffer
+    y = x.data - mean.reshape(1, c, 1, 1)
+    y /= np.sqrt(var.reshape(1, c, 1, 1) + x.data.dtype.type(eps))
+    y *= gamma.data.reshape(1, c, 1, 1)
+    y += beta.data.reshape(1, c, 1, 1)
+    return Tensor._wrap(y), new_mean, new_var, mean, var
 
 
 def _batchnorm2d_vjp(
     x: np.ndarray,
     gamma: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
     training: bool,
     eps: float,
 ):
-    """The VJP of ``batchnorm2d``: a closure g -> (gx, ggamma, gbeta).
-    Training mode differentiates through the batch statistics too."""
+    """The VJP of ``batchnorm2d`` normalized with ``mean`` and ``var``: a
+    closure g -> (gx, ggamma, gbeta). It keeps ``x`` and forms the
+    normalized input only when it runs. Training mode differentiates
+    through the batch statistics too."""
     c = x.shape[1]
-    dt = x.dtype
-    if training:
-        mean, var, m = _bn_batch_stats(x)
-    else:
-        mean, var = running_mean, running_var
-    istd = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(dt)
-    xhat = (x - mean.reshape(1, c, 1, 1)) * istd.reshape(1, c, 1, 1)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    istd = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
 
     def vjp(g):
+        xhat = x - mean.reshape(1, c, 1, 1)
+        xhat *= istd.reshape(1, c, 1, 1)
         ggamma = (g * xhat).sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
         gi = gamma.reshape(1, c, 1, 1) * istd.reshape(1, c, 1, 1)
         if not training:
             return g * gi, ggamma, gbeta
-        gsum = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        gxhat = ggamma.reshape(1, c, 1, 1)
-        gx = gi / m * (m * g - gsum - xhat * gxhat)
-        return gx.astype(dt), ggamma, gbeta
+        # gx = gi / m * (m * g - sum(g) - xhat * ggamma), in place
+        gx = m * g
+        gx -= gbeta.reshape(1, c, 1, 1)
+        xhat *= ggamma.reshape(1, c, 1, 1)
+        gx -= xhat
+        gx *= gi / m
+        return gx, ggamma, gbeta
 
     return vjp
 
@@ -572,21 +580,25 @@ def _sample_scatter(plan: tuple, gy: np.ndarray, h: int, w: int) -> np.ndarray:
     """Input gradient of a bilinear read: gy [n,c,p] -> gx [n,c,h,w].
 
     Each corner is summed in float64 by ``bincount`` and the four sums
-    are added in float32, in the fixed order 00, 01, 10, 11."""
+    are added in float32, in the fixed order 00, 01, 10, 11. The corners
+    are the outer loop, so only one corner's rows and weights exist at
+    a time."""
     n, c, _ = gy.shape
     r00, sx, sy, fx, fy = plan
     gfx = 1.0 - fx
     gfy = 1.0 - fy
-    rows = (r00, r00 + sx, r00 + sy, r00 + (sy + sx))
-    weights = (gfx * gfy, fx * gfy, gfx * fy, fx * fy)
+    corners = ((0, gfx, gfy), (sx, fx, gfy), (sy, gfx, fy), (sy + sx, fx, fy))
     gx = np.empty((n, c, h * w), dtype=gy.dtype)
-    for ci in range(c):
-        g = gy[:, ci]
-        a00, a01, a10, a11 = (
-            np.bincount(rk.ravel(), (g * wk).ravel(), n * h * w).astype(gy.dtype)
-            for rk, wk in zip(rows, weights)
-        )
-        gx[:, ci] = (a00 + a01 + a10 + a11).reshape(n, h * w)
+    for k, (step, wx, wy) in enumerate(corners):
+        rows = (r00 + step).ravel()
+        wk = wx * wy
+        for ci in range(c):
+            a = np.bincount(rows, (gy[:, ci] * wk).ravel(), n * h * w)
+            a = a.astype(gy.dtype).reshape(n, h * w)
+            if k == 0:
+                gx[:, ci] = a
+            else:
+                gx[:, ci] += a
     return gx.reshape(n, c, h, w)
 
 

@@ -6,6 +6,7 @@ augmentation draws, and every numeric update replay bit-identically.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tape
 from .data import AugmentConfig, SegmentationSample, augment
 from .errors import ConfigurationError, ContractError, NumericError
-from .losses import LossConfig, MetricsReport, evaluate, hybrid_loss
+from .losses import LossConfig, MetricsReport, _check_threshold, evaluate, hybrid_loss
 from .network import Model, save as save_model
 from .tensor import Tensor
 
@@ -158,6 +159,31 @@ class AdamW:
             p.grad[...] = 0
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_pages() -> None:
+    """Ask glibc's malloc to keep freed memory for the next step.
+
+    ``backward`` frees the tape while it walks it. By default glibc
+    returns the exposed heap top to the OS, and the next VJP faults
+    the same pages back in. Blocks up to 32 MiB go to the heap, and the
+    heap is never trimmed. Setting the trim threshold alone would also
+    switch off glibc's dynamic mmap threshold, so both are set. A libc
+    without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
 @dataclass
 class TrainResult:
     epochs_run: int
@@ -185,6 +211,7 @@ def evaluate_model(
     """Run the model over a sample list in eval mode and score it."""
     if not samples:
         raise ContractError("cannot evaluate on an empty sample list")
+    _check_threshold(threshold)
     logits = []
     for i in range(0, len(samples), chunk):
         x, _ = _stack(samples[i : i + chunk])
@@ -212,12 +239,14 @@ def train(
     validation pass. The best-validation-Dice weights go to best.ckpt,
     the most recent completed epoch to last.ckpt, and the final weights
     to final.ckpt. A non-finite loss aborts training and keeps the
-    last completed epoch's checkpoint.
+    last completed epoch's checkpoint. On glibc, the process keeps the
+    heap pages that a step frees, for the next step to reuse.
     """
     if not train_samples:
         raise ContractError("training set is empty")
     if not valid_samples:
         raise ContractError("validation set is empty")
+    _keep_freed_heap_pages()
     params = model.parameters(trainable_only=True)
     opt = AdamW(params, cfg)
     loss_cfg = LossConfig(lambda_=cfg.lambda_)

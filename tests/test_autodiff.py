@@ -3,6 +3,9 @@ contracts (tape lifecycle, accumulation), and finite-difference sweeps
 over each differentiable kernel."""
 from __future__ import annotations
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,74 @@ def test_backward_on_consumed_tape_raises():
         ad.backward(loss, tape)
         with pytest.raises(StateError):
             ad.backward(loss, tape)
+
+
+def test_backward_peak_memory_does_not_grow_with_the_chain():
+    # The tape of a 30-op chain holds 30 activations. backward drops
+    # each upstream gradient once its node's VJP has run, so what it
+    # allocates stays at a few arrays, not one per node.
+    w = param("w", np.random.default_rng(0).normal(size=(128, 1024)))  # 1 MiB
+    with Tape() as tape:
+        v = ad.watch(w)
+        for _ in range(30):
+            v = ad.tanh(v)
+        loss = ad.sum_all(v)
+        del v
+        tracemalloc.start()
+        try:
+            ad.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6 * w.value.data.nbytes
+
+
+def _probe(x, on_vjp):
+    """Identity op whose VJP passes its upstream gradient to ``on_vjp``
+    and returns a copy of it."""
+
+    def mk():
+        def vjp(g):
+            on_vjp(g)
+            return (g.copy(),)
+
+        return vjp
+
+    return ad.record_op(x.tensor, (x,), mk)
+
+
+def test_backward_releases_the_tape_as_it_walks_it():
+    refs, alive = [], []
+    w = param("w", np.linspace(-1.0, 1.0, 6))
+    with Tape() as tape:
+        h = ad.tanh(ad.watch(w))
+        # runs last: is the gradient the later probe saw still held?
+        h = _probe(h, lambda g: alive.append(refs[0]() is not None))
+        h = ad.tanh(ad.tanh(h))
+        h = _probe(h, lambda g: refs.append(weakref.ref(g)))
+        ad.backward(ad.sum_all(h), tape)
+        assert tape._nodes == [] and tape._leaves == []
+    assert alive == [False]
+    np.testing.assert_array_equal(w.grad != 0.0, np.ones(6, dtype=bool))
+
+
+def test_constant_input_conv_gets_no_input_gradient():
+    rng = np.random.default_rng(21)
+    xd = rng.normal(size=(2, 3, 7, 7))
+    w = param("w", rng.normal(size=(4, 3, 3, 3)))
+    b = param("b", rng.normal(size=(4,)))
+    gy = rng.normal(size=(2, 4, 4, 4))
+    spec = ConvSpec(stride=2, padding=1)
+    x = const64(xd)
+    with Tape() as tape:
+        y = ad.conv2d(x, ad.watch(w), ad.watch(b), spec)
+        assert tape._nodes[-1]._vjp(gy)[0] is None
+        ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
+    assert x._grad is None
+    # the same weight and bias gradients as the VJP that forms gx too
+    _, gw, gb = T._conv2d_vjp(xd, w.value.data, spec, gy, True, True)
+    np.testing.assert_array_equal(w.grad, gw)
+    np.testing.assert_array_equal(b.grad, gb)
 
 
 def test_unreached_parameter_gets_zero_contribution():

@@ -160,7 +160,7 @@ def test_conv2d_vjp_adjoint_vs_oracle():
         spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=groups)
         y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
         gy = rng.normal(size=y.shape)
-        gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, with_bias)
+        gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, True, with_bias)
         assert gx.shape == x.shape and gw.shape == wt.shape
         terms = [(np.vdot(x, gx), np.vdot(y, gy)), (np.vdot(wt, gw), np.vdot(y, gy))]
         if with_bias:
@@ -207,7 +207,7 @@ def test_conv2d_vjp_entrywise_vs_dense_jacobian(
     y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
     gy = rng.normal(size=y.shape)
     jx, jw = _conv_jacobians(x, wt, stride, pad, dilation, groups)
-    gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, False)
+    gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, True, False)
     assert gb is None
     np.testing.assert_allclose(gx, (jx.T @ gy.ravel()).reshape(x.shape), rtol=0, atol=1e-9)
     np.testing.assert_allclose(gw, (jw.T @ gy.ravel()).reshape(wt.shape), rtol=0, atol=1e-9)
@@ -248,7 +248,7 @@ def test_conv2d_vjp_adjoint_on_default_model_geometries(monkeypatch):
         wt = rng.normal(size=(cout, cin_g, kh, kw))
         y = T.conv2d(t64(x), t64(wt), None, spec).data
         gy = rng.normal(size=y.shape)
-        gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True)
+        gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True, True)
         want = np.vdot(y, gy)
         for got in (np.vdot(x, gx), np.vdot(wt, gw)):
             assert abs(got - want) <= 1e-9 * abs(want), (cout, cin_g, kh, spec)
@@ -263,8 +263,8 @@ def test_conv2d_vjp_non_contiguous_cotangent_bit_identical():
     # reversed channels, every other row, transposed spatial axes
     gy = rng.normal(size=(2, 4, wo, 2 * ho))[:, ::-1, :, ::2].transpose(0, 1, 3, 2)
     assert gy.shape == (2, 4, ho, wo) and not gy.flags.c_contiguous
-    got = T._conv2d_vjp(x, wt, spec, gy, True)
-    want = T._conv2d_vjp(x, wt, spec, np.ascontiguousarray(gy), True)
+    got = T._conv2d_vjp(x, wt, spec, gy, True, True)
+    want = T._conv2d_vjp(x, wt, spec, np.ascontiguousarray(gy), True, True)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -458,7 +458,7 @@ def test_batchnorm_eval_affine_pinned():
     beta = t64([3.0])
     rm = t64([0.0])
     rv = t64([1.0])
-    y, _, _ = T.batchnorm2d(x, gamma, beta, rm, rv, training=False)
+    y, *_ = T.batchnorm2d(x, gamma, beta, rm, rv, training=False)
     np.testing.assert_allclose(y.data, 5.0, atol=1e-5)
 
 
@@ -467,7 +467,7 @@ def test_batchnorm_training_plus_minus_one():
     x[0, 0] = [[-1.0, 1.0], [-1.0, 1.0]]
     gamma, beta = t64([1.0]), t64([0.0])
     rm, rv = t64([0.0]), t64([1.0])
-    y, _, _ = T.batchnorm2d(t64(x), gamma, beta, rm, rv, training=True)
+    y, *_ = T.batchnorm2d(t64(x), gamma, beta, rm, rv, training=True)
     np.testing.assert_allclose(y.data, x, atol=1e-3)
 
 
@@ -477,7 +477,7 @@ def test_batchnorm_training_statistics_recomputed():
     gamma, beta = _bn_params(3)
     rm = t64(np.zeros(3))
     rv = t64(np.ones(3))
-    y, new_m, new_v = T.batchnorm2d(t64(x), gamma, beta, rm, rv, training=True)
+    y, new_m, new_v, _, _ = T.batchnorm2d(t64(x), gamma, beta, rm, rv, training=True)
     out_mean = y.data.mean(axis=(0, 2, 3))
     out_var = y.data.var(axis=(0, 2, 3))
     np.testing.assert_allclose(out_mean, 0.0, atol=1e-4)

@@ -3,6 +3,7 @@ clipping, bit-exact determinism, logging format, and the non-finite
 abort path."""
 from __future__ import annotations
 
+import ctypes
 import re
 
 import numpy as np
@@ -296,12 +297,43 @@ def test_train_rejects_empty_datasets():
         evaluate_model(model, [])
 
 
+class _MustNotRun:
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the model ran")
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
 def test_evaluate_model_rejects_bad_threshold(threshold):
+    # rejected before any forward pass
     _, valid_set = _datasets()
-    model = Model(_MODEL_CFG, seed=0)
     with pytest.raises(ContractError, match="threshold"):
-        evaluate_model(model, valid_set, threshold=threshold)
+        evaluate_model(_MustNotRun(), valid_set, threshold=threshold)
+
+
+class _LibcWithoutMallopt:
+    def __init__(self, name, *args, **kwargs):
+        pass
+
+
+def _unloadable_libc(name, *args, **kwargs):
+    raise OSError("cannot load")
+
+
+@pytest.mark.parametrize("cdll", [_LibcWithoutMallopt, _unloadable_libc])
+def test_train_runs_without_mallopt(monkeypatch, cdll):
+    train_set, valid_set = _datasets()
+    want = train(Model(_MODEL_CFG, seed=0), _small_cfg(), train_set, valid_set)
+    opened = []
+
+    def fake(name, *args, **kwargs):
+        opened.append(name)
+        return cdll(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", fake)
+    got = train(Model(_MODEL_CFG, seed=0), _small_cfg(), train_set, valid_set)
+    assert opened
+    assert got.steps_run == want.steps_run > 0
+    assert got.step_losses == want.step_losses
 
 
 def test_train_divergence_aborts_cleanly(tmp_path):
