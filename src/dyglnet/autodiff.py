@@ -349,40 +349,25 @@ def batchnorm2d(
 # Sampling and rearrangement
 
 
-def pixel_sample(x: Value, ux: Value, uy: Value) -> Value:
+def pixel_sample(x: Value, u: Value) -> Value:
     """Bilinear gather at pixel coordinates; see tensor module for the
-    border convention. x: [N,C,H,W], ux/uy: [N,P] -> [N,C,P]. G channel
-    groups read at G coordinate sets are one call with the groups folded
-    into the batch ([N*G, C/G, H, W] at [N*G, P]). The VJP reuses the
-    forward's corner plan."""
-    xd = x.tensor.data
-    uxd, uyd = ux.tensor.data, uy.tensor.data
-    if uxd.ndim != 2 or uxd.shape != uyd.shape or uxd.shape[0] != xd.shape[0]:
-        raise DimensionError(
-            f"coordinate shapes {uxd.shape}/{uyd.shape} for input {xd.shape}"
-        )
-    T._check_same_dtype(xd, uxd, uyd)
-    plan = T._sample_plan(uxd, uyd, xd.shape[2], xd.shape[3])
+    border convention. x: [N,C,H,W], u: [N,2,P] (x then y on axis 1)
+    -> [N,C,P]. G channel groups read at G coordinate sets are one call
+    with the groups folded into the batch ([N*G, C/G, H, W] at
+    [N*G, 2, P]). The VJP reuses the forward's corner plan; it computes
+    no coordinate gradient for constant coordinates."""
+    xd, ud = x.tensor.data, u.tensor.data
+    if xd.ndim != 4 or ud.ndim != 3 or ud.shape[:2] != (xd.shape[0], 2):
+        raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
+    T._check_same_dtype(xd, ud)
+    plan = T._sample_plan(ud[:, 0], ud[:, 1], xd.shape[2], xd.shape[3])
     y = Tensor._wrap(T._sample_pixel_forward(xd, plan))
 
     def mk():
-        return lambda g: T._sample_pixel_vjp(xd, uxd, uyd, plan, g)
+        with_gu = _receives_grad(u)
+        return lambda g: T._sample_pixel_vjp(xd, ud, plan, g, with_gu)
 
-    return _record(y, (x, ux, uy), mk)
-
-
-def resize_bilinear(x: Value, out_h: int, out_w: int) -> Value:
-    y = T.resize_bilinear(x.tensor, out_h, out_w)
-    xd = x.tensor.data
-    n, c, h, w = xd.shape
-
-    def mk():
-        if (out_h, out_w) == (h, w):
-            return lambda g: (g,)
-        plan = T._resize_plan(xd, out_h, out_w)
-        return lambda g: (T._sample_scatter(plan, g.reshape(n, c, -1), h, w),)
-
-    return _record(y, (x,), mk)
+    return _record(y, (x, u), mk)
 
 
 def depth_to_space(x: Value, s: int) -> Value:

@@ -349,6 +349,7 @@ class ShdcBlock(Module):
 
 
 _SCALE = 2  # the upsampler doubles each spatial extent
+_OFFSET_RANGE = 0.25  # DySample's static scope factor on the predicted offsets
 _UPSAMPLE_MODES = ("dynamic", "bilinear")
 
 
@@ -359,7 +360,6 @@ class DyFusionUpConfig:
     in_channels: int
     skip_channels: int
     groups: int = 4
-    offset_range: float = 0.25
     fuse_dilations: tuple[int, ...] = (1, 2, 3)
     mode: str = "dynamic"
 
@@ -385,7 +385,7 @@ class DyFusionUp(Module):
 
     Pipeline: a zero-initialized 1x1 conv on the low-resolution input
     predicts per-group sub-pixel offsets (rearranged depth-to-space to
-    the doubled lattice and scaled by ``offset_range``); each channel
+    the doubled lattice and scaled by ``_OFFSET_RANGE``); each channel
     group is bilinearly sampled at quarter-pixel-plus-offset positions,
     all groups in one sampler call with the groups folded into the batch;
     a 1x1 conv aligns the result to the skip width; the skip is
@@ -395,7 +395,7 @@ class DyFusionUp(Module):
     The offsets are added to the sampling coordinates of a 2x bilinear
     resize, so with zero offsets the sampling stage equals static 2x
     bilinear upsampling exactly. Modes: "dynamic" learns offsets, and
-    "bilinear" replaces the sampler with a plain resize.
+    "bilinear" samples the 2x resize lattice itself.
     """
 
     def __init__(
@@ -424,35 +424,30 @@ class DyFusionUp(Module):
             padding=1,
         )
 
-    def offset_fields(self, x_low: Value) -> tuple[Value, Value]:
-        """Scaled (dx, dy) offset fields on the doubled lattice, groups
-        folded into the batch: each is [N*G, 4hw], row i*G + j holding
-        image i, group j."""
+    def offset_field(self, x_low: Value) -> Value:
+        """The scaled offset field on the doubled lattice, groups folded
+        into the batch: [N*G, 2, 4hw], row i*G + j holding image i, group
+        j, with x then y on axis 1."""
         n, _, h, w = x_low.tensor.shape
         s, g = _SCALE, self.cfg.groups
         raw = self.offset(x_low)  # [n, 2g*s*s, h, w]
         planes = ad.depth_to_space(raw, s)  # [n, 2g, s*h, s*w]
-        p = s * h * s * w
-        scaled = ad.reshape(ad.scale(planes, self.cfg.offset_range), (n * g, 2, p))
-        dx = ad.reshape(ad.narrow(scaled, 1, 0, 1), (n * g, p))
-        dy = ad.reshape(ad.narrow(scaled, 1, 1, 1), (n * g, p))
-        return dx, dy
+        return ad.reshape(ad.scale(planes, _OFFSET_RANGE), (n * g, 2, s * h * s * w))
 
     def upsample(self, x_low: Value) -> Value:
         """The sampling stage alone: [N,C',h,w] -> [N,C',2h,2w], as one
         ``pixel_sample`` of [N*G, C'/G, h, w], the G groups folded into
-        the batch, at [N*G, 4hw] coordinates."""
+        the batch, at [N*G, 2, 4hw] coordinates: the 2x resize lattice,
+        plus the offset field in "dynamic" mode."""
         n, c, h, w = x_low.tensor.shape
         g = self.cfg.groups
         h2, w2 = _SCALE * h, _SCALE * w
-        if self.cfg.mode == "bilinear":
-            return ad.resize_bilinear(x_low, h2, w2)
-        dx, dy = self.offset_fields(x_low)
-        bx, by = T._resize_coords(n * g, h, w, h2, w2, x_low.tensor.data.dtype)
-        ux = ad.add(dx, ad.constant(Tensor._wrap(bx)))
-        uy = ad.add(dy, ad.constant(Tensor._wrap(by)))
+        base = T._resize_coords(n * g, h, w, h2, w2, x_low.tensor.data.dtype)
+        u = ad.constant(Tensor._wrap(base))
+        if self.cfg.mode == "dynamic":
+            u = ad.add(self.offset_field(x_low), u)
         folded = ad.reshape(x_low, (n * g, c // g, h, w))
-        return ad.reshape(ad.pixel_sample(folded, ux, uy), (n, c, h2, w2))
+        return ad.reshape(ad.pixel_sample(folded, u), (n, c, h2, w2))
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
         n, c, h, w = x_low.tensor.shape

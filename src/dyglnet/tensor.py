@@ -576,8 +576,11 @@ def _sample_pixel_forward(x: np.ndarray, plan: tuple) -> np.ndarray:
     return out
 
 
-def _sample_scatter(plan: tuple, gy: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Input gradient of a bilinear read: gy [n,c,p] -> gx [n,c,h,w].
+def _sample_scatter(
+    plan: tuple, gfx: np.ndarray, gfy: np.ndarray, gy: np.ndarray, h: int, w: int
+) -> np.ndarray:
+    """Input gradient of a bilinear read: gy [n,c,p] -> gx [n,c,h,w];
+    gfx and gfy are the plan's ``1 - fx`` and ``1 - fy``.
 
     Each corner is summed in float64 by ``bincount`` and the four sums
     are added in float32, in the fixed order 00, 01, 10, 11. The corners
@@ -585,8 +588,6 @@ def _sample_scatter(plan: tuple, gy: np.ndarray, h: int, w: int) -> np.ndarray:
     a time."""
     n, c, _ = gy.shape
     r00, sx, sy, fx, fy = plan
-    gfx = 1.0 - fx
-    gfy = 1.0 - fy
     corners = ((0, gfx, gfy), (sx, fx, gfy), (sy, gfx, fy), (sy + sx, fx, fy))
     gx = np.empty((n, c, h * w), dtype=gy.dtype)
     for k, (step, wx, wy) in enumerate(corners):
@@ -603,28 +604,33 @@ def _sample_scatter(plan: tuple, gy: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def _sample_pixel_vjp(
-    x: np.ndarray, ux: np.ndarray, uy: np.ndarray, plan: tuple, gy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, u: np.ndarray, plan: tuple, gy: np.ndarray, with_gu: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(gx, gu) of a bilinear read at pixel coords u [n, 2, p] (x then y
+    on axis 1); gu is None when ``with_gu`` is false."""
     c, h, w = x.shape[1:]
     fx, fy = plan[3:]
     gfx = 1.0 - fx
     gfy = 1.0 - fy
-    gux = np.zeros_like(fx)
-    guy = np.zeros_like(fy)
-    for ci, plane in enumerate(x.transpose(1, 0, 2, 3).reshape(c, -1)):
-        g = gy[:, ci]
-        v00, v01, v10, v11 = _corners(plane, plan)
-        du = (v01 - v00) * gfy
-        du += (v11 - v10) * fy
-        du *= g
-        gux += du
-        dv = (v10 - v00) * gfx
-        dv += (v11 - v01) * fx
-        dv *= g
-        guy += dv
-    gux *= ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
-    guy *= ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
-    return _sample_scatter(plan, gy, h, w), gux, guy
+    gu = None
+    if with_gu:
+        gu = np.zeros(u.shape, dtype=x.dtype)
+        gux, guy = gu[:, 0], gu[:, 1]
+        for ci, plane in enumerate(x.transpose(1, 0, 2, 3).reshape(c, -1)):
+            g = gy[:, ci]
+            v00, v01, v10, v11 = _corners(plane, plan)
+            du = (v01 - v00) * gfy
+            du += (v11 - v10) * fy
+            du *= g
+            gux += du
+            dv = (v10 - v00) * gfx
+            dv += (v11 - v01) * fx
+            dv *= g
+            guy += dv
+        ux, uy = u[:, 0], u[:, 1]
+        gux *= ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
+        guy *= ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
+    return _sample_scatter(plan, gfx, gfy, gy, h, w), gu
 
 
 def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
@@ -653,20 +659,17 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
 
 def _resize_coords(
     n: int, h: int, w: int, out_h: int, out_w: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel coords [n, out_h*out_w] of an h x w -> out_h x out_w resize:
-    output pixel j samples (j + 0.5) * in/out - 0.5."""
+) -> np.ndarray:
+    """Pixel coords [n, 2, out_h*out_w] (x then y on axis 1) of an
+    h x w -> out_h x out_w resize: output pixel j samples
+    (j + 0.5) * in/out - 0.5."""
     dt = dtype.type
     ux = (np.arange(out_w, dtype=dt) + dt(0.5)) * (w / out_w) - dt(0.5)
     uy = (np.arange(out_h, dtype=dt) + dt(0.5)) * (h / out_h) - dt(0.5)
-    ux = np.broadcast_to(ux, (n, out_h, out_w)).reshape(n, -1)
-    uy = np.broadcast_to(uy[:, None], (n, out_h, out_w)).reshape(n, -1)
-    return ux, uy
-
-
-def _resize_plan(x: np.ndarray, out_h: int, out_w: int) -> tuple:
-    n, _, h, w = x.shape
-    return _sample_plan(*_resize_coords(n, h, w, out_h, out_w, x.dtype), h, w)
+    u = np.empty((n, 2, out_h, out_w), dtype=dtype)
+    u[:, 0] = ux
+    u[:, 1] = uy[:, None]
+    return u.reshape(n, 2, -1)
 
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -678,7 +681,8 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return Tensor._wrap(x.data.copy())
-    y = _sample_pixel_forward(x.data, _resize_plan(x.data, out_h, out_w))
+    u = _resize_coords(n, h, w, out_h, out_w, x.data.dtype)
+    y = _sample_pixel_forward(x.data, _sample_plan(u[:, 0], u[:, 1], h, w))
     return Tensor._wrap(y.reshape(n, c, out_h, out_w))
 
 

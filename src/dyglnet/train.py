@@ -199,7 +199,7 @@ class TrainResult:
 def _stack(samples: list[SegmentationSample]) -> tuple[Tensor, Tensor]:
     x = np.stack([s.image.data for s in samples])
     y = np.stack([s.mask.data for s in samples])
-    return Tensor._wrap(x.copy()), Tensor._wrap(y.copy())
+    return Tensor._wrap(x), Tensor._wrap(y)
 
 
 def evaluate_model(
@@ -214,11 +214,11 @@ def evaluate_model(
     _check_threshold(threshold)
     logits = []
     for i in range(0, len(samples), chunk):
-        x, _ = _stack(samples[i : i + chunk])
-        out = model(ad.constant(x), training=False)
+        x = np.stack([s.image.data for s in samples[i : i + chunk]])
+        out = model(ad.constant(Tensor._wrap(x)), training=False)
         logits.append(out.tensor.data)
     pred = Tensor._wrap(np.concatenate(logits, axis=0))
-    _, target = _stack(samples)
+    target = Tensor._wrap(np.stack([s.mask.data for s in samples]))
     return evaluate(pred, target, threshold=threshold)
 
 

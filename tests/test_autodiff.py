@@ -383,10 +383,21 @@ _X4 = np.zeros((2, 3, 4, 4))
                      DimensionError, id="transpose-repeat"),
         pytest.param(lambda: ad.transpose(const64(_X4), (0, 1, 2)), DimensionError,
                      id="transpose-rank"),
-        pytest.param(lambda: ad.resize_bilinear(const64(_X4), 0, 4), DimensionError,
-                     id="resize-extent"),
-        pytest.param(lambda: ad.resize_bilinear(const64(np.zeros((3, 4, 4))), 2, 2),
+        pytest.param(lambda: T.resize_bilinear(Tensor(_X4, dtype="f64"), 0, 4),
+                     DimensionError, id="resize-extent"),
+        pytest.param(lambda: T.resize_bilinear(Tensor(np.zeros((3, 4, 4)), dtype="f64"), 2, 2),
                      DimensionError, id="resize-rank"),
+        pytest.param(lambda: ad.pixel_sample(const64(np.zeros((3, 4, 4))),
+                                             const64(np.zeros((3, 2, 5)))),
+                     DimensionError, id="pixel-sample-x-rank"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 5)))),
+                     DimensionError, id="pixel-sample-u-rank"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 3, 5)))),
+                     DimensionError, id="pixel-sample-u-pair"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((3, 2, 5)))),
+                     DimensionError, id="pixel-sample-u-batch"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const32(np.zeros((2, 2, 5)))),
+                     ContractError, id="pixel-sample-mixed-dtype"),
     ],
 )
 def test_elementwise_and_layout_ops_reject_bad_arguments(op, err):
@@ -423,33 +434,32 @@ def test_fd_pixel_sample_values_and_coordinates():
     rng = np.random.default_rng(23)
     x = param("x", rng.normal(size=(1, 2, 5, 5)))
     # Keep coordinates away from integer lattice kinks so FD stays clean.
-    ux = param("ux", rng.uniform(0.3, 3.7, size=(1, 6)).round(1) + 0.05)
-    uy = param("uy", rng.uniform(0.3, 3.7, size=(1, 6)).round(1) + 0.05)
+    u = param("u", rng.uniform(0.3, 3.7, size=(1, 2, 6)).round(1) + 0.05)
     wgt = const64(np.random.default_rng(24).normal(size=(1, 2, 6)))
 
     def fn():
-        y = ad.pixel_sample(ad.watch(x), ad.watch(ux), ad.watch(uy))
+        y = ad.pixel_sample(ad.watch(x), ad.watch(u))
         return ad.sum_all(ad.mul(y, wgt))
 
-    _fd_ok(fn, [x, ux, uy])
+    _fd_ok(fn, [x, u])
 
 
 def test_pixel_sample_clamped_coordinate_gradient_is_zero():
     x = const64(np.arange(16.0).reshape(1, 1, 4, 4))
-    ux = param("ux", np.array([[-2.0]]))
-    uy = param("uy", np.array([[1.5]]))
+    u = param("u", np.array([[[-2.0], [1.5]]]))
     with Tape() as tape:
-        y = ad.pixel_sample(x, ad.watch(ux), ad.watch(uy))
+        y = ad.pixel_sample(x, ad.watch(u))
         ad.backward(ad.sum_all(y), tape)
-    np.testing.assert_array_equal(ux.grad, np.zeros((1, 1)))
+    assert u.grad[0, 0, 0] == 0.0
+    assert u.grad[0, 1, 0] != 0.0
 
 
-def _pixel_sample_grads(x, ux, uy, gy):
-    xp, uxp, uyp = param("x", x), param("ux", ux), param("uy", uy)
+def _pixel_sample_grads(x, u, gy):
+    xp, up = param("x", x), param("u", u)
     with Tape() as tape:
-        y = ad.pixel_sample(ad.watch(xp), ad.watch(uxp), ad.watch(uyp))
+        y = ad.pixel_sample(ad.watch(xp), ad.watch(up))
         ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
-    return xp.grad, uxp.grad, uyp.grad
+    return xp.grad, up.grad
 
 
 def _random_sample_case(rng, n_lo):
@@ -469,7 +479,7 @@ def test_pixel_sample_vjp_adjoint_vs_oracle():
         ux = rng.uniform(-1.5, w + 0.5, size=(n, p))
         uy = rng.uniform(-1.5, h + 0.5, size=(n, p))
         gy = rng.normal(size=(n, c, p))
-        gx, _, _ = _pixel_sample_grads(x, ux, uy, gy)
+        gx, _ = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
         y = np.array([
             [[oracles.sample_pixel_naive(x[i, k], ux[i, j], uy[i, j]) for j in range(p)]
              for k in range(c)]
@@ -489,7 +499,8 @@ def test_pixel_sample_coordinate_grads_vs_central_differences():
         ux = rng.integers(-2, w + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
         uy = rng.integers(-2, h + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
         gy = rng.normal(size=(n, c, p))
-        _, gux, guy = _pixel_sample_grads(x, ux, uy, gy)
+        _, gu = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
+        gux, guy = gu[:, 0], gu[:, 1]
 
         def f(i, j, dx, dy):
             return sum(
@@ -509,12 +520,32 @@ def test_pixel_sample_coordinate_grads_vs_central_differences():
                     assert guy[i, j] == 0.0
 
 
+def test_pixel_sample_constant_coordinates_get_no_gradient():
+    # Constant coordinates (the bilinear lattice) skip the coordinate
+    # gradient; the input gradient is the same as with watched ones.
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(2, 3, 4, 5))
+    u = rng.uniform(-1.0, 5.0, size=(2, 2, 7))
+    gy = rng.normal(size=(2, 3, 7))
+    xp = param("x", x)
+    with Tape() as tape:
+        gx, gu = ad.pixel_sample(ad.watch(xp), const64(u))._vjp(gy)
+    assert gu is None
+    np.testing.assert_array_equal(gx, _pixel_sample_grads(x, u, gy)[0])
+
+
 def test_fd_resize_and_depth_to_space():
+    # pixel_sample at the constant coordinates of a 3x3 -> 6x6 resize:
+    # the bilinear upsampler's path, gradient to x only.
     rng = np.random.default_rng(31)
     x = param("x", rng.normal(size=(1, 4, 3, 3)))
-    wgt = const64(np.random.default_rng(32).normal(size=(1, 4, 6, 6)))
+    u = const64(T._resize_coords(4, 3, 3, 6, 6, np.dtype(np.float64)))
+    wgt = const64(np.random.default_rng(32).normal(size=(4, 1, 36)))
     _fd_ok(
-        lambda: ad.sum_all(ad.mul(ad.resize_bilinear(ad.watch(x), 6, 6), wgt)), [x]
+        lambda: ad.sum_all(ad.mul(
+            ad.pixel_sample(ad.reshape(ad.watch(x), (4, 1, 3, 3)), u), wgt
+        )),
+        [x],
     )
     wgt2 = const64(np.random.default_rng(33).normal(size=(1, 1, 6, 6)))
     _fd_ok(

@@ -13,6 +13,7 @@ from dyglnet import autodiff as ad
 from dyglnet import gradsuite
 from dyglnet import tensor as T
 from dyglnet.blocks import (
+    _OFFSET_RANGE,
     DYT_ALPHA_INIT,
     Conv2d,
     DyFusionUp,
@@ -391,10 +392,10 @@ def test_dyfusion_unit_offset_prediction_scaled_to_quarter():
     rng = np.random.default_rng(61)
     block = _up_block(rng, in_ch=2, groups=2)
     assign64(block.offset.bias, np.ones(block.cfg.offset_channels))
-    # Groups are folded into the batch: one (dx, dy) pair of [n*g, 4hw].
-    dx, dy = block.offset_fields(v64(rng.normal(size=(1, 2, 3, 3))))
-    np.testing.assert_array_equal(dx.tensor.data, np.full((2, 36), 0.25))
-    np.testing.assert_array_equal(dy.tensor.data, np.full((2, 36), 0.25))
+    # Groups are folded into the batch: one (dx, dy) field of [n*g, 2, 4hw].
+    field = block.offset_field(v64(rng.normal(size=(1, 2, 3, 3))))
+    assert _OFFSET_RANGE == 0.25
+    np.testing.assert_array_equal(field.tensor.data, np.full((2, 2, 36), _OFFSET_RANGE))
 
 
 @pytest.mark.parametrize("groups", [2, 4])
@@ -418,8 +419,8 @@ def test_dyfusion_group_fold_matches_per_group_oracle(groups):
     sub = (oy % 2) * 2 + ox % 2
     want = np.empty((n, c, 2 * h, 2 * w))
     for g in range(groups):
-        dx = raw[:, 8 * g + sub, oy // 2, ox // 2] * block.cfg.offset_range
-        dy = raw[:, 8 * g + 4 + sub, oy // 2, ox // 2] * block.cfg.offset_range
+        dx = raw[:, 8 * g + sub, oy // 2, ox // 2] * _OFFSET_RANGE
+        dy = raw[:, 8 * g + 4 + sub, oy // 2, ox // 2] * _OFFSET_RANGE
         ux = (ox + 0.5) / 2.0 - 0.5 + dx
         uy = (oy + 0.5) / 2.0 - 0.5 + dy
         grid = np.stack([(ux + 0.5) * 2.0 / w - 1.0, (uy + 0.5) * 2.0 / h - 1.0], axis=-1)
@@ -459,14 +460,38 @@ def test_dyfusion_full_block_shape_and_modes():
 
 
 def test_dyfusion_bilinear_mode_matches_dynamic_at_init():
+    # Zero-initialized offsets: the two modes agree bit for bit, in the
+    # sampled values and in the gradient they send back to x_low.
     rng1 = np.random.default_rng(73)
     rng2 = np.random.default_rng(73)
     dyn = _up_block(rng1, in_ch=2, groups=1, mode="dynamic")
     stat = _up_block(rng2, in_ch=2, groups=1, mode="bilinear")
     x = np.random.default_rng(74).normal(size=(1, 2, 3, 3))
-    np.testing.assert_array_equal(
-        dyn.upsample(v64(x)).tensor.data, stat.upsample(v64(x)).tensor.data
-    )
+    gy = np.random.default_rng(75).normal(size=(1, 2, 6, 6))
+    outs, grads = [], []
+    for block in (dyn, stat):
+        xp = ad.Parameter("x", t64(x))
+        with ad.Tape() as tape:
+            y = block.upsample(ad.watch(xp))
+            ad.backward(ad.sum_all(ad.mul(y, v64(gy))), tape)
+        outs.append(y.tensor.data)
+        grads.append(xp.grad)
+    np.testing.assert_array_equal(outs[0], outs[1])
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_dyfusion_dynamic_upsample_records_eight_nodes_without_narrow(monkeypatch):
+    # offset conv, depth_to_space, scale, reshape, add, fold reshape,
+    # pixel_sample, unfold reshape: the offset field stays one array.
+    rng = np.random.default_rng(79)
+    block = _up_block(rng, in_ch=4, groups=2)
+    calls = []
+    narrow = ad.narrow
+    monkeypatch.setattr(ad, "narrow", lambda *a: calls.append(a) or narrow(*a))
+    with ad.Tape() as tape:
+        block.upsample(v64(rng.normal(size=(2, 4, 3, 3))))
+    assert len(tape._nodes) == 8
+    assert calls == []
 
 
 def test_dyfusion_spatial_mismatch_rejected():
