@@ -173,11 +173,6 @@ def _receives_grad(v: Value) -> bool:
     return v._vjp is not None or any(leaf is v for _, leaf in _ACTIVE._leaves)
 
 
-def zero_grads(params: Sequence[Parameter]) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 def _record(y: Tensor, parents: tuple, make_vjp: Callable) -> Value:
     if _ACTIVE is None:
         return Value(y)
@@ -328,18 +323,15 @@ def batchnorm2d(
     running_mean: Tensor,
     running_var: Tensor,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> tuple[Value, Tensor, Tensor]:
     """Differentiable batchnorm; running statistics flow outside the graph."""
     y, new_mean, new_var, mean, var = T.batchnorm2d(
-        x.tensor, gamma.tensor, beta.tensor, running_mean, running_var,
-        training, momentum, eps,
+        x.tensor, gamma.tensor, beta.tensor, running_mean, running_var, training
     )
     xd, gd = x.tensor.data, gamma.tensor.data
 
     def mk():
-        return T._batchnorm2d_vjp(xd, gd, mean, var, training, eps)
+        return T._batchnorm2d_vjp(xd, gd, mean, var, training)
 
     out = _record(y, (x, gamma, beta), mk)
     return out, new_mean, new_var
@@ -536,7 +528,8 @@ def grad_check(
     for p in trainables:
         if p.value.dtype != "f64":
             raise ContractError(f"grad_check requires f64 parameters ({p.name})")
-    zero_grads(trainables)
+    for p in trainables:
+        p.zero_grad()
     with Tape() as tape:
         loss = fn()
     backward(loss, tape)

@@ -56,7 +56,7 @@ def he_normal(
 
 
 class Conv2d(Module):
-    """2-d convolution layer (cross-correlation) with optional bias."""
+    """Dense 2-d convolution layer (cross-correlation) with a bias."""
 
     def __init__(
         self,
@@ -68,46 +68,25 @@ class Conv2d(Module):
         dtype: str = "f32",
         stride: int = 1,
         padding: int = 0,
-        dilation: int = 1,
-        groups: int = 1,
-        bias: bool = True,
         zero_init: bool = False,
     ):
-        if in_channels % groups or out_channels % groups:
-            raise ConfigurationError(
-                f"{name}: channels {in_channels}->{out_channels} not divisible "
-                f"by groups {groups}"
-            )
-        self.spec = ConvSpec(stride, padding, dilation, groups)
-        wshape = (out_channels, in_channels // groups, kernel, kernel)
-        fan_in = (in_channels // groups) * kernel * kernel
+        self.spec = ConvSpec(stride, padding)
+        wshape = (out_channels, in_channels, kernel, kernel)
         if zero_init:
             w = Tensor(np.zeros(wshape), dtype=dtype)
         else:
-            w = he_normal(rng, wshape, fan_in, dtype)
+            w = he_normal(rng, wshape, in_channels * kernel * kernel, dtype)
         self.weight = Parameter(f"{name}.weight", w)
-        self.bias = (
-            Parameter(f"{name}.bias", Tensor(np.zeros(out_channels), dtype=dtype))
-            if bias
-            else None
-        )
+        self.bias = Parameter(f"{name}.bias", Tensor(np.zeros(out_channels), dtype=dtype))
 
     def __call__(self, x: Value, training: bool = False) -> Value:
-        b = ad.watch(self.bias) if self.bias is not None else None
-        return ad.conv2d(x, ad.watch(self.weight), b, self.spec)
+        return ad.conv2d(x, ad.watch(self.weight), ad.watch(self.bias), self.spec)
 
 
 class BatchNorm2d(Module):
     """Per-channel batch normalization with tracked running statistics."""
 
-    def __init__(
-        self,
-        name: str,
-        channels: int,
-        dtype: str = "f32",
-        momentum: float = 0.1,
-        eps: float = 1e-5,
-    ):
+    def __init__(self, name: str, channels: int, dtype: str = "f32"):
         self.gamma = Parameter(f"{name}.gamma", Tensor(np.ones(channels), dtype=dtype))
         self.beta = Parameter(f"{name}.beta", Tensor(np.zeros(channels), dtype=dtype))
         self.running_mean = Parameter(
@@ -118,8 +97,6 @@ class BatchNorm2d(Module):
             f"{name}.running_var", Tensor(np.ones(channels), dtype=dtype),
             trainable=False,
         )
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         y, new_mean, new_var = ad.batchnorm2d(
@@ -129,8 +106,6 @@ class BatchNorm2d(Module):
             self.running_mean.value,
             self.running_var.value,
             training,
-            self.momentum,
-            self.eps,
         )
         if training:
             self.running_mean.assign(new_mean)
@@ -165,9 +140,9 @@ class DyT(Module):
 class SingleHeadAttention(Module):
     """Global self-attention over the H*W spatial tokens of a feature map.
 
-    A norm layer feeds one shared 1x1 conv producing Q, K, V of width
-    ``dim`` per token; scores are softmax(Q K^T / sqrt(dim)) over keys.
-    A 1x1 output projection maps back only when dim != channels.
+    A norm layer feeds one shared 1x1 conv producing Q, K, V of the
+    input width C per token; scores are softmax(Q K^T / sqrt(C)) over
+    keys, and the attended values are the output.
     """
 
     def __init__(
@@ -176,49 +151,35 @@ class SingleHeadAttention(Module):
         channels: int,
         rng: np.random.Generator,
         dtype: str = "f32",
-        dim: int | None = None,
         use_dyt: bool = True,
     ):
-        d = channels if dim is None else dim
-        if d < 1:
-            raise ConfigurationError(f"{name}: attention width must be >= 1, got {d}")
-        self.dim = d
         self.norm: Module = (
             DyT(f"{name}.norm", channels, dtype)
             if use_dyt
             else BatchNorm2d(f"{name}.norm", channels, dtype)
         )
-        self.qkv = Conv2d(f"{name}.qkv", channels, 3 * d, 1, rng, dtype)
-        self.proj = (
-            Conv2d(f"{name}.proj", d, channels, 1, rng, dtype)
-            if d != channels
-            else None
-        )
+        self.qkv = Conv2d(f"{name}.qkv", channels, 3 * channels, 1, rng, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         n, c, h, w = x.tensor.shape
-        d = self.dim
         p = h * w
         z = self.norm(x, training)
         qkv = self.qkv(z)
-        q, k, v = ad.split(qkv, 1, [d, d, d])
-        q_tok = ad.transpose(ad.reshape(q, (n, d, p)), (0, 2, 1))  # [n,p,d]
-        k_map = ad.reshape(k, (n, d, p))  # [n,d,p]
-        v_tok = ad.transpose(ad.reshape(v, (n, d, p)), (0, 2, 1))
-        scores = ad.scale(ad.matmul(q_tok, k_map), 1.0 / math.sqrt(d))
+        q, k, v = ad.split(qkv, 1, [c, c, c])
+        q_tok = ad.transpose(ad.reshape(q, (n, c, p)), (0, 2, 1))  # [n,p,c]
+        k_map = ad.reshape(k, (n, c, p))  # [n,c,p]
+        v_tok = ad.transpose(ad.reshape(v, (n, c, p)), (0, 2, 1))
+        scores = ad.scale(ad.matmul(q_tok, k_map), 1.0 / math.sqrt(c))
         attn = ad.softmax(scores, axis=2)
-        out = ad.matmul(attn, v_tok)  # [n,p,d]
-        out = ad.reshape(ad.transpose(out, (0, 2, 1)), (n, d, h, w))
-        if self.proj is not None:
-            out = self.proj(out)
-        return out
+        out = ad.matmul(attn, v_tok)  # [n,p,c]
+        return ad.reshape(ad.transpose(out, (0, 2, 1)), (n, c, h, w))
 
 
 class MultiScaleDilatedConv(Module):
     """Parallel dilated depthwise 3x3 branches summed with the identity,
     then one shared batchnorm. Padding equals each branch's dilation so
     the spatial extents are preserved. The sum is one fused
-    ``depthwise_residual`` op; the branch convs hold its weights."""
+    ``depthwise_residual`` op over one [C, 1, 3, 3] weight per rate."""
 
     def __init__(
         self,
@@ -230,21 +191,18 @@ class MultiScaleDilatedConv(Module):
     ):
         if not rates or any(r < 1 for r in rates):
             raise ConfigurationError(f"{name}: dilation rates must be positive, got {rates}")
-        self.branches = [
-            Conv2d(
-                f"{name}.branch{r}", channels, channels, 3, rng, dtype,
-                padding=r, dilation=r, groups=channels, bias=False,
+        self.rates = rates
+        self.weights = [
+            Parameter(
+                f"{name}.branch{r}.weight",
+                he_normal(rng, (channels, 1, 3, 3), 9, dtype),
             )
             for r in rates
         ]
         self.bn = BatchNorm2d(f"{name}.bn", channels, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
-        s = ad.depthwise_residual(
-            x,
-            [ad.watch(b.weight) for b in self.branches],
-            [b.spec.dilation for b in self.branches],
-        )
+        s = ad.depthwise_residual(x, [ad.watch(w) for w in self.weights], self.rates)
         return self.bn(s, training)
 
 
@@ -276,7 +234,6 @@ class ShdcConfig:
     channels: int
     split_ratio: float = 0.5
     dilation_rates: tuple[int, ...] = (1, 2, 3)
-    attn_dim: int | None = None
     ffn_ratio: float = 4.0
     use_fusion: bool = True
     use_dyt: bool = True
@@ -318,11 +275,14 @@ class ShdcBlock(Module):
     ):
         c = cfg.channels
         self.cfg = cfg
-        self.pre = Conv2d(f"{name}.pre", c, c, 3, rng, dtype, padding=1, groups=c)
+        self.pre_weight = Parameter(
+            f"{name}.pre.weight", he_normal(rng, (c, 1, 3, 3), 9, dtype)
+        )
+        self.pre_bias = Parameter(f"{name}.pre.bias", Tensor(np.zeros(c), dtype=dtype))
         if cfg.use_fusion:
             cg = cfg.global_channels
             self.attn = SingleHeadAttention(
-                f"{name}.attn", cg, rng, dtype, dim=cfg.attn_dim, use_dyt=cfg.use_dyt
+                f"{name}.attn", cg, rng, dtype, use_dyt=cfg.use_dyt
             )
             self.local = MultiScaleDilatedConv(
                 f"{name}.local", c - cg, rng, dtype, cfg.dilation_rates
@@ -335,9 +295,8 @@ class ShdcBlock(Module):
             raise DimensionError(
                 f"block expects {self.cfg.channels} channels, got {x.tensor.shape}"
             )
-        pre = self.pre
         h = ad.depthwise_residual(
-            x, [ad.watch(pre.weight)], [pre.spec.dilation], ad.watch(pre.bias)
+            x, [ad.watch(self.pre_weight)], [1], ad.watch(self.pre_bias)
         )
         if self.cfg.use_fusion:
             cg = self.cfg.global_channels

@@ -78,15 +78,6 @@ def _coerce_one(key: str, value: str, ftype) -> object:
         args = typing.get_args(ftype)
         elem = args[0] if args else int
         return tuple(_coerce_one(key, s, elem) for s in items)
-    if origin is typing.Union:
-        for cand in typing.get_args(ftype):
-            if cand is type(None):
-                continue
-            try:
-                return _coerce_one(key, value, cand)
-            except FormatError:
-                continue
-        raise FormatError(f"{key}: cannot parse {value!r}")
     raise FormatError(f"{key}: unsupported field type {ftype}")
 
 

@@ -98,10 +98,11 @@ def _parse_netpbm(buf: bytes, magic: bytes, what: str) -> tuple[int, int, int]:
     return width, height, pos
 
 
-def decode_ppm(buf: bytes) -> np.ndarray:
-    """P6 bytes -> uint8 array [H,W,3]."""
-    w, h, off = _parse_netpbm(buf, b"P6", "P6 image")
-    need = w * h * 3
+def _decode_netpbm(buf: bytes, magic: bytes, what: str, channels: int) -> np.ndarray:
+    """Binary Netpbm bytes -> uint8 array [H,W,channels], or [H,W] for
+    one channel; the payload must fill the extents exactly."""
+    w, h, off = _parse_netpbm(buf, magic, what)
+    need = w * h * channels
     if len(buf) - off < need:
         raise FormatError(
             f"payload truncated: need {need} bytes, have {len(buf) - off}",
@@ -109,21 +110,18 @@ def decode_ppm(buf: bytes) -> np.ndarray:
         )
     if len(buf) - off > need:
         raise FormatError(f"{len(buf) - off - need} trailing bytes", offset=off + need)
-    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=off).reshape(h, w, 3)
+    shape = (h, w, channels) if channels > 1 else (h, w)
+    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=off).reshape(shape)
+
+
+def decode_ppm(buf: bytes) -> np.ndarray:
+    """P6 bytes -> uint8 array [H,W,3]."""
+    return _decode_netpbm(buf, b"P6", "P6 image", 3)
 
 
 def decode_pgm(buf: bytes) -> np.ndarray:
     """P5 bytes -> uint8 array [H,W]."""
-    w, h, off = _parse_netpbm(buf, b"P5", "P5 image")
-    need = w * h
-    if len(buf) - off < need:
-        raise FormatError(
-            f"payload truncated: need {need} bytes, have {len(buf) - off}",
-            offset=len(buf),
-        )
-    if len(buf) - off > need:
-        raise FormatError(f"{len(buf) - off - need} trailing bytes", offset=off + need)
-    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=off).reshape(h, w)
+    return _decode_netpbm(buf, b"P5", "P5 image", 1)
 
 
 def encode_ppm(arr: np.ndarray) -> bytes:

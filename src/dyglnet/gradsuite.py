@@ -76,7 +76,7 @@ def check_dyt(seed: int) -> GradCheckReport:
 
 def check_attention(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 2])
-    m = SingleHeadAttention("attn", 4, rng, dtype="f64", dim=3)
+    m = SingleHeadAttention("attn", 4, rng, dtype="f64")
     x = _input_param(rng, (2, 4, 4, 3))
     return _module_check(m, x, seed)
 

@@ -18,18 +18,18 @@ from .errors import ConfigurationError, ContractError, DimensionError
 from .tensor import Tensor, _sigmoid_forward
 
 
+_DICE_EPS = 1e-6  # smoothing term of the soft Dice ratio
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    """Blend weight and smoothing term of the hybrid loss."""
+    """Blend weight of the hybrid loss."""
 
     lambda_: float = 0.5
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ConfigurationError(f"lambda must lie in [0,1], got {self.lambda_}")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def _pair(a, b, a_name: str, b_name: str) -> tuple[Value, np.ndarray]:
@@ -53,14 +53,13 @@ def _check_binary(t: np.ndarray, name: str) -> None:
         raise ContractError(f"{name} must contain only 0 and 1")
 
 
-def dice_loss(probs, target, epsilon: float = 1e-6) -> Value:
-    """Soft Dice loss, reduced over every element of the batch at once.
+def dice_loss(probs, target) -> Value:
+    """Soft Dice loss, reduced over every element of the batch at once:
+    1 - (2 sum(p t) + eps) / (sum(p) + sum(t) + eps), eps = ``_DICE_EPS``.
 
     ``probs`` must already be probabilities in [0,1]; ``target`` is a
     binary mask of the same shape. Differentiable in ``probs`` only.
     """
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     pv, td = _pair(probs, target, "probs", "target")
     pd = pv.tensor.data
     if pd.min() < -1e-6 or pd.max() > 1.0 + 1e-6:
@@ -69,11 +68,11 @@ def dice_loss(probs, target, epsilon: float = 1e-6) -> Value:
         )
     _check_binary(td, "target")
     dt = pd.dtype
-    num = 2.0 * float(np.sum(pd * td, dtype=np.float64)) + epsilon
+    num = 2.0 * float(np.sum(pd * td, dtype=np.float64)) + _DICE_EPS
     den = (
         float(np.sum(pd, dtype=np.float64))
         + float(np.sum(td, dtype=np.float64))
-        + epsilon
+        + _DICE_EPS
     )
     loss = Tensor._wrap(np.asarray([1.0 - num / den], dtype=dt))
 
@@ -119,7 +118,7 @@ def hybrid_loss(logits, target, cfg: LossConfig = LossConfig()) -> Value:
     """
     lv = ad.as_value(logits)
     bce = bce_loss(lv, target)
-    dice = dice_loss(ad.sigmoid(lv), target, cfg.epsilon)
+    dice = dice_loss(ad.sigmoid(lv), target)
     return ad.add(ad.scale(bce, cfg.lambda_), ad.scale(dice, 1.0 - cfg.lambda_))
 
 

@@ -424,6 +424,10 @@ def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 # Batch normalization
 
 
+_BN_MOMENTUM = 0.1  # weight of the batch statistics in the running update
+_BN_EPS = 1e-5  # added to the variance before its square root
+
+
 def _bn_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     m = x.shape[0] * x.shape[2] * x.shape[3]
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
@@ -438,8 +442,6 @@ def batchnorm2d(
     running_mean: Tensor,
     running_var: Tensor,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> tuple[Tensor, Tensor, Tensor, np.ndarray, np.ndarray]:
     """Per-channel batch normalization over an NCHW batch.
 
@@ -447,9 +449,9 @@ def batchnorm2d(
     ``mean`` and ``var`` are the statistics ``y`` was normalized with;
     the VJP reuses them instead of computing them again. Training mode
     normalizes with biased batch statistics and returns running
-    statistics advanced by ``(1-momentum)*old + momentum*new`` (the
-    running variance uses the unbiased estimate). Eval mode normalizes
-    with the running statistics and returns them unchanged.
+    statistics advanced by ``(1-m)*old + m*new``, m = ``_BN_MOMENTUM``
+    (the running variance uses the unbiased estimate). Eval mode
+    normalizes with the running statistics and returns them unchanged.
     """
     if x.rank != 4:
         raise DimensionError(f"batchnorm2d input must be rank 4, got {x.shape}")
@@ -470,16 +472,16 @@ def batchnorm2d(
                 "batch statistics over a single element (N*H*W == 1)"
             )
         unbiased = var * (m / (m - 1))
-        new_mean = (1.0 - momentum) * running_mean.data + momentum * mean
-        new_var = (1.0 - momentum) * running_var.data + momentum * unbiased
+        new_mean = (1.0 - _BN_MOMENTUM) * running_mean.data + _BN_MOMENTUM * mean
+        new_var = (1.0 - _BN_MOMENTUM) * running_var.data + _BN_MOMENTUM * unbiased
         new_mean = Tensor._wrap(new_mean.astype(x.data.dtype))
         new_var = Tensor._wrap(new_var.astype(x.data.dtype))
     else:
         mean, var = running_mean.data, running_var.data
         new_mean, new_var = running_mean, running_var
-    # gamma * (x - mean) / sqrt(var + eps) + beta, in one buffer
+    # gamma * (x - mean) / sqrt(var + _BN_EPS) + beta, in one buffer
     y = x.data - mean.reshape(1, c, 1, 1)
-    y /= np.sqrt(var.reshape(1, c, 1, 1) + x.data.dtype.type(eps))
+    y /= np.sqrt(var.reshape(1, c, 1, 1) + x.data.dtype.type(_BN_EPS))
     y *= gamma.data.reshape(1, c, 1, 1)
     y += beta.data.reshape(1, c, 1, 1)
     return Tensor._wrap(y), new_mean, new_var, mean, var
@@ -491,7 +493,6 @@ def _batchnorm2d_vjp(
     mean: np.ndarray,
     var: np.ndarray,
     training: bool,
-    eps: float,
 ):
     """The VJP of ``batchnorm2d`` normalized with ``mean`` and ``var``: a
     closure g -> (gx, ggamma, gbeta). It keeps ``x`` and forms the
@@ -499,7 +500,7 @@ def _batchnorm2d_vjp(
     through the batch statistics too."""
     c = x.shape[1]
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    istd = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
+    istd = (1.0 / np.sqrt(var.astype(np.float64) + _BN_EPS)).astype(x.dtype)
 
     def vjp(g):
         xhat = x - mean.reshape(1, c, 1, 1)

@@ -156,7 +156,7 @@ class AdamW:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.grad[...] = 0
+            p.zero_grad()
 
 
 # glibc mallopt parameters (malloc.h)
@@ -202,19 +202,22 @@ def _stack(samples: list[SegmentationSample]) -> tuple[Tensor, Tensor]:
     return Tensor._wrap(x), Tensor._wrap(y)
 
 
+_EVAL_CHUNK = 8  # validation samples per forward
+
+
 def evaluate_model(
     model: Model,
     samples: list[SegmentationSample],
     threshold: float = 0.5,
-    chunk: int = 8,
 ) -> MetricsReport:
-    """Run the model over a sample list in eval mode and score it."""
+    """Run the model over a sample list in eval mode, ``_EVAL_CHUNK``
+    samples per forward, and score it."""
     if not samples:
         raise ContractError("cannot evaluate on an empty sample list")
     _check_threshold(threshold)
     logits = []
-    for i in range(0, len(samples), chunk):
-        x = np.stack([s.image.data for s in samples[i : i + chunk]])
+    for i in range(0, len(samples), _EVAL_CHUNK):
+        x = np.stack([s.image.data for s in samples[i : i + _EVAL_CHUNK]])
         out = model(ad.constant(Tensor._wrap(x)), training=False)
         logits.append(out.tensor.data)
     pred = Tensor._wrap(np.concatenate(logits, axis=0))

@@ -15,7 +15,6 @@ from dyglnet import tensor as T
 from dyglnet.blocks import (
     _OFFSET_RANGE,
     DYT_ALPHA_INIT,
-    Conv2d,
     DyFusionUp,
     DyFusionUpConfig,
     DyT,
@@ -103,25 +102,19 @@ def _attention_oracle(block, x):
     gamma = block.norm.gamma.value.data
     beta = block.norm.beta.value.data
     z = gamma.reshape(1, -1, 1, 1) * np.tanh(alpha * x) + beta.reshape(1, -1, 1, 1)
-    wq = block.qkv.weight.value.data[:, :, 0, 0]  # [3d, C]
+    wq = block.qkv.weight.value.data[:, :, 0, 0]  # [3C, C]
     bq = block.qkv.bias.value.data
     n, c, h, w = x.shape
-    d = block.dim
     qkv = np.einsum("oc,nchw->nohw", wq, z) + bq.reshape(1, -1, 1, 1)
     outs, weights = [], []
     for i in range(n):
-        q = qkv[i, :d].reshape(d, h * w).T
-        k = qkv[i, d : 2 * d].reshape(d, h * w).T
-        v = qkv[i, 2 * d :].reshape(d, h * w).T
+        q = qkv[i, :c].reshape(c, h * w).T
+        k = qkv[i, c : 2 * c].reshape(c, h * w).T
+        v = qkv[i, 2 * c :].reshape(c, h * w).T
         o, wmat = oracles.attention_naive(q, k, v)
-        outs.append(o.T.reshape(d, h, w))
+        outs.append(o.T.reshape(c, h, w))
         weights.append(wmat)
-    out = np.stack(outs)
-    if block.proj is not None:
-        wp = block.proj.weight.value.data[:, :, 0, 0]
-        bp = block.proj.bias.value.data
-        out = np.einsum("oc,nchw->nohw", wp, out) + bp.reshape(1, -1, 1, 1)
-    return out, np.stack(weights)
+    return np.stack(outs), np.stack(weights)
 
 
 def test_attention_single_token_equals_value_projection():
@@ -159,40 +152,24 @@ def test_attention_random_vs_token_loop_oracle():
     np.testing.assert_allclose(wmat.sum(axis=2), 1.0, atol=1e-6)
 
 
-def test_attention_projection_used_when_dim_differs():
-    rng = np.random.default_rng(9)
-    block = SingleHeadAttention("attn", 6, rng, dtype="f64", dim=3)
-    assert block.proj is not None
-    x = rng.normal(size=(1, 6, 3, 3))
-    got = block(v64(x)).tensor.data
-    want, _ = _attention_oracle(block, x)
-    assert got.shape == (1, 6, 3, 3)
-    np.testing.assert_allclose(got, want, atol=1e-6)
-
-
-def test_attention_invalid_width():
-    rng = np.random.default_rng(11)
-    with pytest.raises(ConfigurationError):
-        SingleHeadAttention("attn", 4, rng, dim=0)
-
-
 # ---------------------------------------------------------------------------
 # Multi-scale dilated convolution
 
 
 def _neutralize_bn(bn):
-    bn.eps = 0.0
-    assign64(bn.gamma, np.ones(bn.gamma.value.shape[0]))
-    assign64(bn.beta, np.zeros(bn.beta.value.shape[0]))
-    assign64(bn.running_mean, np.zeros(bn.running_mean.value.shape[0]))
-    assign64(bn.running_var, np.ones(bn.running_var.value.shape[0]))
+    # eval mode divides by sqrt(running_var + _BN_EPS), which is then 1
+    c = bn.gamma.value.shape[0]
+    assign64(bn.gamma, np.ones(c))
+    assign64(bn.beta, np.zeros(c))
+    assign64(bn.running_mean, np.zeros(c))
+    assign64(bn.running_var, np.full(c, 1.0 - T._BN_EPS))
 
 
 def test_msdc_zero_branches_neutral_bn_identity():
     rng = np.random.default_rng(13)
     block = MultiScaleDilatedConv("msdc", 3, rng, dtype="f64")
-    for branch in block.branches:
-        assign64(branch.weight, np.zeros(branch.weight.value.shape))
+    for wt in block.weights:
+        assign64(wt, np.zeros(wt.value.shape))
     _neutralize_bn(block.bn)
     x = rng.normal(size=(1, 3, 5, 5))
     y = block(v64(x), training=False).tensor.data
@@ -204,8 +181,8 @@ def test_msdc_delta_kernels_quadruple():
     block = MultiScaleDilatedConv("msdc", 2, rng, dtype="f64")  # rates (1,2,3)
     delta = np.zeros((2, 1, 3, 3))
     delta[:, 0, 1, 1] = 1.0
-    for branch in block.branches:
-        assign64(branch.weight, delta)
+    for wt in block.weights:
+        assign64(wt, delta)
     _neutralize_bn(block.bn)
     x = rng.normal(size=(1, 2, 6, 6))
     y = block(v64(x), training=False).tensor.data
@@ -218,9 +195,10 @@ def test_msdc_random_vs_loop_oracle():
     _neutralize_bn(block.bn)
     x = rng.normal(size=(1, 3, 6, 6))
     want = x.copy()
-    for r, branch in zip((1, 2), block.branches):
+    assert block.rates == (1, 2)
+    for r, wt in zip(block.rates, block.weights):
         want += oracles.conv2d_naive(
-            x, branch.weight.value.data, None, padding=r, dilation=r, groups=3
+            x, wt.value.data, None, padding=r, dilation=r, groups=3
         )
     y = block(v64(x), training=False).tensor.data
     np.testing.assert_allclose(y, want, atol=1e-6)
@@ -299,7 +277,7 @@ def test_shdc_fusionless_zero_weights_identity():
     rng = np.random.default_rng(41)
     cfg = ShdcConfig(channels=4, use_fusion=False)
     block = ShdcBlock("shdc", cfg, rng, dtype="f64")
-    for p in (block.pre.weight, block.pre.bias, block.ffn.expand.weight,
+    for p in (block.pre_weight, block.pre_bias, block.ffn.expand.weight,
               block.ffn.expand.bias, block.ffn.project.weight, block.ffn.project.bias):
         assign64(p, np.zeros(p.value.shape))
     x = rng.normal(size=(1, 4, 5, 5))

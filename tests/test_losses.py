@@ -12,6 +12,7 @@ import oracles
 from dyglnet import autodiff as ad
 from dyglnet.errors import ConfigurationError, ContractError, DimensionError
 from dyglnet.losses import (
+    _DICE_EPS,
     LossConfig,
     MetricsReport,
     bce_loss,
@@ -54,8 +55,8 @@ def test_dice_disjoint_pinned():
 def test_dice_half_probs_evaluates_the_formula():
     # overlap = 0.5, prob sum = 1, target sum = 1:
     # loss = 1 - (2*0.5 + eps) / (1 + 1 + eps)
-    eps = 1e-6
-    loss = scalar(dice_loss(v64([0.5, 0.5]), v64([1.0, 0.0]), epsilon=eps))
+    eps = _DICE_EPS
+    loss = scalar(dice_loss(v64([0.5, 0.5]), v64([1.0, 0.0])))
     want = 1.0 - (2.0 * 0.5 + eps) / (1.0 + 1.0 + eps)
     assert loss == pytest.approx(want, abs=1e-12)
     assert loss == pytest.approx(0.5, abs=1e-6)
@@ -185,8 +186,6 @@ def test_loss_config_validation():
         LossConfig(lambda_=1.5)
     with pytest.raises(ConfigurationError):
         LossConfig(lambda_=-0.1)
-    with pytest.raises(ConfigurationError):
-        LossConfig(epsilon=0.0)
 
 
 def test_hybrid_gradient_matches_fd():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dyglnet import network
-from dyglnet.blocks import Conv2d
+from dyglnet.blocks import Conv2d, he_normal
 from dyglnet.checkpoint import read_checkpoint, write_checkpoint
 from dyglnet.errors import (
     ConfigurationError,
@@ -237,6 +237,25 @@ def test_single_conv_param_arithmetic():
     total = conv.weight.value.size + conv.bias.value.size
     assert total == 8 * 4 + 4 == 36
     assert _conv_params(8, 4, 1) == 36
+
+
+def test_init_replays_he_normal_in_parameter_order():
+    # Model draws every weight from one default_rng(seed), in parameter
+    # order, He-normal at fan-in prod(shape[1:]); the zero-initialized
+    # offset predictors and every bias, affine and running statistic
+    # draw nothing.
+    seed = 3
+    model = Model(ModelConfig.tiny(), seed)
+    rng = np.random.default_rng(seed)
+    weights = [p for p in model.parameters() if p.name.endswith(".weight")]
+    assert len(weights) == 49
+    for p in weights:
+        shape = p.value.shape
+        if p.name.endswith(".offset.weight"):
+            want = np.zeros(shape, dtype=np.float32)
+        else:
+            want = he_normal(rng, shape, math.prod(shape[1:]), "f32").data
+        np.testing.assert_array_equal(p.value.data, want, err_msg=p.name)
 
 
 def test_param_count_matches_shape_arithmetic_oracle_tiny():
