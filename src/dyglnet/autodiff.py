@@ -346,18 +346,18 @@ def pixel_sample(x: Value, u: Value) -> Value:
     border convention. x: [N,C,H,W], u: [N,2,P] (x then y on axis 1)
     -> [N,C,P]. G channel groups read at G coordinate sets are one call
     with the groups folded into the batch ([N*G, C/G, H, W] at
-    [N*G, 2, P]). The VJP reuses the forward's corner plan; it computes
-    no coordinate gradient for constant coordinates."""
+    [N*G, 2, P]). The tape keeps only x and u: the VJP rebuilds the
+    corners and fractions chunk by chunk, and computes no coordinate
+    gradient for constant coordinates."""
     xd, ud = x.tensor.data, u.tensor.data
     if xd.ndim != 4 or ud.ndim != 3 or ud.shape[:2] != (xd.shape[0], 2):
         raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
     T._check_same_dtype(xd, ud)
-    plan = T._sample_plan(ud[:, 0], ud[:, 1], xd.shape[2], xd.shape[3])
-    y = Tensor._wrap(T._sample_pixel_forward(xd, plan))
+    y = Tensor._wrap(T._sample_pixel_forward(xd, ud[:, 0], ud[:, 1]))
 
     def mk():
         with_gu = _receives_grad(u)
-        return lambda g: T._sample_pixel_vjp(xd, ud, plan, g, with_gu)
+        return lambda g: T._sample_pixel_vjp(xd, ud, g, with_gu)
 
     return _record(y, (x, u), mk)
 

@@ -9,9 +9,10 @@ bools (true/false), strings, and bracketed integer lists like
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 
 
 def parse_text(text: str) -> dict[str, str]:
@@ -94,3 +95,14 @@ def coerce_fields(cls, raw: dict[str, str], aliases: dict[str, str] | None = Non
         else:
             rest[key] = value
     return kwargs, rest
+
+
+def check_positive(cfg: object, *names: str, zero_ok: bool = False) -> None:
+    """Raise ConfigurationError unless each named float field of ``cfg``
+    is finite and positive (or zero, with ``zero_ok``). A bare ``x <= 0``
+    test would pass NaN, since every comparison with NaN is false."""
+    for name in names:
+        v = getattr(cfg, name)
+        if not math.isfinite(v) or v < 0.0 or (v == 0.0 and not zero_ok):
+            bound = ">= 0" if zero_ok else "positive"
+            raise ConfigurationError(f"{name} must be finite and {bound}, got {v}")

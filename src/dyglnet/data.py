@@ -172,11 +172,6 @@ def normalize_image(img01: np.ndarray) -> np.ndarray:
     return (img01 - NORM_MEAN.reshape(3, 1, 1)) / NORM_STD.reshape(3, 1, 1)
 
 
-def denormalize_image(img: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`normalize_image`, clipped back to [0,1]."""
-    return np.clip(img * NORM_STD.reshape(3, 1, 1) + NORM_MEAN.reshape(3, 1, 1), 0.0, 1.0)
-
-
 def load_image(path: str, size: int) -> Tensor:
     """P6 file -> normalized f32 image tensor [3,size,size]."""
     raw = read_ppm(path)
@@ -194,14 +189,6 @@ def load_sample(image_path: str, mask_path: str, size: int = 224) -> Segmentatio
     mask = Tensor._wrap((m01 > 0.5).astype(np.float32))
     sample_id = os.path.splitext(os.path.basename(image_path))[0]
     return SegmentationSample(sample_id, image, mask)
-
-
-def save_sample_images(sample: SegmentationSample, image_path: str, mask_path: str) -> None:
-    """Materialize a sample as P6 + P5 files (denormalized, quantized)."""
-    img01 = denormalize_image(sample.image.data)
-    arr = np.clip(np.rint(img01 * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
-    write_ppm(image_path, arr)
-    write_pgm(mask_path, (sample.mask.data[0] * 255).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +237,7 @@ def _warp_bilinear(img: np.ndarray, src_x: np.ndarray, src_y: np.ndarray,
     c, hh, ww = img.shape
     ux = src_x.reshape(1, -1).astype(img.dtype)
     uy = src_y.reshape(1, -1).astype(img.dtype)
-    plan = T._sample_plan(ux, uy, hh, ww)
-    out = T._sample_pixel_forward(img[None], plan)[0].reshape(c, hh, ww)
+    out = T._sample_pixel_forward(img[None], ux, uy)[0].reshape(c, hh, ww)
     outside = (src_x < 0) | (src_x > ww - 1) | (src_y < 0) | (src_y > hh - 1)
     out[:, outside] = fill
     return out

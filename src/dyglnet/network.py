@@ -81,6 +81,7 @@ class ModelConfig:
                 f"sampler_groups {self.sampler_groups} must divide every stage "
                 f"width {self.stage_channels}"
             )
+        configtext.check_positive(self, "ffn_ratio")
         if self.input_channels < 1 or self.output_channels < 1:
             raise ConfigurationError("channel counts must be >= 1")
         if self.input_size < 16 or self.input_size % 16:

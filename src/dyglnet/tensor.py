@@ -534,104 +534,112 @@ def _pixel_coords(g: np.ndarray, size: int) -> np.ndarray:
     return (g + 1.0) * (size / 2.0) - 0.5
 
 
-def _sample_plan(ux: np.ndarray, uy: np.ndarray, h: int, w: int) -> tuple:
-    """(r00, sx, sy, fx, fy) of a bilinear read at pixel coords [n, p]:
-    the top-left corner as a flat row of the n*h*w pixel axis, the steps
-    to the right and lower corners (x0 <= w - 2, so a step is 1 unless
-    its axis has one pixel) and the lerp fractions."""
-    ucx = np.clip(ux, 0.0, w - 1.0)
-    ucy = np.clip(uy, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(ucx), max(w - 2, 0))
-    y0 = np.minimum(np.floor(ucy), max(h - 2, 0))
-    r00 = y0.astype(np.int64) * w + x0.astype(np.int64)
-    r00 += np.arange(0, ux.shape[0] * h * w, h * w)[:, None]
-    # Exact in the input precision: x0 <= ucx <= x0 + 1 (Sterbenz).
-    return r00, min(1, w - 1), w * min(1, h - 1), ucx - x0, ucy - y0
+# The sampler walks the coordinate array [n, p] in chunks of whole rows,
+# about this many points each, and rebuilds each chunk's corner indices
+# and lerp fractions from the coordinates; the tape keeps only x and u.
+# Only a row's own points reach its image, so a chunk of whole rows
+# scatters into whole image planes: each bin's float64 ``bincount`` sum
+# sees the same addends in the same order as one scatter over the batch.
+_SAMPLE_CHUNK = 1 << 16
 
 
-def _corners(plane: np.ndarray, plan: tuple):
-    """The four corner values [n, p] of one channel plane [n*h*w]."""
-    r, sx, sy = plan[:3]
-    return (np.take(plane, r), np.take(plane[sx:], r),
-            np.take(plane[sy:], r), np.take(plane[sy + sx:], r))
+def _sample_chunks(ux: np.ndarray, uy: np.ndarray, c: int, h: int, w: int):
+    """Per chunk of whole rows of pixel coords [n, p], yields (rows, at,
+    bins, steps, fx, fy): the row slice; the top-left corner as a flat
+    index into x [n,c,h,w] at channel 0 and as a bin of the chunk's own
+    [rows, h*w] planes; the steps to the four corners 00, 01, 10, 11
+    (x0 <= w - 2, so a step is 1 unless its axis has one pixel); and the
+    lerp fractions."""
+    n, p = ux.shape
+    hw = h * w
+    sx, sy = min(1, w - 1), w * min(1, h - 1)
+    steps = (0, sx, sy, sy + sx)
+    nr = max(1, _SAMPLE_CHUNK // max(p, 1))
+    for r0 in range(0, n, nr):
+        rows = slice(r0, min(r0 + nr, n))
+        fx = np.clip(ux[rows], 0.0, w - 1.0)
+        fy = np.clip(uy[rows], 0.0, h - 1.0)
+        x0 = np.minimum(np.floor(fx), max(w - 2, 0))
+        y0 = np.minimum(np.floor(fy), max(h - 2, 0))
+        # Exact in the input precision: x0 <= fx <= x0 + 1 (Sterbenz).
+        fx -= x0
+        fy -= y0
+        bins = y0.astype(np.int64) * w + x0.astype(np.int64)
+        del x0, y0  # the generator's frame would keep them past the yield
+        k = np.arange(rows.stop - r0)[:, None]
+        at = bins + (r0 + k) * (c * hw)
+        bins += k * hw
+        yield rows, at, bins, steps, fx, fy
 
 
-def _sample_pixel_forward(x: np.ndarray, plan: tuple) -> np.ndarray:
-    """Bilinear gather. x: [n,c,h,w]; plan from pixel coords [n,p] -> [n,c,p].
+def _sample_pixel_forward(x: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Bilinear gather. x: [n,c,h,w] at pixel coords ux, uy [n,p] -> [n,c,p].
 
-    One channel at a time, so temporaries stay at one [n, p] plane."""
-    n, c = x.shape[:2]
-    fx, fy = plan[3:]
-    out = np.empty((n, c, fx.shape[1]), dtype=x.dtype)
-    for ci, plane in enumerate(x.transpose(1, 0, 2, 3).reshape(c, -1)):
-        top, v01, bot, v11 = _corners(plane, plan)
-        v01 -= top
-        v01 *= fx
-        top += v01
-        v11 -= bot
-        v11 *= fx
-        bot += v11
-        bot -= top
-        bot *= fy
-        np.add(top, bot, out=out[:, ci])
+    One chunk and one channel at a time, read from x's flat view, so
+    temporaries stay at one chunk of one channel."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, ux.shape[1]), dtype=x.dtype)
+    xf = x.reshape(-1)
+    for rows, at, _, steps, fx, fy in _sample_chunks(ux, uy, c, h, w):
+        for ci in range(c):
+            top, v01, bot, v11 = (np.take(xf[ci * h * w + s :], at) for s in steps)
+            v01 -= top
+            v01 *= fx
+            top += v01
+            v11 -= bot
+            v11 *= fx
+            bot += v11
+            bot -= top
+            bot *= fy
+            np.add(top, bot, out=out[rows, ci])
     return out
 
 
-def _sample_scatter(
-    plan: tuple, gfx: np.ndarray, gfy: np.ndarray, gy: np.ndarray, h: int, w: int
-) -> np.ndarray:
-    """Input gradient of a bilinear read: gy [n,c,p] -> gx [n,c,h,w];
-    gfx and gfy are the plan's ``1 - fx`` and ``1 - fy``.
-
-    Each corner is summed in float64 by ``bincount`` and the four sums
-    are added in float32, in the fixed order 00, 01, 10, 11. The corners
-    are the outer loop, so only one corner's rows and weights exist at
-    a time."""
-    n, c, _ = gy.shape
-    r00, sx, sy, fx, fy = plan
-    corners = ((0, gfx, gfy), (sx, fx, gfy), (sy, gfx, fy), (sy + sx, fx, fy))
-    gx = np.empty((n, c, h * w), dtype=gy.dtype)
-    for k, (step, wx, wy) in enumerate(corners):
-        rows = (r00 + step).ravel()
-        wk = wx * wy
-        for ci in range(c):
-            a = np.bincount(rows, (gy[:, ci] * wk).ravel(), n * h * w)
-            a = a.astype(gy.dtype).reshape(n, h * w)
-            if k == 0:
-                gx[:, ci] = a
-            else:
-                gx[:, ci] += a
-    return gx.reshape(n, c, h, w)
-
-
 def _sample_pixel_vjp(
-    x: np.ndarray, u: np.ndarray, plan: tuple, gy: np.ndarray, with_gu: bool
+    x: np.ndarray, u: np.ndarray, gy: np.ndarray, with_gu: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(gx, gu) of a bilinear read at pixel coords u [n, 2, p] (x then y
-    on axis 1); gu is None when ``with_gu`` is false."""
-    c, h, w = x.shape[1:]
-    fx, fy = plan[3:]
-    gfx = 1.0 - fx
-    gfy = 1.0 - fy
-    gu = None
-    if with_gu:
-        gu = np.zeros(u.shape, dtype=x.dtype)
-        gux, guy = gu[:, 0], gu[:, 1]
-        for ci, plane in enumerate(x.transpose(1, 0, 2, 3).reshape(c, -1)):
-            g = gy[:, ci]
-            v00, v01, v10, v11 = _corners(plane, plan)
-            du = (v01 - v00) * gfy
-            du += (v11 - v10) * fy
-            du *= g
-            gux += du
-            dv = (v10 - v00) * gfx
-            dv += (v11 - v01) * fx
-            dv *= g
-            guy += dv
-        ux, uy = u[:, 0], u[:, 1]
-        gux *= ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
-        guy *= ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
-    return _sample_scatter(plan, gfx, gfy, gy, h, w), gu
+    on axis 1); gu is None when ``with_gu`` is false.
+
+    gx is scattered by ``bincount``: each corner is summed in float64 and
+    the four sums are added in the input precision, in the fixed order
+    00, 01, 10, 11. Out-of-range coordinates get zero gradient."""
+    n, c, h, w = x.shape
+    hw = h * w
+    xf = x.reshape(-1)
+    gx = np.empty((n, c, hw), dtype=gy.dtype)
+    gu = np.zeros(u.shape, dtype=x.dtype) if with_gu else None
+    for rows, at, bins, steps, fx, fy in _sample_chunks(u[:, 0], u[:, 1], c, h, w):
+        gfx = 1.0 - fx
+        gfy = 1.0 - fy
+        g = gy[rows]
+        if with_gu:
+            gux, guy = gu[rows, 0], gu[rows, 1]
+            for ci in range(c):
+                v00, v01, v10, v11 = (np.take(xf[ci * hw + s :], at) for s in steps)
+                du = (v01 - v00) * gfy
+                du += (v11 - v10) * fy
+                du *= g[:, ci]
+                gux += du
+                dv = (v10 - v00) * gfx
+                dv += (v11 - v01) * fx
+                dv *= g[:, ci]
+                guy += dv
+            ux, uy = u[rows, 0], u[rows, 1]
+            gux *= ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
+            guy *= ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
+        gxr = gx[rows]
+        for k, (s, wx, wy) in enumerate(zip(steps, (gfx, fx, gfx, fx), (gfy, gfy, fy, fy))):
+            b = (bins + s).ravel()
+            wk = wx * wy
+            for ci in range(c):
+                a = np.bincount(b, (g[:, ci] * wk).ravel(), gxr.shape[0] * hw)
+                a = a.astype(gy.dtype).reshape(-1, hw)
+                if k == 0:
+                    gxr[:, ci] = a
+                else:
+                    gxr[:, ci] += a
+    return gx.reshape(n, c, h, w), gu
 
 
 def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
@@ -654,7 +662,7 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     g2 = grid.data.reshape(n, oh * ow, 2)
     ux = _pixel_coords(g2[:, :, 0], w)
     uy = _pixel_coords(g2[:, :, 1], h)
-    y = _sample_pixel_forward(x.data, _sample_plan(ux, uy, h, w))
+    y = _sample_pixel_forward(x.data, ux, uy)
     return Tensor._wrap(y.reshape(n, c, oh, ow))
 
 
@@ -683,7 +691,7 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if (out_h, out_w) == (h, w):
         return Tensor._wrap(x.data.copy())
     u = _resize_coords(n, h, w, out_h, out_w, x.data.dtype)
-    y = _sample_pixel_forward(x.data, _sample_plan(u[:, 0], u[:, 1], h, w))
+    y = _sample_pixel_forward(x.data, u[:, 0], u[:, 1])
     return Tensor._wrap(y.reshape(n, c, out_h, out_w))
 
 

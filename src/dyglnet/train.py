@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape
+from .configtext import check_positive
 from .data import AugmentConfig, SegmentationSample, augment
 from .errors import ConfigurationError, ContractError, NumericError
 from .losses import LossConfig, MetricsReport, _check_threshold, evaluate, hybrid_loss
@@ -40,16 +41,12 @@ class TrainConfig:
     lambda_: float = 0.5
 
     def __post_init__(self):
-        if self.lr0 <= 0.0:
-            raise ConfigurationError(f"lr0 must be positive, got {self.lr0}")
-        if self.weight_decay < 0.0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_positive(self, "lr0", "adam_eps", "poly_power", "clip_norm")
+        check_positive(self, "weight_decay", zero_ok=True)
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0,1), got {b}")
-        if self.adam_eps <= 0.0:
-            raise ConfigurationError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.warmup_epochs < 0:
             raise ConfigurationError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.total_epochs < 1:
@@ -59,14 +56,10 @@ class TrainConfig:
                 f"warmup_epochs {self.warmup_epochs} must be smaller than "
                 f"total_epochs {self.total_epochs}"
             )
-        if self.poly_power <= 0.0:
-            raise ConfigurationError(f"poly_power must be positive, got {self.poly_power}")
         if self.batch_size < 2:
             # train() drops one-sample batches from sets of two or more
             # samples, so a batch size of 1 would run no step at all.
             raise ConfigurationError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.clip_norm <= 0.0:
-            raise ConfigurationError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ConfigurationError(f"lambda_ must lie in [0,1], got {self.lambda_}")
 

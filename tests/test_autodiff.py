@@ -455,11 +455,13 @@ def test_pixel_sample_clamped_coordinate_gradient_is_zero():
 
 
 def _pixel_sample_grads(x, u, gy):
+    """(y, gx, gu) of pixel_sample(x, u) under the cotangent gy."""
     xp, up = param("x", x), param("u", u)
     with Tape() as tape:
         y = ad.pixel_sample(ad.watch(xp), ad.watch(up))
+        yd = y.tensor.data
         ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
-    return xp.grad, up.grad
+    return yd, xp.grad, up.grad
 
 
 def _random_sample_case(rng, n_lo):
@@ -479,7 +481,7 @@ def test_pixel_sample_vjp_adjoint_vs_oracle():
         ux = rng.uniform(-1.5, w + 0.5, size=(n, p))
         uy = rng.uniform(-1.5, h + 0.5, size=(n, p))
         gy = rng.normal(size=(n, c, p))
-        gx, _ = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
+        _, gx, _ = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
         y = np.array([
             [[oracles.sample_pixel_naive(x[i, k], ux[i, j], uy[i, j]) for j in range(p)]
              for k in range(c)]
@@ -499,7 +501,7 @@ def test_pixel_sample_coordinate_grads_vs_central_differences():
         ux = rng.integers(-2, w + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
         uy = rng.integers(-2, h + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
         gy = rng.normal(size=(n, c, p))
-        _, gu = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
+        _, _, gu = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
         gux, guy = gu[:, 0], gu[:, 1]
 
         def f(i, j, dx, dy):
@@ -531,7 +533,59 @@ def test_pixel_sample_constant_coordinates_get_no_gradient():
     with Tape() as tape:
         gx, gu = ad.pixel_sample(ad.watch(xp), const64(u))._vjp(gy)
     assert gu is None
-    np.testing.assert_array_equal(gx, _pixel_sample_grads(x, u, gy)[0])
+    np.testing.assert_array_equal(gx, _pixel_sample_grads(x, u, gy)[1])
+
+
+@pytest.mark.parametrize("chunk", [12, 4], ids=["partial-last-chunk", "row-longer-than-chunk"])
+def test_pixel_sample_chunks_match_one_pass(monkeypatch, chunk):
+    # 5 rows of 6 points: a 12-point chunk holds 2 whole rows (the last
+    # one row), a 4-point chunk holds one row longer than itself.
+    # Coordinates keep >= 0.1 px from every integer (no FD kinks) and
+    # reach outside the 4x5 image on every side.
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(5, 3, 4, 5))
+    ux = rng.integers(-2, 6, size=(5, 6)) + rng.uniform(0.1, 0.9, size=(5, 6))
+    uy = rng.integers(-2, 5, size=(5, 6)) + rng.uniform(0.1, 0.9, size=(5, 6))
+    u = np.stack([ux, uy], axis=1)
+    gy = rng.normal(size=(5, 3, 6))
+    whole = _pixel_sample_grads(x, u, gy)
+    monkeypatch.setattr(T, "_SAMPLE_CHUNK", chunk)
+    chunked = _pixel_sample_grads(x, u, gy)
+    for a, b in zip(chunked, whole):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    grid = np.stack([(2.0 * ux + 1.0) / 5 - 1.0, (2.0 * uy + 1.0) / 4 - 1.0], axis=2)
+    np.testing.assert_allclose(chunked[0], oracles.bilinear_sample_naive(x, grid),
+                               rtol=0, atol=1e-6)
+    xp, up = param("x", x), param("u", u)
+    _fd_ok(lambda: ad.sum_all(ad.mul(ad.pixel_sample(ad.watch(xp), ad.watch(up)),
+                                     const64(gy))), [xp, up])
+
+
+def test_pixel_sample_memory_is_bounded_by_the_chunk():
+    # The tape keeps only x and u, and the VJP rebuilds corners and
+    # fractions one chunk of whole rows at a time: with 4 rows a chunk,
+    # 8 and 32 rows reach the same peak above gx + gu.
+    p = T._SAMPLE_CHUNK // 4
+    extra = {}
+    for n in (8, 32):
+        rng = np.random.default_rng(n)
+        x = param("x", rng.normal(size=(n, 2, 32, 32)))
+        u = param("u", rng.uniform(-1.0, 32.0, size=(n, 2, p)))
+        gy = rng.normal(size=(n, 2, p))
+        with Tape():
+            xv, uv = ad.watch(x), ad.watch(u)
+            tracemalloc.start()
+            try:
+                y = ad.pixel_sample(xv, uv)
+                retained = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                gx, gu = y._vjp(gy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert retained - y.tensor.data.nbytes < 64 << 10, f"n={n}"
+        extra[n] = peak - retained - gx.nbytes - gu.nbytes
+    assert abs(extra[32] - extra[8]) <= 0.1 * extra[8], extra
 
 
 def test_fd_resize_and_depth_to_space():

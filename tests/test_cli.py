@@ -15,9 +15,9 @@ from dyglnet.data import (
     DatasetManifest,
     ManifestEntry,
     read_pgm,
-    save_sample_images,
-    synth_dataset,
     write_manifest,
+    write_pgm,
+    write_ppm,
 )
 from dyglnet.network import Model, ModelConfig
 
@@ -50,19 +50,20 @@ def tiny_ckpt(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def disk_dataset(tmp_path_factory):
-    """Four synthetic samples written as netpbm files plus a manifest."""
+    """A manifest of four random netpbm samples."""
     root = tmp_path_factory.mktemp("data")
-    samples = synth_dataset(4, seed=21, size=32)
+    rng = np.random.default_rng(21)
     entries = []
-    for i, sample in enumerate(samples):
+    for i in range(4):
         img = str(root / f"img_{i}.ppm")
         msk = str(root / f"msk_{i}.pgm")
-        save_sample_images(sample, img, msk)
+        write_ppm(img, rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8))
+        write_pgm(msk, np.where(rng.random((32, 32)) < 0.3, 255, 0).astype(np.uint8))
         split = "train" if i < 2 else ("valid" if i == 2 else "test")
         entries.append(ManifestEntry(img, msk, split))
     manifest = str(root / "manifest.tsv")
     write_manifest(DatasetManifest(entries), manifest)
-    return manifest, samples
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,20 @@ def test_batch_size_one_exits_2(tmp_path, capsys):
     assert not (out / "final.ckpt").exists()
 
 
+def test_nan_clip_norm_exits_2_before_any_step(tmp_path, capsys):
+    # A NaN clip norm is a config error, not a run that diverges at its
+    # first step and exits 1.
+    path = tmp_path / "nan.cfg"
+    path.write_text("\n".join(_TINY_LINES + ["clip_norm = nan"]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(path), "--synthetic", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "clip_norm" in captured.err
+    assert "epoch=" not in captured.out
+    assert not (out / "last.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -179,7 +194,7 @@ def test_train_divergence_exits_1(tmp_path, capsys):
 
 
 def test_eval_prints_metric_table(tiny_ckpt, disk_dataset, capsys):
-    manifest, _ = disk_dataset
+    manifest = disk_dataset
     rc = main(["eval", "--ckpt", tiny_ckpt, "--data", manifest, "--split", "test"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -190,7 +205,7 @@ def test_eval_prints_metric_table(tiny_ckpt, disk_dataset, capsys):
 
 
 def test_eval_missing_checkpoint_exits_2(disk_dataset, tmp_path, capsys):
-    manifest, _ = disk_dataset
+    manifest = disk_dataset
     rc = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--data", manifest])
     assert rc == 2
     capsys.readouterr()
@@ -209,7 +224,7 @@ def test_eval_empty_split_exits_2(tiny_ckpt, tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
 def test_eval_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, capsys):
     # NaN or a value outside [0, 1] would score every pixel as background.
-    manifest, _ = disk_dataset
+    manifest = disk_dataset
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--ckpt", tiny_ckpt, "--data", manifest, "--threshold", value])
     assert exc.value.code == 2
@@ -221,7 +236,7 @@ def test_eval_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, capsys):
 
 
 def test_predict_writes_binary_mask(tiny_ckpt, disk_dataset, tmp_path, capsys):
-    manifest, _ = disk_dataset
+    manifest = disk_dataset
     image_path = None
     with open(manifest) as f:
         image_path = f.readline().split("\t")[0]
@@ -236,7 +251,7 @@ def test_predict_writes_binary_mask(tiny_ckpt, disk_dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
 def test_predict_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, tmp_path, capsys):
-    manifest, _ = disk_dataset
+    manifest = disk_dataset
     with open(manifest) as f:
         image_path = f.readline().split("\t")[0]
     out = tmp_path / "pred.pgm"
@@ -251,7 +266,7 @@ def test_predict_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, tmp_path,
 def test_predict_then_eval_is_self_consistent(tiny_ckpt, disk_dataset, tmp_path, capsys):
     # Scoring a model against its own thresholded predictions must give
     # a perfect Dice: predict and eval share the preprocessing path.
-    manifest, _ = disk_dataset
+    manifest = disk_dataset
     with open(manifest) as f:
         rows = [line.split("\t") for line in f.read().splitlines()]
     entries = []

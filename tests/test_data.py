@@ -16,16 +16,16 @@ from dyglnet.data import (
     augment,
     decode_pgm,
     decode_ppm,
-    denormalize_image,
     encode_pgm,
     encode_ppm,
     load_manifest,
     load_sample,
     normalize_image,
-    save_sample_images,
     split_manifest,
     synth_dataset,
     write_manifest,
+    write_pgm,
+    write_ppm,
 )
 from dyglnet.errors import (
     ConfigurationError,
@@ -154,11 +154,14 @@ def test_mean_pixel_normalizes_to_zero(tmp_path):
     assert np.abs(sample.image.data).max() < (0.5 / 255.0) / NORM_STD.min() + 1e-6
 
 
-def test_normalize_denormalize_inverse():
+def test_normalize_image_matches_its_formula():
     rng = np.random.default_rng(1)
     img01 = rng.random((3, 8, 8)).astype(np.float32)
-    back = denormalize_image(normalize_image(img01))
-    np.testing.assert_allclose(back, img01, atol=1e-6)
+    want = np.stack([
+        (img01[k].astype(np.float64) - float(NORM_MEAN[k])) / float(NORM_STD[k])
+        for k in range(3)
+    ])
+    np.testing.assert_allclose(normalize_image(img01), want, rtol=1e-6, atol=1e-6)
 
 
 def test_sample_validation():
@@ -173,15 +176,20 @@ def test_sample_validation():
         )
 
 
-def test_save_sample_round_trip(tmp_path):
-    sample = synth_dataset(1, seed=3, size=32)[0]
+def test_netpbm_sample_round_trip(tmp_path):
+    # Undoing the normalization of a loaded sample recovers every byte
+    # of the files; a 0/255 mask loads as exactly 0/1.
+    rng = np.random.default_rng(3)
+    raw = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
+    raw_mask = np.where(rng.random((32, 32)) < 0.3, 255, 0).astype(np.uint8)
     img_path = str(tmp_path / "s.ppm")
     mask_path = str(tmp_path / "s.pgm")
-    save_sample_images(sample, img_path, mask_path)
+    write_ppm(img_path, raw)
+    write_pgm(mask_path, raw_mask)
     back = load_sample(img_path, mask_path, size=32)
-    np.testing.assert_array_equal(back.mask.data, sample.mask.data)
-    # 8-bit quantization bounds the image round-trip error.
-    assert np.abs(back.image.data - sample.image.data).max() < (0.5 / 255.0) / 0.224 + 1e-4
+    img01 = back.image.data * NORM_STD.reshape(3, 1, 1) + NORM_MEAN.reshape(3, 1, 1)
+    np.testing.assert_array_equal(np.rint(img01 * 255.0).transpose(1, 2, 0), raw)
+    np.testing.assert_array_equal(back.mask.data[0], raw_mask / 255.0)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,13 @@ def test_config_validation():
         ModelConfig(upsample_mode="nearest")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_ffn_ratio_must_be_finite_and_positive(value):
+    # Checked by the config, before a block turns it into a hidden width.
+    with pytest.raises(ConfigurationError, match="ffn_ratio"):
+        ModelConfig.tiny(ffn_ratio=value)
+
+
 def test_config_text_round_trip():
     cfg = ModelConfig.tiny(split_ratio=0.25, dilation_rates=(1, 2))
     assert ModelConfig.from_text(cfg.to_text()) == cfg

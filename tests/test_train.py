@@ -4,6 +4,7 @@ abort path."""
 from __future__ import annotations
 
 import ctypes
+import math
 import re
 
 import numpy as np
@@ -191,6 +192,15 @@ def test_clip_validation():
 def test_train_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["lr0", "weight_decay", "adam_eps", "poly_power", "clip_norm"])
+def test_train_config_rejects_non_finite_floats(name, value):
+    # NaN passes a bare `x <= 0` test, and inf would train with an
+    # unbounded step or no clipping at all.
+    with pytest.raises(ConfigurationError, match=name):
+        TrainConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
