@@ -3,21 +3,26 @@ dilated depthwise convolution, the hybrid encoder block, and the
 offset-based dynamic 2x upsampler.
 
 Every block is a :class:`Module` owning named parameters and callable
-on autodiff values, so the whole network differentiates end to end.
+on autodiff values, so the whole network differentiates end to end. A
+block that reads a hyperparameter takes the validated ``ModelConfig``
+plus its own widths, and checks none of its values again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import Parameter, Value
-from .errors import ConfigurationError, DimensionError
+from .errors import DimensionError
 from .tensor import ConvSpec, Tensor
+
+if TYPE_CHECKING:
+    from .network import ModelConfig
 
 
 class Module:
@@ -33,16 +38,11 @@ class Module:
     @staticmethod
     def _collect(obj, out: list[Parameter]) -> None:
         for attr in obj.__dict__.values():
-            if isinstance(attr, Parameter):
-                out.append(attr)
-            elif isinstance(attr, Module):
-                Module._collect(attr, out)
-            elif isinstance(attr, (list, tuple)):
-                for item in attr:
-                    if isinstance(item, Parameter):
-                        out.append(item)
-                    elif isinstance(item, Module):
-                        Module._collect(item, out)
+            for item in attr if isinstance(attr, (list, tuple)) else (attr,):
+                if isinstance(item, Parameter):
+                    out.append(item)
+                elif isinstance(item, Module):
+                    Module._collect(item, out)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         raise NotImplementedError
@@ -148,14 +148,14 @@ class SingleHeadAttention(Module):
     def __init__(
         self,
         name: str,
+        cfg: ModelConfig,
         channels: int,
         rng: np.random.Generator,
         dtype: str = "f32",
-        use_dyt: bool = True,
     ):
         self.norm: Module = (
             DyT(f"{name}.norm", channels, dtype)
-            if use_dyt
+            if cfg.use_dyt
             else BatchNorm2d(f"{name}.norm", channels, dtype)
         )
         self.qkv = Conv2d(f"{name}.qkv", channels, 3 * channels, 1, rng, dtype)
@@ -179,25 +179,24 @@ class MultiScaleDilatedConv(Module):
     """Parallel dilated depthwise 3x3 branches summed with the identity,
     then one shared batchnorm. Padding equals each branch's dilation so
     the spatial extents are preserved. The sum is one fused
-    ``depthwise_residual`` op over one [C, 1, 3, 3] weight per rate."""
+    ``depthwise_residual`` op over one [C, 1, 3, 3] weight per rate of
+    ``cfg.dilation_rates``."""
 
     def __init__(
         self,
         name: str,
+        cfg: ModelConfig,
         channels: int,
         rng: np.random.Generator,
         dtype: str = "f32",
-        rates: tuple[int, ...] = (1, 2, 3),
     ):
-        if not rates or any(r < 1 for r in rates):
-            raise ConfigurationError(f"{name}: dilation rates must be positive, got {rates}")
-        self.rates = rates
+        self.rates = cfg.dilation_rates
         self.weights = [
             Parameter(
                 f"{name}.branch{r}.weight",
                 he_normal(rng, (channels, 1, 3, 3), 9, dtype),
             )
-            for r in rates
+            for r in self.rates
         ]
         self.bn = BatchNorm2d(f"{name}.bn", channels, dtype)
 
@@ -207,57 +206,23 @@ class MultiScaleDilatedConv(Module):
 
 
 class FeedForward(Module):
-    """1x1 expansion -> relu -> 1x1 projection with a residual add."""
+    """1x1 expansion to ``cfg.ffn_ratio`` times the width -> relu -> 1x1
+    projection with a residual add."""
 
     def __init__(
         self,
         name: str,
+        cfg: ModelConfig,
         channels: int,
         rng: np.random.Generator,
         dtype: str = "f32",
-        ratio: float = 4.0,
     ):
-        if ratio <= 0:
-            raise ConfigurationError(f"{name}: ffn ratio must be positive, got {ratio}")
-        hidden = max(1, int(math.floor(ratio * channels + 0.5)))
+        hidden = max(1, int(math.floor(cfg.ffn_ratio * channels + 0.5)))
         self.expand = Conv2d(f"{name}.expand", channels, hidden, 1, rng, dtype)
         self.project = Conv2d(f"{name}.project", hidden, channels, 1, rng, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         return ad.add(x, self.project(ad.relu(self.expand(x))))
-
-
-@dataclass(frozen=True)
-class ShdcConfig:
-    """Hyperparameters of one hybrid encoder block."""
-
-    channels: int
-    split_ratio: float = 0.5
-    dilation_rates: tuple[int, ...] = (1, 2, 3)
-    ffn_ratio: float = 4.0
-    use_fusion: bool = True
-    use_dyt: bool = True
-
-    def __post_init__(self):
-        if self.channels < 2:
-            raise ConfigurationError(f"channels must be >= 2, got {self.channels}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigurationError(
-                f"split_ratio must lie in (0,1), got {self.split_ratio}"
-            )
-        if not self.dilation_rates or any(r < 1 for r in self.dilation_rates):
-            raise ConfigurationError(
-                f"dilation_rates must be positive, got {self.dilation_rates}"
-            )
-        if self.use_fusion and not 0 < self.global_channels < self.channels:
-            raise ConfigurationError(
-                f"split {self.split_ratio} of {self.channels} channels leaves "
-                f"an empty branch"
-            )
-
-    @property
-    def global_channels(self) -> int:
-        return int(math.floor(self.split_ratio * self.channels + 0.5))
 
 
 class ShdcBlock(Module):
@@ -268,39 +233,44 @@ class ShdcBlock(Module):
     dilated path, whose concatenation passes a 1x1 fusion conv with a
     residual add; a feed-forward stage closes the block. With fusion
     disabled only the depthwise conv and the feed-forward stage remain.
+    The split gives ``cfg.global_channels(channels)`` to attention.
     """
 
     def __init__(
-        self, name: str, cfg: ShdcConfig, rng: np.random.Generator, dtype: str = "f32"
+        self,
+        name: str,
+        cfg: ModelConfig,
+        channels: int,
+        fusion: bool,
+        rng: np.random.Generator,
+        dtype: str = "f32",
     ):
-        c = cfg.channels
+        c = channels
         self.cfg = cfg
+        self.channels = c
+        self.fusion = fusion
         self.pre_weight = Parameter(
             f"{name}.pre.weight", he_normal(rng, (c, 1, 3, 3), 9, dtype)
         )
         self.pre_bias = Parameter(f"{name}.pre.bias", Tensor(np.zeros(c), dtype=dtype))
-        if cfg.use_fusion:
-            cg = cfg.global_channels
-            self.attn = SingleHeadAttention(
-                f"{name}.attn", cg, rng, dtype, use_dyt=cfg.use_dyt
-            )
-            self.local = MultiScaleDilatedConv(
-                f"{name}.local", c - cg, rng, dtype, cfg.dilation_rates
-            )
+        if fusion:
+            cg = cfg.global_channels(c)
+            self.attn = SingleHeadAttention(f"{name}.attn", cfg, cg, rng, dtype)
+            self.local = MultiScaleDilatedConv(f"{name}.local", cfg, c - cg, rng, dtype)
             self.fuse = Conv2d(f"{name}.fuse", c, c, 1, rng, dtype)
-        self.ffn = FeedForward(f"{name}.ffn", c, rng, dtype, cfg.ffn_ratio)
+        self.ffn = FeedForward(f"{name}.ffn", cfg, c, rng, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
-        if x.tensor.shape[1] != self.cfg.channels:
+        if x.tensor.shape[1] != self.channels:
             raise DimensionError(
-                f"block expects {self.cfg.channels} channels, got {x.tensor.shape}"
+                f"block expects {self.channels} channels, got {x.tensor.shape}"
             )
         h = ad.depthwise_residual(
             x, [ad.watch(self.pre_weight)], [1], ad.watch(self.pre_bias)
         )
-        if self.cfg.use_fusion:
-            cg = self.cfg.global_channels
-            g_in, l_in = ad.split(h, 1, [cg, self.cfg.channels - cg])
+        if self.fusion:
+            cg = self.cfg.global_channels(self.channels)
+            g_in, l_in = ad.split(h, 1, [cg, self.channels - cg])
             g_out = self.attn(g_in, training)
             l_out = self.local(l_in, training)
             h = ad.add(h, self.fuse(ad.concat([g_out, l_out], 1)))
@@ -310,33 +280,6 @@ class ShdcBlock(Module):
 _SCALE = 2  # the upsampler doubles each spatial extent
 _OFFSET_RANGE = 0.25  # DySample's static scope factor on the predicted offsets
 _UPSAMPLE_MODES = ("dynamic", "bilinear")
-
-
-@dataclass(frozen=True)
-class DyFusionUpConfig:
-    """Hyperparameters of one dynamic 2x upsampling stage."""
-
-    in_channels: int
-    skip_channels: int
-    groups: int = 4
-    fuse_dilations: tuple[int, ...] = (1, 2, 3)
-    mode: str = "dynamic"
-
-    def __post_init__(self):
-        if self.groups < 1 or self.in_channels % self.groups:
-            raise ConfigurationError(
-                f"groups {self.groups} must divide in_channels {self.in_channels}"
-            )
-        if self.skip_channels < 1:
-            raise ConfigurationError("skip_channels must be >= 1")
-        if self.mode not in _UPSAMPLE_MODES:
-            raise ConfigurationError(
-                f"mode must be one of {_UPSAMPLE_MODES}, got {self.mode!r}"
-            )
-
-    @property
-    def offset_channels(self) -> int:
-        return 2 * self.groups * _SCALE * _SCALE
 
 
 class DyFusionUp(Module):
@@ -353,34 +296,36 @@ class DyFusionUp(Module):
 
     The offsets are added to the sampling coordinates of a 2x bilinear
     resize, so with zero offsets the sampling stage equals static 2x
-    bilinear upsampling exactly. Modes: "dynamic" learns offsets, and
-    "bilinear" samples the 2x resize lattice itself.
+    bilinear upsampling exactly. ``cfg.upsample_mode`` "dynamic" learns
+    offsets, and "bilinear" samples the 2x resize lattice itself; the G
+    groups are ``cfg.sampler_groups``.
     """
 
     def __init__(
         self,
         name: str,
-        cfg: DyFusionUpConfig,
+        cfg: ModelConfig,
+        in_channels: int,
+        skip_channels: int,
         rng: np.random.Generator,
         dtype: str = "f32",
     ):
         self.cfg = cfg
-        if cfg.mode == "dynamic":
+        self.in_channels = in_channels
+        self.skip_channels = skip_channels
+        if cfg.upsample_mode == "dynamic":
             # Offset conv output channel (2g + coord)*s*s + a*s + b holds
             # sub-pixel (a, b) of group g's x (coord 0) or y (coord 1) field.
             self.offset = Conv2d(
-                f"{name}.offset", cfg.in_channels, cfg.offset_channels, 1,
-                rng, dtype, zero_init=True,
+                f"{name}.offset", in_channels, 2 * cfg.sampler_groups * _SCALE * _SCALE,
+                1, rng, dtype, zero_init=True,
             )
-        self.align = Conv2d(
-            f"{name}.align", cfg.in_channels, cfg.skip_channels, 1, rng, dtype
-        )
+        self.align = Conv2d(f"{name}.align", in_channels, skip_channels, 1, rng, dtype)
         self.fuse = MultiScaleDilatedConv(
-            f"{name}.fuse", 2 * cfg.skip_channels, rng, dtype, cfg.fuse_dilations
+            f"{name}.fuse", cfg, 2 * skip_channels, rng, dtype
         )
         self.out = Conv2d(
-            f"{name}.out", 2 * cfg.skip_channels, cfg.skip_channels, 3, rng, dtype,
-            padding=1,
+            f"{name}.out", 2 * skip_channels, skip_channels, 3, rng, dtype, padding=1
         )
 
     def offset_field(self, x_low: Value) -> Value:
@@ -388,7 +333,7 @@ class DyFusionUp(Module):
         into the batch: [N*G, 2, 4hw], row i*G + j holding image i, group
         j, with x then y on axis 1."""
         n, _, h, w = x_low.tensor.shape
-        s, g = _SCALE, self.cfg.groups
+        s, g = _SCALE, self.cfg.sampler_groups
         raw = self.offset(x_low)  # [n, 2g*s*s, h, w]
         planes = ad.depth_to_space(raw, s)  # [n, 2g, s*h, s*w]
         return ad.reshape(ad.scale(planes, _OFFSET_RANGE), (n * g, 2, s * h * s * w))
@@ -399,22 +344,20 @@ class DyFusionUp(Module):
         the batch, at [N*G, 2, 4hw] coordinates: the 2x resize lattice,
         plus the offset field in "dynamic" mode."""
         n, c, h, w = x_low.tensor.shape
-        g = self.cfg.groups
+        g = self.cfg.sampler_groups
         h2, w2 = _SCALE * h, _SCALE * w
         base = T._resize_coords(n * g, h, w, h2, w2, x_low.tensor.data.dtype)
         u = ad.constant(Tensor._wrap(base))
-        if self.cfg.mode == "dynamic":
+        if self.cfg.upsample_mode == "dynamic":
             u = ad.add(self.offset_field(x_low), u)
         folded = ad.reshape(x_low, (n * g, c // g, h, w))
         return ad.reshape(ad.pixel_sample(folded, u), (n, c, h2, w2))
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
         n, c, h, w = x_low.tensor.shape
-        if c != self.cfg.in_channels:
-            raise DimensionError(
-                f"expected {self.cfg.in_channels} input channels, got {c}"
-            )
-        expected = (n, self.cfg.skip_channels, _SCALE * h, _SCALE * w)
+        if c != self.in_channels:
+            raise DimensionError(f"expected {self.in_channels} input channels, got {c}")
+        expected = (n, self.skip_channels, _SCALE * h, _SCALE * w)
         if x_skip.tensor.shape != expected:
             raise DimensionError(
                 f"skip shape {x_skip.tensor.shape} != required {expected}"

@@ -62,11 +62,13 @@ def write_checkpoint(
 
 
 class _Reader:
+    """Bounds-checked cursor; ``take`` returns views, not copies."""
+
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.buf):
             raise FormatError(f"truncated while reading {what}", offset=self.off)
         out = self.buf[self.off : self.off + n]
@@ -99,7 +101,7 @@ def read_checkpoint(path: str) -> tuple[dict[str, Tensor], str]:
         name_off = r.off
         name_len = r.u16(f"tensor {i} name length")
         try:
-            name = r.take(name_len, f"tensor {i} name").decode("utf-8")
+            name = str(r.take(name_len, f"tensor {i} name"), "utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"tensor {i} name is not UTF-8", offset=name_off) from e
         if name in tensors:
@@ -118,12 +120,12 @@ def read_checkpoint(path: str) -> tuple[dict[str, Tensor], str]:
         dt = _CODE_DTYPES[code]
         n_bytes = math.prod(dims) * dt.itemsize
         payload = r.take(n_bytes, f"{name} payload")
-        arr = np.frombuffer(payload, dtype=dt).reshape(dims).copy()
-        tensors[name] = Tensor._wrap(arr.astype(arr.dtype.newbyteorder("=")))
+        arr = np.frombuffer(payload, dtype=dt).reshape(dims)  # a view of buf
+        tensors[name] = Tensor._wrap(arr.astype(dt.newbyteorder("=")))  # one copy
     cfg_off = r.off
     cfg_len = r.u32("config length")
     try:
-        config_text = r.take(cfg_len, "config snapshot").decode("utf-8")
+        config_text = str(r.take(cfg_len, "config snapshot"), "utf-8")
     except UnicodeDecodeError as e:
         raise FormatError("config snapshot is not UTF-8", offset=cfg_off) from e
     if r.off != len(buf):

@@ -419,44 +419,7 @@ class DatasetManifest:
         return [e for e in self.entries if e.split == tag]
 
 
-def split_manifest(
-    pairs: list[tuple[str, str]],
-    ratios: tuple[int, int, int] = (8, 1, 1),
-    seed: int = 0,
-) -> DatasetManifest:
-    """Shuffle and partition (image, mask) path pairs into train/valid/test."""
-    if not pairs:
-        raise ContractError("cannot split an empty entry list")
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ConfigurationError(f"bad ratios {ratios}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pairs))
-    total = sum(ratios)
-    n = len(pairs)
-    exact = [n * r / total for r in ratios]
-    counts = [int(math.floor(e)) for e in exact]
-    remainders = [e - c for e, c in zip(exact, counts)]
-    for _ in range(n - sum(counts)):
-        i = max(range(3), key=lambda j: (remainders[j], -j))
-        counts[i] += 1
-        remainders[i] = -1.0
-    entries = []
-    pos = 0
-    for tag, cnt in zip(_SPLITS, counts):
-        for idx in order[pos : pos + cnt]:
-            img, msk = pairs[int(idx)]
-            entries.append(ManifestEntry(img, msk, tag))
-        pos += cnt
-    return DatasetManifest(entries)
-
-
-def write_manifest(manifest: DatasetManifest, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for e in manifest.entries:
-            f.write(f"{e.image}\t{e.mask}\t{e.split}\n")
-
-
-def load_manifest(path: str, check_exists: bool = True) -> DatasetManifest:
+def load_manifest(path: str) -> DatasetManifest:
     entries = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -471,10 +434,9 @@ def load_manifest(path: str, check_exists: bool = True) -> DatasetManifest:
             image, mask, split = parts
             if split not in _SPLITS:
                 raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            if check_exists:
-                for p in (image, mask):
-                    if not os.path.exists(p):
-                        raise ContractError(f"{path}:{lineno}: missing file {p}")
+            for p in (image, mask):
+                if not os.path.exists(p):
+                    raise ContractError(f"{path}:{lineno}: missing file {p}")
             entries.append(ManifestEntry(image, mask, split))
     if not entries:
         raise ContractError(f"manifest {path} is empty")

@@ -16,17 +16,15 @@ from . import autodiff as ad
 from .autodiff import GradCheckReport, Parameter, grad_check
 from .blocks import (
     DyFusionUp,
-    DyFusionUpConfig,
     DyT,
     FeedForward,
     Module,
     MultiScaleDilatedConv,
     ShdcBlock,
-    ShdcConfig,
     SingleHeadAttention,
 )
 from .errors import ContractError
-from .losses import LossConfig, bce_loss, dice_loss, hybrid_loss
+from .losses import bce_loss, dice_loss, hybrid_loss
 from .network import Model, ModelConfig
 from .tensor import Tensor
 
@@ -76,38 +74,38 @@ def check_dyt(seed: int) -> GradCheckReport:
 
 def check_attention(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 2])
-    m = SingleHeadAttention("attn", 4, rng, dtype="f64")
+    m = SingleHeadAttention("attn", ModelConfig.tiny(), 4, rng, dtype="f64")
     x = _input_param(rng, (2, 4, 4, 3))
     return _module_check(m, x, seed)
 
 
 def check_msdc(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 3])
-    m = MultiScaleDilatedConv("msdc", 3, rng, dtype="f64", rates=(1, 2))
+    cfg = ModelConfig.tiny(dilation_rates=(1, 2))
+    m = MultiScaleDilatedConv("msdc", cfg, 3, rng, dtype="f64")
     x = _input_param(rng, (2, 3, 6, 6))
     return _module_check(m, x, seed)
 
 
 def check_ffn(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 4])
-    m = FeedForward("ffn", 3, rng, dtype="f64", ratio=2.0)
+    m = FeedForward("ffn", ModelConfig.tiny(ffn_ratio=2.0), 3, rng, dtype="f64")
     x = _input_param(rng, (2, 3, 4, 4))
     return _module_check(m, x, seed)
 
 
 def check_shdc(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 5])
-    cfg = ShdcConfig(channels=6, split_ratio=0.5, dilation_rates=(1, 2))
-    m = ShdcBlock("shdc", cfg, rng, dtype="f64")
+    cfg = ModelConfig.tiny(dilation_rates=(1, 2))
+    m = ShdcBlock("shdc", cfg, 6, True, rng, dtype="f64")
     x = _input_param(rng, (2, 6, 4, 4))
     return _module_check(m, x, seed, max_entries=4)
 
 
 def check_dyfusion(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 6])
-    cfg = DyFusionUpConfig(in_channels=4, skip_channels=3, groups=2,
-                           fuse_dilations=(1, 2))
-    m = DyFusionUp("up", cfg, rng, dtype="f64")
+    cfg = ModelConfig.tiny(sampler_groups=2, dilation_rates=(1, 2))
+    m = DyFusionUp("up", cfg, 4, 3, rng, dtype="f64")
     # Nudge the zero-initialized offset predictor so the coordinate
     # path carries real gradients while staying far from the sampler's
     # integer-lattice kinks.
@@ -153,10 +151,9 @@ def check_hybrid(seed: int) -> GradCheckReport:
     rng = np.random.default_rng([seed, 9])
     x = _input_param(rng, (2, 1, 5, 5))
     target = _rand_mask(rng, (2, 1, 5, 5))
-    cfg = LossConfig(lambda_=0.6)
 
     def fn():
-        return hybrid_loss(ad.watch(x), target, cfg)
+        return hybrid_loss(ad.watch(x), target, 0.6)
 
     return grad_check(fn, [x])
 
@@ -169,7 +166,7 @@ def check_network(seed: int) -> GradCheckReport:
     params = model.parameters(trainable_only=True)
 
     def fn():
-        return hybrid_loss(model(ad.constant(x), training=True), target)
+        return hybrid_loss(model(ad.constant(x), training=True), target, 0.5)
 
     return grad_check(
         fn,

@@ -14,22 +14,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .tensor import Tensor, _sigmoid_forward
 
 
 _DICE_EPS = 1e-6  # smoothing term of the soft Dice ratio
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Blend weight of the hybrid loss."""
-
-    lambda_: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_ <= 1.0:
-            raise ConfigurationError(f"lambda must lie in [0,1], got {self.lambda_}")
 
 
 def _pair(a, b, a_name: str, b_name: str) -> tuple[Value, np.ndarray]:
@@ -110,16 +99,17 @@ def bce_loss(logits, target) -> Value:
     return ad.record_op(loss, (lv,), mk)
 
 
-def hybrid_loss(logits, target, cfg: LossConfig = LossConfig()) -> Value:
-    """lambda * BCE + (1 - lambda) * Dice, with Dice fed sigmoid(logits).
+def hybrid_loss(logits, target, lambda_: float) -> Value:
+    """lambda_ * BCE + (1 - lambda_) * Dice, with Dice fed sigmoid(logits).
 
-    The blend is an exact linear combination: lambda=1 reproduces
-    bce_loss bit-for-bit and lambda=0 reproduces dice_loss.
+    The blend is an exact linear combination: lambda_=1 reproduces
+    bce_loss bit-for-bit and lambda_=0 reproduces dice_loss. The weight
+    is not checked here: ``TrainConfig.lambda_`` holds it to [0, 1].
     """
     lv = ad.as_value(logits)
     bce = bce_loss(lv, target)
     dice = dice_loss(ad.sigmoid(lv), target)
-    return ad.add(ad.scale(bce, cfg.lambda_), ad.scale(dice, 1.0 - cfg.lambda_))
+    return ad.add(ad.scale(bce, lambda_), ad.scale(dice, 1.0 - lambda_))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ decoder stage, so H and W must be divisible by 16.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import configtext
 from .autodiff import Value
-from .blocks import (
-    _UPSAMPLE_MODES,
-    Conv2d,
-    DyFusionUp,
-    DyFusionUpConfig,
-    Module,
-    ShdcBlock,
-    ShdcConfig,
-)
+from .blocks import _UPSAMPLE_MODES, Conv2d, DyFusionUp, Module, ShdcBlock
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigurationError, DimensionError, FormatError
 from .tensor import Tensor
@@ -39,7 +32,8 @@ TINY_STAGE_CHANNELS = (8, 16, 32, 64)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every architecture hyperparameter left open by the block designs."""
+    """Every architecture hyperparameter left open by the block designs,
+    each checked here, once, before any block is built."""
 
     stage_channels: tuple[int, int, int, int] = (32, 64, 128, 256)
     blocks_per_stage: tuple[int, int, int, int] = (1, 1, 1, 1)
@@ -81,6 +75,19 @@ class ModelConfig:
                 f"sampler_groups {self.sampler_groups} must divide every stage "
                 f"width {self.stage_channels}"
             )
+        # NaN fails every comparison; the blocks of stages 3 and 4 split
+        # their width into an attention and a local branch.
+        if not 0.0 < self.split_ratio < 1.0 or any(
+            not 0 < self.global_channels(c) < c for c in self.stage_channels[2:]
+        ):
+            raise ConfigurationError(
+                f"split_ratio must lie in (0, 1) and leave both branches of "
+                f"{self.stage_channels[2:]} channels non-empty, got {self.split_ratio}"
+            )
+        if not self.dilation_rates or min(self.dilation_rates) < 1:
+            raise ConfigurationError(
+                f"dilation_rates must be non-empty and >= 1, got {self.dilation_rates}"
+            )
         configtext.check_positive(self, "ffn_ratio")
         if self.input_channels < 1 or self.output_channels < 1:
             raise ConfigurationError("channel counts must be >= 1")
@@ -93,6 +100,10 @@ class ModelConfig:
                 f"upsample_mode must be one of {_UPSAMPLE_MODES}, "
                 f"got {self.upsample_mode!r}"
             )
+
+    def global_channels(self, channels: int) -> int:
+        """Width of the attention branch when a block splits ``channels``."""
+        return int(math.floor(self.split_ratio * channels + 0.5))
 
     @classmethod
     def tiny(cls, **overrides) -> "ModelConfig":
@@ -136,19 +147,7 @@ class Model(Module):
             ]
             for j in range(cfg.blocks_per_stage[i - 1]):
                 layers.append(
-                    ShdcBlock(
-                        f"enc.stage{i}.block{j}",
-                        ShdcConfig(
-                            channels=cout,
-                            split_ratio=cfg.split_ratio,
-                            dilation_rates=cfg.dilation_rates,
-                            ffn_ratio=cfg.ffn_ratio,
-                            use_fusion=fusion,
-                            use_dyt=cfg.use_dyt,
-                        ),
-                        rng,
-                        dtype,
-                    )
+                    ShdcBlock(f"enc.stage{i}.block{j}", cfg, cout, fusion, rng, dtype)
                 )
             return layers
 
@@ -156,24 +155,10 @@ class Model(Module):
         self.stage3 = make_stage(3, c2, c3, fusion=True)
         self.stage4 = make_stage(4, c3, c4, fusion=True)
 
-        def make_up(i: int, cin: int, cskip: int) -> DyFusionUp:
-            return DyFusionUp(
-                f"dec.up{i}",
-                DyFusionUpConfig(
-                    in_channels=cin,
-                    skip_channels=cskip,
-                    groups=cfg.sampler_groups,
-                    fuse_dilations=cfg.dilation_rates,
-                    mode=cfg.upsample_mode,
-                ),
-                rng,
-                dtype,
-            )
-
-        self.up1 = make_up(1, c4, c3)
-        self.up2 = make_up(2, c3, c2)
-        self.up3 = make_up(3, c2, c1)
-        self.up4 = make_up(4, c1, cfg.input_channels)
+        self.up1 = DyFusionUp("dec.up1", cfg, c4, c3, rng, dtype)
+        self.up2 = DyFusionUp("dec.up2", cfg, c3, c2, rng, dtype)
+        self.up3 = DyFusionUp("dec.up3", cfg, c2, c1, rng, dtype)
+        self.up4 = DyFusionUp("dec.up4", cfg, c1, cfg.input_channels, rng, dtype)
         self.head = Conv2d(
             "head", cfg.input_channels, cfg.output_channels, 1, rng, dtype
         )

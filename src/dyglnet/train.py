@@ -18,7 +18,7 @@ from .autodiff import Parameter, Tape
 from .configtext import check_positive
 from .data import AugmentConfig, SegmentationSample, augment
 from .errors import ConfigurationError, ContractError, NumericError
-from .losses import LossConfig, MetricsReport, _check_threshold, evaluate, hybrid_loss
+from .losses import MetricsReport, _check_threshold, evaluate, hybrid_loss
 from .network import Model, save as save_model
 from .tensor import Tensor
 
@@ -245,7 +245,6 @@ def train(
     _keep_freed_heap_pages()
     params = model.parameters(trainable_only=True)
     opt = AdamW(params, cfg)
-    loss_cfg = LossConfig(lambda_=cfg.lambda_)
     shuffle_rng = np.random.default_rng(cfg.seed)
     aug_rng = np.random.default_rng([cfg.seed, 0xA06])
     result = TrainResult(0, 0, -1.0, -1, None)
@@ -273,7 +272,7 @@ def train(
             try:
                 with Tape() as tape:
                     logits = model(ad.constant(x), training=True)
-                    loss = hybrid_loss(logits, y, loss_cfg)
+                    loss = hybrid_loss(logits, y, cfg.lambda_)
                     loss_val = float(loss.tensor.item())
                     if not math.isfinite(loss_val):
                         raise NumericError("non-finite loss")

@@ -19,12 +19,12 @@ import oracles
 from dyglnet import autodiff as ad
 from dyglnet import network
 from dyglnet.autodiff import Parameter
-from dyglnet.blocks import DyFusionUp, DyFusionUpConfig
+from dyglnet.blocks import DyFusionUp
 from dyglnet.cli import main
 from dyglnet.data import synth_dataset
 from dyglnet.errors import FormatError
 from dyglnet.gradsuite import CHECKS, run_suite
-from dyglnet.losses import LossConfig, bce_loss, dice_loss, evaluate, hybrid_loss
+from dyglnet.losses import bce_loss, dice_loss, evaluate, hybrid_loss
 from dyglnet.network import Model, ModelConfig
 from dyglnet.tensor import Tensor, bilinear_sample, matmul
 from dyglnet.train import AdamW, TrainConfig, lr_at, train
@@ -180,8 +180,9 @@ def test_criterion_3_zero_offset_equals_bilinear():
         [(1, 4, 3, 5, 2), (2, 6, 4, 4, 3), (1, 2, 7, 2, 1), (2, 8, 5, 5, 4)]
     ):
         rng = np.random.default_rng(seed)
-        cfg = DyFusionUpConfig(in_channels=c, skip_channels=3, groups=groups)
-        block = DyFusionUp("up", cfg, rng, dtype="f64")
+        widths = (6, 12, 24, 48) if groups == 3 else (8, 16, 32, 64)
+        cfg = ModelConfig.tiny(stage_channels=widths, sampler_groups=groups)
+        block = DyFusionUp("up", cfg, c, 3, rng, dtype="f64")
         x = rng.standard_normal((n, c, h, w))
         got = block.upsample(ad.constant(_t(x))).tensor.data
         want = oracles.resize_bilinear_naive(x, 2 * h, 2 * w)
@@ -203,14 +204,14 @@ def test_criterion_4_hybrid_blend_exact():
         dice_loss(ad.sigmoid(ad.constant(logits)), target).tensor.item()
     )
     half = float(
-        hybrid_loss(ad.constant(logits), target, LossConfig(lambda_=0.5)).tensor.item()
+        hybrid_loss(ad.constant(logits), target, 0.5).tensor.item()
     )
     assert half == 0.5 * bce + 0.5 * dice
     at_one = float(
-        hybrid_loss(ad.constant(logits), target, LossConfig(lambda_=1.0)).tensor.item()
+        hybrid_loss(ad.constant(logits), target, 1.0).tensor.item()
     )
     at_zero = float(
-        hybrid_loss(ad.constant(logits), target, LossConfig(lambda_=0.0)).tensor.item()
+        hybrid_loss(ad.constant(logits), target, 0.0).tensor.item()
     )
     assert at_one == bce
     assert at_zero == dice

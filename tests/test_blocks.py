@@ -16,16 +16,18 @@ from dyglnet.blocks import (
     _OFFSET_RANGE,
     DYT_ALPHA_INIT,
     DyFusionUp,
-    DyFusionUpConfig,
     DyT,
     FeedForward,
     MultiScaleDilatedConv,
     ShdcBlock,
-    ShdcConfig,
     SingleHeadAttention,
 )
 from dyglnet.errors import ConfigurationError, DimensionError
+from dyglnet.network import ModelConfig
 from dyglnet.tensor import Tensor
+
+# Blocks read their hyperparameters from a validated model config.
+TINY = ModelConfig.tiny()
 
 
 def t64(a):
@@ -119,7 +121,7 @@ def _attention_oracle(block, x):
 
 def test_attention_single_token_equals_value_projection():
     rng = np.random.default_rng(3)
-    block = SingleHeadAttention("attn", 4, rng, dtype="f64")
+    block = SingleHeadAttention("attn", TINY, 4, rng, dtype="f64")
     x = rng.normal(size=(2, 4, 1, 1))
     got = block(v64(x)).tensor.data
     want, wmat = _attention_oracle(block, x)
@@ -129,7 +131,7 @@ def test_attention_single_token_equals_value_projection():
 
 def test_attention_constant_input_uniform_weights():
     rng = np.random.default_rng(5)
-    block = SingleHeadAttention("attn", 3, rng, dtype="f64")
+    block = SingleHeadAttention("attn", TINY, 3, rng, dtype="f64")
     x = np.full((1, 3, 4, 4), 0.37)
     got = block(v64(x)).tensor.data
     want, wmat = _attention_oracle(block, x)
@@ -144,7 +146,7 @@ def test_attention_constant_input_uniform_weights():
 
 def test_attention_random_vs_token_loop_oracle():
     rng = np.random.default_rng(7)
-    block = SingleHeadAttention("attn", 8, rng, dtype="f64")
+    block = SingleHeadAttention("attn", TINY, 8, rng, dtype="f64")
     x = rng.normal(size=(1, 8, 4, 4))
     got = block(v64(x)).tensor.data
     want, wmat = _attention_oracle(block, x)
@@ -167,7 +169,7 @@ def _neutralize_bn(bn):
 
 def test_msdc_zero_branches_neutral_bn_identity():
     rng = np.random.default_rng(13)
-    block = MultiScaleDilatedConv("msdc", 3, rng, dtype="f64")
+    block = MultiScaleDilatedConv("msdc", TINY, 3, rng, dtype="f64")
     for wt in block.weights:
         assign64(wt, np.zeros(wt.value.shape))
     _neutralize_bn(block.bn)
@@ -178,7 +180,7 @@ def test_msdc_zero_branches_neutral_bn_identity():
 
 def test_msdc_delta_kernels_quadruple():
     rng = np.random.default_rng(17)
-    block = MultiScaleDilatedConv("msdc", 2, rng, dtype="f64")  # rates (1,2,3)
+    block = MultiScaleDilatedConv("msdc", TINY, 2, rng, dtype="f64")  # rates (1,2,3)
     delta = np.zeros((2, 1, 3, 3))
     delta[:, 0, 1, 1] = 1.0
     for wt in block.weights:
@@ -191,7 +193,8 @@ def test_msdc_delta_kernels_quadruple():
 
 def test_msdc_random_vs_loop_oracle():
     rng = np.random.default_rng(19)
-    block = MultiScaleDilatedConv("msdc", 3, rng, dtype="f64", rates=(1, 2))
+    cfg = ModelConfig.tiny(dilation_rates=(1, 2))
+    block = MultiScaleDilatedConv("msdc", cfg, 3, rng, dtype="f64")
     _neutralize_bn(block.bn)
     x = rng.normal(size=(1, 3, 6, 6))
     want = x.copy()
@@ -206,20 +209,21 @@ def test_msdc_random_vs_loop_oracle():
 
 def test_msdc_shape_preserved_and_bad_rates():
     rng = np.random.default_rng(23)
-    block = MultiScaleDilatedConv("msdc", 4, rng, dtype="f64")
+    block = MultiScaleDilatedConv("msdc", TINY, 4, rng, dtype="f64")
     x = rng.normal(size=(2, 4, 7, 5))
     assert block(v64(x), training=True).tensor.shape == (2, 4, 7, 5)
+    # The config rejects bad rates before any block can read them.
     with pytest.raises(ConfigurationError):
-        MultiScaleDilatedConv("msdc", 4, rng, rates=())
+        ModelConfig.tiny(dilation_rates=())
     with pytest.raises(ConfigurationError):
-        MultiScaleDilatedConv("msdc", 4, rng, rates=(0,))
+        ModelConfig.tiny(dilation_rates=(0,))
 
 
 def test_msdc_records_one_node_before_batchnorm():
     # The identity and all branches are one fused op, so the tape holds
     # its output and the batchnorm's, not a partial sum per branch.
     rng = np.random.default_rng(29)
-    block = MultiScaleDilatedConv("msdc", 4, rng, dtype="f64")
+    block = MultiScaleDilatedConv("msdc", TINY, 4, rng, dtype="f64")
     with ad.Tape() as tape:
         block(v64(rng.normal(size=(2, 4, 5, 5))), training=True)
     assert len(tape._nodes) == 2
@@ -231,7 +235,7 @@ def test_msdc_records_one_node_before_batchnorm():
 
 def test_ffn_zero_weights_pure_residual():
     rng = np.random.default_rng(29)
-    block = FeedForward("ffn", 3, rng, dtype="f64")
+    block = FeedForward("ffn", TINY, 3, rng, dtype="f64")
     assign64(block.expand.weight, np.zeros(block.expand.weight.value.shape))
     assign64(block.expand.bias, np.zeros(block.expand.bias.value.shape))
     assign64(block.project.weight, np.zeros(block.project.weight.value.shape))
@@ -243,7 +247,7 @@ def test_ffn_zero_weights_pure_residual():
 def test_ffn_identity_weights_double_positive_constant():
     rng = np.random.default_rng(31)
     c, ratio = 2, 2.0
-    block = FeedForward("ffn", c, rng, dtype="f64", ratio=ratio)
+    block = FeedForward("ffn", ModelConfig.tiny(ffn_ratio=ratio), c, rng, dtype="f64")
     hidden = block.expand.weight.value.shape[0]
     assert hidden == 4
     wexp = np.zeros((hidden, c, 1, 1))
@@ -263,10 +267,11 @@ def test_ffn_identity_weights_double_positive_constant():
 
 def test_ffn_hidden_width_rounding():
     rng = np.random.default_rng(37)
-    assert FeedForward("f", 3, rng, ratio=0.5).expand.weight.value.shape[0] == 2
-    assert FeedForward("f", 1, rng, ratio=0.1).expand.weight.value.shape[0] == 1
+    half, tenth = ModelConfig.tiny(ffn_ratio=0.5), ModelConfig.tiny(ffn_ratio=0.1)
+    assert FeedForward("f", half, 3, rng).expand.weight.value.shape[0] == 2
+    assert FeedForward("f", tenth, 1, rng).expand.weight.value.shape[0] == 1
     with pytest.raises(ConfigurationError):
-        FeedForward("f", 3, rng, ratio=0.0)
+        ModelConfig.tiny(ffn_ratio=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +280,7 @@ def test_ffn_hidden_width_rounding():
 
 def test_shdc_fusionless_zero_weights_identity():
     rng = np.random.default_rng(41)
-    cfg = ShdcConfig(channels=4, use_fusion=False)
-    block = ShdcBlock("shdc", cfg, rng, dtype="f64")
+    block = ShdcBlock("shdc", TINY, 4, False, rng, dtype="f64")
     for p in (block.pre_weight, block.pre_bias, block.ffn.expand.weight,
               block.ffn.expand.bias, block.ffn.project.weight, block.ffn.project.bias):
         assign64(p, np.zeros(p.value.shape))
@@ -285,34 +289,25 @@ def test_shdc_fusionless_zero_weights_identity():
 
 
 def test_shdc_split_arithmetic():
-    cfg = ShdcConfig(channels=48, split_ratio=0.5)
-    assert cfg.global_channels == 24
-    assert 48 - cfg.global_channels == 24
+    cfg = ModelConfig(split_ratio=0.5)
+    assert cfg.global_channels(48) == 24
+    assert 48 - cfg.global_channels(48) == 24
 
 
 def test_shdc_shape_preserved_random_configs():
     rng = np.random.default_rng(43)
     for channels, ratio, rates in [(6, 0.5, (1, 2)), (8, 0.25, (1,)), (5, 0.6, (1, 2))]:
-        cfg = ShdcConfig(channels=channels, split_ratio=ratio, dilation_rates=rates,
-                         ffn_ratio=1.0)
-        block = ShdcBlock("shdc", cfg, rng, dtype="f64")
+        cfg = ModelConfig.tiny(split_ratio=ratio, dilation_rates=rates, ffn_ratio=1.0)
+        block = ShdcBlock("shdc", cfg, channels, True, rng, dtype="f64")
         x = rng.normal(size=(2, channels, 6, 6)) * 0.5
         for training in (False, True):
             assert block(v64(x), training=training).tensor.shape == (2, channels, 6, 6)
 
 
-def test_shdc_config_validation():
-    with pytest.raises(ConfigurationError):
-        ShdcConfig(channels=1)
-    with pytest.raises(ConfigurationError):
-        ShdcConfig(channels=8, split_ratio=0.0)
-    with pytest.raises(ConfigurationError):
-        ShdcConfig(channels=8, split_ratio=1.0)
-    with pytest.raises(ConfigurationError):
-        ShdcConfig(channels=8, dilation_rates=())
+def test_shdc_channel_mismatch():
+    rng = np.random.default_rng(0)
+    block = ShdcBlock("s", TINY, 4, False, rng)
     with pytest.raises(DimensionError):
-        rng = np.random.default_rng(0)
-        block = ShdcBlock("s", ShdcConfig(channels=4, use_fusion=False), rng)
         block(ad.constant(Tensor(np.zeros((1, 3, 4, 4), np.float32), dtype="f32")))
 
 
@@ -321,11 +316,10 @@ def test_shdc_config_validation():
 
 
 def _up_block(rng, in_ch=1, skip_ch=1, groups=1, mode="dynamic"):
-    cfg = DyFusionUpConfig(
-        in_channels=in_ch, skip_channels=skip_ch, groups=groups,
-        fuse_dilations=(1, 2), mode=mode,
+    cfg = ModelConfig.tiny(
+        sampler_groups=groups, dilation_rates=(1, 2), upsample_mode=mode
     )
-    return DyFusionUp("up", cfg, rng, dtype="f64")
+    return DyFusionUp("up", cfg, in_ch, skip_ch, rng, dtype="f64")
 
 
 def test_dyfusion_zero_offsets_match_quarter_pixel_oracle():
@@ -369,7 +363,9 @@ def test_dyfusion_pinned_2x2_upsample():
 def test_dyfusion_unit_offset_prediction_scaled_to_quarter():
     rng = np.random.default_rng(61)
     block = _up_block(rng, in_ch=2, groups=2)
-    assign64(block.offset.bias, np.ones(block.cfg.offset_channels))
+    # 2 coordinates x 2 groups x 4 sub-pixels
+    assert block.offset.weight.value.shape == (16, 2, 1, 1)
+    assign64(block.offset.bias, np.ones(16))
     # Groups are folded into the batch: one (dx, dy) field of [n*g, 2, 4hw].
     field = block.offset_field(v64(rng.normal(size=(1, 2, 3, 3))))
     assert _OFFSET_RANGE == 0.25
@@ -387,7 +383,7 @@ def test_dyfusion_group_fold_matches_per_group_oracle(groups):
     cg = c // groups
     block = _up_block(rng, in_ch=c, groups=groups)
     wt = rng.normal(size=block.offset.weight.value.shape)
-    bias = rng.normal(size=block.cfg.offset_channels)
+    bias = rng.normal(size=8 * groups)
     assign64(block.offset.weight, wt)
     assign64(block.offset.bias, bias)
     x = rng.normal(size=(n, c, h, w))
@@ -415,7 +411,7 @@ def test_dyfusion_offsets_shift_sampling():
     block = _up_block(rng)
     x = np.arange(16.0).reshape(1, 1, 4, 4)  # ramp: value = 4*y + x
     base = block.upsample(v64(x)).tensor.data
-    assign64(block.offset.bias, np.ones(block.cfg.offset_channels))
+    assign64(block.offset.bias, np.ones(8))
     shifted = block.upsample(v64(x)).tensor.data
     # Interior samples move by 0.25 in x and y: value changes by 0.25*(1+4).
     np.testing.assert_allclose(
@@ -426,11 +422,10 @@ def test_dyfusion_offsets_shift_sampling():
 def test_dyfusion_full_block_shape_and_modes():
     rng = np.random.default_rng(71)
     for mode in ("dynamic", "bilinear"):
-        cfg = DyFusionUpConfig(
-            in_channels=4, skip_channels=3, groups=2, fuse_dilations=(1, 2),
-            mode=mode,
+        cfg = ModelConfig.tiny(
+            sampler_groups=2, dilation_rates=(1, 2), upsample_mode=mode
         )
-        block = DyFusionUp("up", cfg, rng, dtype="f64")
+        block = DyFusionUp("up", cfg, 4, 3, rng, dtype="f64")
         x_low = rng.normal(size=(2, 4, 4, 4)) * 0.5
         x_skip = rng.normal(size=(2, 3, 8, 8)) * 0.5
         y = block(v64(x_low), v64(x_skip), training=True)
@@ -479,16 +474,6 @@ def test_dyfusion_spatial_mismatch_rejected():
     bad_skip = v64(np.zeros((1, 2, 7, 8)))
     with pytest.raises(DimensionError):
         block(x_low, bad_skip)
-
-
-def test_dyfusion_config_validation():
-    with pytest.raises(ConfigurationError):
-        DyFusionUpConfig(in_channels=4, skip_channels=2, mode="zero_offset")
-    with pytest.raises(ConfigurationError):
-        DyFusionUpConfig(in_channels=4, skip_channels=2, groups=3)
-    with pytest.raises(ConfigurationError):
-        DyFusionUpConfig(in_channels=4, skip_channels=2, mode="nearest")
-    assert DyFusionUpConfig(in_channels=4, skip_channels=2, groups=2).offset_channels == 16
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from dyglnet import network
+from dyglnet import cli, network
 from dyglnet.cli import _load_configs, main
-from dyglnet.data import (
-    DatasetManifest,
-    ManifestEntry,
-    read_pgm,
-    write_manifest,
-    write_pgm,
-    write_ppm,
-)
+from dyglnet.data import read_pgm, write_pgm, write_ppm
 from dyglnet.network import Model, ModelConfig
 
 _TINY_LINES = [
@@ -31,6 +24,12 @@ _TINY_LINES = [
     "seed = 3",
     "lambda = 0.25",
 ]
+
+
+def _write_manifest(path, rows):
+    """Write (image, mask, split) rows as the manifest TSV."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines("\t".join(row) + "\n" for row in rows)
 
 
 @pytest.fixture(scope="module")
@@ -53,16 +52,16 @@ def disk_dataset(tmp_path_factory):
     """A manifest of four random netpbm samples."""
     root = tmp_path_factory.mktemp("data")
     rng = np.random.default_rng(21)
-    entries = []
+    rows = []
     for i in range(4):
         img = str(root / f"img_{i}.ppm")
         msk = str(root / f"msk_{i}.pgm")
         write_ppm(img, rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8))
         write_pgm(msk, np.where(rng.random((32, 32)) < 0.3, 255, 0).astype(np.uint8))
         split = "train" if i < 2 else ("valid" if i == 2 else "test")
-        entries.append(ManifestEntry(img, msk, split))
+        rows.append((img, msk, split))
     manifest = str(root / "manifest.tsv")
-    write_manifest(DatasetManifest(entries), manifest)
+    _write_manifest(manifest, rows)
     return manifest
 
 
@@ -152,6 +151,19 @@ def test_nan_clip_norm_exits_2_before_any_step(tmp_path, capsys):
     assert not (out / "last.ckpt").exists()
 
 
+def test_nan_split_ratio_exits_2_before_any_model_is_built(tmp_path, capsys, monkeypatch):
+    # The model config rejects the split itself, so no block is allocated.
+    built = []
+    monkeypatch.setattr(cli, "Model", lambda *args, **kwargs: built.append(args))
+    path = tmp_path / "nan.cfg"
+    path.write_text("\n".join(_TINY_LINES + ["split_ratio = nan"]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(path), "--synthetic", "4", "--out", str(out)])
+    assert rc == 2
+    assert "split_ratio" in capsys.readouterr().err
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -211,14 +223,15 @@ def test_eval_missing_checkpoint_exits_2(disk_dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_eval_empty_split_exits_2(tiny_ckpt, tmp_path, capsys):
+def test_eval_empty_split_exits_2(tiny_ckpt, disk_dataset, tmp_path, capsys):
     manifest = str(tmp_path / "train_only.tsv")
-    entries = [ManifestEntry("a.ppm", "a.pgm", "train")]
-    write_manifest(DatasetManifest(entries), manifest)
-    # No test entries at all -> contract failure before any file I/O.
+    with open(disk_dataset) as f:
+        rows = [line.split("\t") for line in f.read().splitlines()]
+    _write_manifest(manifest, [r for r in rows if r[2] == "train"])
+    # No test entries at all -> contract failure before any image is read.
     rc = main(["eval", "--ckpt", tiny_ckpt, "--data", manifest, "--split", "test"])
     assert rc == 2
-    capsys.readouterr()
+    assert "no 'test' entries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
@@ -274,9 +287,9 @@ def test_predict_then_eval_is_self_consistent(tiny_ckpt, disk_dataset, tmp_path,
         pred = str(tmp_path / f"pred_{i}.pgm")
         assert main(["predict", "--ckpt", tiny_ckpt, "--image", img,
                      "--out", pred]) == 0
-        entries.append(ManifestEntry(img, pred, "test"))
+        entries.append((img, pred, "test"))
     self_manifest = str(tmp_path / "self.tsv")
-    write_manifest(DatasetManifest(entries), self_manifest)
+    _write_manifest(self_manifest, entries)
     capsys.readouterr()
     rc = main(["eval", "--ckpt", tiny_ckpt, "--data", self_manifest])
     out = capsys.readouterr().out

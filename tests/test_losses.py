@@ -10,10 +10,9 @@ import pytest
 
 import oracles
 from dyglnet import autodiff as ad
-from dyglnet.errors import ConfigurationError, ContractError, DimensionError
+from dyglnet.errors import ContractError, DimensionError
 from dyglnet.losses import (
     _DICE_EPS,
-    LossConfig,
     MetricsReport,
     bce_loss,
     dice_loss,
@@ -154,7 +153,7 @@ def test_hybrid_is_exact_blend():
     bce = scalar(bce_loss(v64(logits), v64(target)))
     dice = scalar(dice_loss(ad.sigmoid(v64(logits)), v64(target)))
     for lam in (0.0, 0.25, 0.5, 1.0):
-        got = scalar(hybrid_loss(v64(logits), v64(target), LossConfig(lambda_=lam)))
+        got = scalar(hybrid_loss(v64(logits), v64(target), lam))
         assert got == lam * bce + (1.0 - lam) * dice
 
 
@@ -162,8 +161,8 @@ def test_hybrid_endpoints_exact():
     rng = np.random.default_rng(11)
     logits = rng.normal(size=(2, 1, 3, 3))
     target = (rng.random((2, 1, 3, 3)) > 0.5).astype(np.float64)
-    only_bce = scalar(hybrid_loss(v64(logits), v64(target), LossConfig(lambda_=1.0)))
-    only_dice = scalar(hybrid_loss(v64(logits), v64(target), LossConfig(lambda_=0.0)))
+    only_bce = scalar(hybrid_loss(v64(logits), v64(target), 1.0))
+    only_dice = scalar(hybrid_loss(v64(logits), v64(target), 0.0))
     assert only_bce == scalar(bce_loss(v64(logits), v64(target)))
     assert only_dice == scalar(
         dice_loss(ad.sigmoid(v64(logits)), v64(target))
@@ -175,17 +174,10 @@ def test_hybrid_linear_in_lambda():
     logits = rng.normal(size=(1, 1, 3, 3))
     target = (rng.random((1, 1, 3, 3)) > 0.5).astype(np.float64)
     at = {
-        lam: scalar(hybrid_loss(v64(logits), v64(target), LossConfig(lambda_=lam)))
+        lam: scalar(hybrid_loss(v64(logits), v64(target), lam))
         for lam in (0.0, 0.5, 1.0)
     }
     assert at[0.5] == pytest.approx(0.5 * (at[0.0] + at[1.0]), rel=1e-15)
-
-
-def test_loss_config_validation():
-    with pytest.raises(ConfigurationError):
-        LossConfig(lambda_=1.5)
-    with pytest.raises(ConfigurationError):
-        LossConfig(lambda_=-0.1)
 
 
 def test_hybrid_gradient_matches_fd():
@@ -194,7 +186,7 @@ def test_hybrid_gradient_matches_fd():
     target = t64((rng.random((1, 1, 4, 4)) > 0.5).astype(np.float64))
 
     def fn():
-        return hybrid_loss(ad.watch(w), ad.constant(target), LossConfig(lambda_=0.5))
+        return hybrid_loss(ad.watch(w), ad.constant(target), 0.5)
 
     report = ad.grad_check(fn, [w], eps=1e-5, tol=1e-5)
     assert report.passed, report.max_rel_err

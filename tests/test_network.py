@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from dyglnet import network
+from dyglnet import configtext, network
 from dyglnet.blocks import Conv2d, he_normal
 from dyglnet.checkpoint import read_checkpoint, write_checkpoint
 from dyglnet.errors import (
@@ -158,6 +158,36 @@ def test_ffn_ratio_must_be_finite_and_positive(value):
     # Checked by the config, before a block turns it into a hidden width.
     with pytest.raises(ConfigurationError, match="ffn_ratio"):
         ModelConfig.tiny(ffn_ratio=value)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(stage_channels=(1, 16, 32, 64)),
+        dict(split_ratio=0.0),
+        dict(split_ratio=1.0),
+        dict(split_ratio=math.nan),
+        # rounds the attention branch of stage 3's 32 channels to zero
+        dict(split_ratio=0.01),
+        dict(dilation_rates=()),
+        dict(dilation_rates=(0,)),
+        dict(upsample_mode="zero_offset"),
+        dict(upsample_mode="nearest"),
+        dict(sampler_groups=3),
+    ],
+    ids=[
+        "width-1", "split-0", "split-1", "split-nan", "split-0.01", "rates-empty",
+        "rates-0", "mode-zero_offset", "mode-nearest", "groups-3",
+    ],
+)
+def test_config_rejects_bad_block_values(overrides):
+    # The blocks check none of these values: the config is their only
+    # check, both when built in code and when parsed from config text.
+    with pytest.raises(ConfigurationError):
+        ModelConfig.tiny(**overrides)
+    text = ModelConfig.tiny().to_text() + configtext.format_mapping(overrides)
+    with pytest.raises(ConfigurationError):
+        ModelConfig.from_text(text)
 
 
 def test_config_text_round_trip():

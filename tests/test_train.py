@@ -14,7 +14,7 @@ from dyglnet import autodiff as ad
 from dyglnet.autodiff import Parameter
 from dyglnet.data import synth_dataset
 from dyglnet.errors import ConfigurationError, ContractError, NumericError
-from dyglnet.losses import LossConfig, hybrid_loss
+from dyglnet.losses import hybrid_loss
 from dyglnet.network import Model, ModelConfig, load
 from dyglnet.tensor import Tensor
 from dyglnet.train import AdamW, TrainConfig, clip_grad_norm, evaluate_model, lr_at, train
@@ -187,6 +187,7 @@ def test_clip_validation():
         dict(clip_norm=0.0),
         dict(lambda_=1.5),
         dict(lambda_=-0.1),
+        dict(lambda_=math.nan),
     ],
 )
 def test_train_config_validation(kwargs):
@@ -250,7 +251,7 @@ def test_train_first_step_loss_matches_recomputation():
     y = Tensor(np.stack([s.mask.data for s in batch]), dtype="f32")
     fresh = Model(_MODEL_CFG, seed=0)
     logits = fresh(ad.constant(x), training=True)
-    loss = hybrid_loss(logits, y, LossConfig(lambda_=cfg.lambda_))
+    loss = hybrid_loss(logits, y, cfg.lambda_)
     assert result.step_losses[0] == float(loss.tensor.item())
 
 
