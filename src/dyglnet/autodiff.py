@@ -20,7 +20,7 @@ sizes so genuine failures are separated from kink-straddling ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -493,7 +493,6 @@ class GradCheckReport:
     max_rel_err: float = 0.0
     worst_param: str = ""
     worst_index: tuple = ()
-    per_param: dict[str, float] = field(default_factory=dict)
     checked: int = 0
     skipped: int = 0
     tol: float = 1e-4
@@ -559,7 +558,6 @@ def grad_check(
             flat = np.sort(rng.choice(size, size=max_entries_per_param, replace=False))
         else:
             flat = np.arange(size)
-        worst = 0.0
         for f in flat:
             idx = np.unravel_index(int(f), p.value.shape)
             a = float(analytic[p.name][idx])
@@ -579,10 +577,8 @@ def grad_check(
                 n = probes[2]
                 err = _rel_err(a, n)
             report.checked += 1
-            worst = max(worst, err)
             if err > report.max_rel_err:
                 report.max_rel_err = err
                 report.worst_param = p.name
                 report.worst_index = tuple(int(i) for i in idx)
-        report.per_param[p.name] = worst
     return report

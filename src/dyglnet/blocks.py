@@ -65,7 +65,7 @@ class Conv2d(Module):
         out_channels: int,
         kernel: int,
         rng: np.random.Generator,
-        dtype: str = "f32",
+        dtype: str,
         stride: int = 1,
         padding: int = 0,
         zero_init: bool = False,
@@ -86,7 +86,7 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Per-channel batch normalization with tracked running statistics."""
 
-    def __init__(self, name: str, channels: int, dtype: str = "f32"):
+    def __init__(self, name: str, channels: int, dtype: str):
         self.gamma = Parameter(f"{name}.gamma", Tensor(np.ones(channels), dtype=dtype))
         self.beta = Parameter(f"{name}.beta", Tensor(np.zeros(channels), dtype=dtype))
         self.running_mean = Parameter(
@@ -122,13 +122,15 @@ class DyT(Module):
     ``alpha`` is a single scalar; ``gamma``/``beta`` are per-channel.
     """
 
-    def __init__(self, name: str, channels: int, dtype: str = "f32"):
+    def __init__(self, name: str, channels: int, dtype: str):
         self.alpha = Parameter(f"{name}.alpha", Tensor([DYT_ALPHA_INIT], dtype=dtype))
         self.gamma = Parameter(f"{name}.gamma", Tensor(np.ones(channels), dtype=dtype))
         self.beta = Parameter(f"{name}.beta", Tensor(np.zeros(channels), dtype=dtype))
         self.channels = channels
 
     def __call__(self, x: Value, training: bool = False) -> Value:
+        # No op below checks this width: a one-channel gamma or beta
+        # would broadcast over any input as a scalar.
         if x.tensor.rank != 4 or x.tensor.shape[1] != self.channels:
             raise DimensionError(
                 f"dyt expects [N,{self.channels},H,W], got {x.tensor.shape}"
@@ -151,7 +153,7 @@ class SingleHeadAttention(Module):
         cfg: ModelConfig,
         channels: int,
         rng: np.random.Generator,
-        dtype: str = "f32",
+        dtype: str,
     ):
         self.norm: Module = (
             DyT(f"{name}.norm", channels, dtype)
@@ -188,7 +190,7 @@ class MultiScaleDilatedConv(Module):
         cfg: ModelConfig,
         channels: int,
         rng: np.random.Generator,
-        dtype: str = "f32",
+        dtype: str,
     ):
         self.rates = cfg.dilation_rates
         self.weights = [
@@ -215,7 +217,7 @@ class FeedForward(Module):
         cfg: ModelConfig,
         channels: int,
         rng: np.random.Generator,
-        dtype: str = "f32",
+        dtype: str,
     ):
         hidden = max(1, int(math.floor(cfg.ffn_ratio * channels + 0.5)))
         self.expand = Conv2d(f"{name}.expand", channels, hidden, 1, rng, dtype)
@@ -243,7 +245,7 @@ class ShdcBlock(Module):
         channels: int,
         fusion: bool,
         rng: np.random.Generator,
-        dtype: str = "f32",
+        dtype: str,
     ):
         c = channels
         self.cfg = cfg
@@ -261,10 +263,6 @@ class ShdcBlock(Module):
         self.ffn = FeedForward(f"{name}.ffn", cfg, c, rng, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
-        if x.tensor.shape[1] != self.channels:
-            raise DimensionError(
-                f"block expects {self.channels} channels, got {x.tensor.shape}"
-            )
         h = ad.depthwise_residual(
             x, [ad.watch(self.pre_weight)], [1], ad.watch(self.pre_bias)
         )
@@ -308,11 +306,9 @@ class DyFusionUp(Module):
         in_channels: int,
         skip_channels: int,
         rng: np.random.Generator,
-        dtype: str = "f32",
+        dtype: str,
     ):
         self.cfg = cfg
-        self.in_channels = in_channels
-        self.skip_channels = skip_channels
         if cfg.upsample_mode == "dynamic":
             # Offset conv output channel (2g + coord)*s*s + a*s + b holds
             # sub-pixel (a, b) of group g's x (coord 0) or y (coord 1) field.
@@ -354,14 +350,6 @@ class DyFusionUp(Module):
         return ad.reshape(ad.pixel_sample(folded, u), (n, c, h2, w2))
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
-        n, c, h, w = x_low.tensor.shape
-        if c != self.in_channels:
-            raise DimensionError(f"expected {self.in_channels} input channels, got {c}")
-        expected = (n, self.skip_channels, _SCALE * h, _SCALE * w)
-        if x_skip.tensor.shape != expected:
-            raise DimensionError(
-                f"skip shape {x_skip.tensor.shape} != required {expected}"
-            )
         up = self.upsample(x_low)
         aligned = self.align(up)
         cat = ad.concat([x_skip, aligned], 1)

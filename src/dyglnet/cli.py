@@ -30,7 +30,7 @@ from .errors import (
     DyglError,
     FormatError,
 )
-from .gradsuite import CHECKS, run_suite
+from .gradsuite import run_suite
 from .losses import _check_threshold
 from .network import Model, ModelConfig
 from .tensor import Tensor, _sigmoid_forward
@@ -62,11 +62,10 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
 def _manifest_samples(
     manifest_path: str, split: str, size: int
 ) -> list[SegmentationSample]:
-    manifest = load_manifest(manifest_path)
-    entries = manifest.split(split)
-    if not entries:
+    pairs = load_manifest(manifest_path)[split]
+    if not pairs:
         raise ContractError(f"manifest has no {split!r} entries")
-    return [load_sample(e.image, e.mask, size=size) for e in entries]
+    return [load_sample(image, mask, size=size) for image, mask in pairs]
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -120,10 +119,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     names = [args.block] if args.block else None
-    if args.block and args.block not in CHECKS:
-        raise ConfigurationError(
-            f"unknown block {args.block!r}; choose from {sorted(CHECKS)}"
-        )
     if args.seeds < 1:
         raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = tuple(range(args.seeds))

@@ -41,7 +41,7 @@ def format_mapping(mapping: dict[str, object]) -> str:
         elif isinstance(value, bool):
             body = "true" if value else "false"
         elif isinstance(value, float):
-            body = repr(value)
+            body = repr(float(value))
         else:
             body = str(value)
         lines.append(f"{key} = {body}")
@@ -106,3 +106,21 @@ def check_positive(cfg: object, *names: str, zero_ok: bool = False) -> None:
         if not math.isfinite(v) or v < 0.0 or (v == 0.0 and not zero_ok):
             bound = ">= 0" if zero_ok else "positive"
             raise ConfigurationError(f"{name} must be finite and {bound}, got {v}")
+
+
+def check_types(cfg: object) -> None:
+    """Raise ConfigurationError unless each field of dataclass ``cfg``
+    holds a value of its annotated type that text carries back: a tuple
+    field holds a tuple, and a bool is neither an int nor a float."""
+    hints = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        value, ftype = getattr(cfg, f.name), hints[f.name]
+        is_tuple = typing.get_origin(ftype) is tuple
+        elem = typing.get_args(ftype)[0] if is_tuple else ftype
+        kinds = (int, float) if elem is float else elem
+        items = value if isinstance(value, tuple) else (value,)
+        if is_tuple != isinstance(value, tuple) or any(
+            isinstance(v, bool) != (elem is bool) or not isinstance(v, kinds)
+            for v in items
+        ):
+            raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")

@@ -124,13 +124,6 @@ def decode_pgm(buf: bytes) -> np.ndarray:
     return _decode_netpbm(buf, b"P5", "P5 image", 1)
 
 
-def encode_ppm(arr: np.ndarray) -> bytes:
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise ContractError(f"encode_ppm needs uint8 [H,W,3], got {arr.shape}")
-    h, w, _ = arr.shape
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
-
-
 def encode_pgm(arr: np.ndarray) -> bytes:
     if arr.ndim != 2 or arr.dtype != np.uint8:
         raise ContractError(f"encode_pgm needs uint8 [H,W], got {arr.shape}")
@@ -146,11 +139,6 @@ def read_ppm(path: str) -> np.ndarray:
 def read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         return decode_pgm(f.read())
-
-
-def write_ppm(path: str, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(encode_ppm(arr))
 
 
 def write_pgm(path: str, arr: np.ndarray) -> None:
@@ -225,11 +213,6 @@ class AugmentConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0,1], got {p}")
-
-    @classmethod
-    def disabled(cls) -> "AugmentConfig":
-        return cls(crop_scale=(1.0, 1.0), p_hflip=0.0, p_vflip=0.0, p_rot=0.0,
-                   p_elastic=0.0, p_photometric=0.0)
 
 
 def _warp_bilinear(img: np.ndarray, src_x: np.ndarray, src_y: np.ndarray,
@@ -402,25 +385,11 @@ def synth_dataset(n: int, seed: int, size: int = 64) -> list[SegmentationSample]
 _SPLITS = ("train", "valid", "test")
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    image: str
-    mask: str
-    split: str
-
-
-@dataclass
-class DatasetManifest:
-    entries: list[ManifestEntry]
-
-    def split(self, tag: str) -> list[ManifestEntry]:
-        if tag not in _SPLITS:
-            raise ContractError(f"unknown split {tag!r}")
-        return [e for e in self.entries if e.split == tag]
-
-
-def load_manifest(path: str) -> DatasetManifest:
-    entries = []
+def load_manifest(path: str) -> dict[str, list[tuple[str, str]]]:
+    """Read an ``image<TAB>mask<TAB>split`` manifest into
+    ``{split: [(image, mask), ...]}`` for all three splits, in file
+    order. Blank lines are skipped; every listed file must exist."""
+    splits: dict[str, list[tuple[str, str]]] = {tag: [] for tag in _SPLITS}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -437,7 +406,7 @@ def load_manifest(path: str) -> DatasetManifest:
             for p in (image, mask):
                 if not os.path.exists(p):
                     raise ContractError(f"{path}:{lineno}: missing file {p}")
-            entries.append(ManifestEntry(image, mask, split))
-    if not entries:
+            splits[split].append((image, mask))
+    if not any(splits.values()):
         raise ContractError(f"manifest {path} is empty")
-    return DatasetManifest(entries)
+    return splits

@@ -23,7 +23,7 @@ from .blocks import (
     ShdcBlock,
     SingleHeadAttention,
 )
-from .errors import ContractError
+from .errors import ConfigurationError
 from .losses import bce_loss, dice_loss, hybrid_loss
 from .network import Model, ModelConfig
 from .tensor import Tensor
@@ -45,7 +45,6 @@ def _module_check(
     module: Module,
     x: Parameter,
     seed: int,
-    training: bool = True,
     max_entries: int | None = 6,
 ) -> GradCheckReport:
     params = [x] + module.parameters(trainable_only=True)
@@ -55,7 +54,7 @@ def _module_check(
     w = ad.constant(_randn(np.random.default_rng([seed, 0xEE]), x.value.shape))
 
     def fn():
-        return ad.mean_all(ad.mul(module(ad.watch(x), training=training), w))
+        return ad.mean_all(ad.mul(module(ad.watch(x), training=True), w))
 
     return grad_check(
         fn,
@@ -197,19 +196,15 @@ class SuiteRow:
     report: GradCheckReport
 
 
-def run_check(name: str, seed: int = 0) -> GradCheckReport:
-    if name not in CHECKS:
-        raise ContractError(
-            f"unknown gradient check {name!r}; choose from {sorted(CHECKS)}"
-        )
-    return CHECKS[name](seed)
-
-
 def run_suite(
     names: list[str] | None = None, seeds: tuple[int, ...] = (0,)
 ) -> list[SuiteRow]:
-    rows = []
-    for name in names if names is not None else sorted(CHECKS):
-        for seed in seeds:
-            rows.append(SuiteRow(name, seed, run_check(name, seed)))
-    return rows
+    """Run the named checks (all of ``CHECKS`` by default) at each seed;
+    an unknown name raises before any check runs."""
+    names = sorted(CHECKS) if names is None else names
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown gradient check {unknown[0]!r}; choose from {sorted(CHECKS)}"
+        )
+    return [SuiteRow(name, seed, CHECKS[name](seed)) for name in names for seed in seeds]

@@ -24,8 +24,6 @@ _DICE_EPS = 1e-6  # smoothing term of the soft Dice ratio
 def _pair(a, b, a_name: str, b_name: str) -> tuple[Value, np.ndarray]:
     av = ad.as_value(a)
     bt = b.tensor if isinstance(b, Value) else b
-    if not isinstance(bt, Tensor):
-        bt = Tensor(bt)
     if av.tensor.shape != bt.shape:
         raise DimensionError(
             f"{a_name} shape {av.tensor.shape} != {b_name} shape {bt.shape}"
@@ -133,12 +131,6 @@ class MetricsReport:
 
     _METRICS = ("dice", "iou", "precision", "recall", "specificity", "accuracy")
 
-    def to_record(self) -> str:
-        """One-line machine-readable form, six decimal places."""
-        parts = [f"{k}={getattr(self, k):.6f}" for k in self._METRICS]
-        parts += [f"{k}={getattr(self, k)}" for k in ("tp", "fp", "fn", "tn")]
-        return " ".join(parts)
-
     def to_text(self) -> str:
         lines = [f"{k:<12} {getattr(self, k):.6f}" for k in self._METRICS]
         lines.append(
@@ -172,52 +164,24 @@ def _check_threshold(threshold: float) -> None:
 def evaluate(pred_logits: Tensor, target: Tensor, threshold: float = 0.5) -> MetricsReport:
     """Threshold sigmoid(logits) and score against a binary target.
 
-    A rank-4 input is treated as a batch: ratio metrics are computed
-    per image and averaged, while tp/fp/fn/tn are summed over the whole
-    batch. Lower-rank inputs count as one image. Zero-denominator
-    ratios score 1.0 when the corresponding error count is zero, else
-    0.0 (the empty-mask convention).
+    Both are [N, C, H, W] batches: ratio metrics are computed per image
+    and averaged, while tp/fp/fn/tn are summed over the whole batch.
+    Zero-denominator ratios score 1.0 when the corresponding error count
+    is zero, else 0.0 (the empty-mask convention).
     """
     _check_threshold(threshold)
-    if isinstance(pred_logits, Value):
-        pred_logits = pred_logits.tensor
-    if isinstance(target, Value):
-        target = target.tensor
-    if pred_logits.shape != target.shape:
+    if pred_logits.rank != 4 or pred_logits.shape != target.shape:
         raise DimensionError(
-            f"logits shape {pred_logits.shape} != target shape {target.shape}"
+            f"expected equal [N,C,H,W] shapes, got {pred_logits.shape} and {target.shape}"
         )
     _check_binary(target.data, "target")
-    probs = _sigmoid_forward(pred_logits.data)
-    pred = probs > threshold
+    pred = _sigmoid_forward(pred_logits.data) > threshold
     tgt = target.data > 0.5
-    if pred.ndim == 4:
-        preds = [pred[i] for i in range(pred.shape[0])]
-        tgts = [tgt[i] for i in range(tgt.shape[0])]
-    else:
-        preds, tgts = [pred], [tgt]
     sums = np.zeros(6, dtype=np.float64)
-    tp_all = fp_all = fn_all = tn_all = 0
-    for p, t in zip(preds, tgts):
-        tp = int(np.count_nonzero(p & t))
-        fp = int(np.count_nonzero(p & ~t))
-        fn = int(np.count_nonzero(~p & t))
-        tn = int(np.count_nonzero(~p & ~t))
-        sums += np.asarray(_image_metrics(tp, fp, fn, tn))
-        tp_all += tp
-        fp_all += fp
-        fn_all += fn
-        tn_all += tn
-    means = sums / len(preds)
-    return MetricsReport(
-        dice=float(means[0]),
-        iou=float(means[1]),
-        precision=float(means[2]),
-        recall=float(means[3]),
-        specificity=float(means[4]),
-        accuracy=float(means[5]),
-        tp=tp_all,
-        fp=fp_all,
-        fn=fn_all,
-        tn=tn_all,
-    )
+    counts = np.zeros(4, dtype=np.int64)
+    for p, t in zip(pred, tgt):
+        c = [int(np.count_nonzero(m)) for m in (p & t, p & ~t, ~p & t, ~p & ~t)]
+        sums += np.asarray(_image_metrics(*c))
+        counts += c
+    means = sums / len(pred)
+    return MetricsReport(*(float(m) for m in means), *(int(k) for k in counts))

@@ -48,6 +48,7 @@ class ModelConfig:
     upsample_mode: str = "dynamic"
 
     def __post_init__(self):
+        configtext.check_types(self)
         if len(self.stage_channels) != 4 or len(self.blocks_per_stage) != 4:
             raise ConfigurationError("exactly four stages are required")
         if any(c < 2 for c in self.stage_channels):
@@ -129,7 +130,6 @@ class Model(Module):
         rng = np.random.default_rng(seed)
         c1, c2, c3, c4 = cfg.stage_channels
         self.cfg = cfg
-        self.param_dtype = dtype
 
         self.stem = [
             Conv2d("enc.stem.conv0", cfg.input_channels, c1, 3, rng, dtype,

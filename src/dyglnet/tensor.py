@@ -379,12 +379,14 @@ def _check_dw_residual_args(
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of rank-2 or batched rank-3 operands."""
-    if a.rank not in (2, 3) or b.rank not in (2, 3):
-        raise DimensionError(f"matmul supports rank 2/3, got {a.shape} @ {b.shape}")
+    """Matrix product of two rank-2 or two batched rank-3 operands."""
+    if a.rank != b.rank or a.rank not in (2, 3):
+        raise DimensionError(
+            f"matmul needs two rank-2 or two rank-3 operands, got {a.shape} @ {b.shape}"
+        )
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"inner dims differ: {a.shape} @ {b.shape}")
-    if a.rank == 3 and b.rank == 3 and a.shape[0] != b.shape[0]:
+    if a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"batch dims differ: {a.shape} @ {b.shape}")
     _check_same_dtype(a.data, b.data)
     return Tensor._wrap(np.matmul(a.data, b.data))
@@ -393,15 +395,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _matmul_vjp(
     a: np.ndarray, b: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ga, gb) of a @ b; a rank-2 operand of a batched product gets the
-    batch sum."""
-    ga = np.matmul(g, np.swapaxes(b, -1, -2))
-    gb = np.matmul(np.swapaxes(a, -1, -2), g)
-    if ga.ndim > a.ndim:
-        ga = ga.sum(axis=0)
-    if gb.ndim > b.ndim:
-        gb = gb.sum(axis=0)
-    return ga, gb
+    """(ga, gb) of a @ b."""
+    return np.matmul(g, np.swapaxes(b, -1, -2)), np.matmul(np.swapaxes(a, -1, -2), g)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape
-from .configtext import check_positive
+from .configtext import check_positive, check_types
 from .data import AugmentConfig, SegmentationSample, augment
 from .errors import ConfigurationError, ContractError, NumericError
 from .losses import MetricsReport, _check_threshold, evaluate, hybrid_loss
@@ -41,6 +41,7 @@ class TrainConfig:
     lambda_: float = 0.5
 
     def __post_init__(self):
+        check_types(self)
         check_positive(self, "lr0", "adam_eps", "poly_power", "clip_norm")
         check_positive(self, "weight_decay", zero_ok=True)
         for name in ("beta1", "beta2"):
@@ -56,6 +57,8 @@ class TrainConfig:
                 f"warmup_epochs {self.warmup_epochs} must be smaller than "
                 f"total_epochs {self.total_epochs}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:
             # train() drops one-sample batches from sets of two or more
             # samples, so a batch size of 1 would run no step at all.
@@ -87,10 +90,11 @@ def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
     Returns the applied scale (1.0 when untouched). The norm is
-    accumulated in f64.
+    accumulated in f64. ``max_norm`` must be finite and positive: NaN
+    would fill every gradient with NaN.
     """
-    if max_norm <= 0.0:
-        raise ContractError(f"max_norm must be positive, got {max_norm}")
+    if not 0.0 < max_norm < math.inf:
+        raise ContractError(f"max_norm must be finite and positive, got {max_norm}")
     total = 0.0
     for p in params:
         g = p.grad
@@ -186,7 +190,6 @@ class TrainResult:
     final_metrics: MetricsReport | None
     step_losses: list[float] = field(default_factory=list)
     aborted: bool = False
-    log_lines: list[str] = field(default_factory=list)
 
 
 def _stack(samples: list[SegmentationSample]) -> tuple[Tensor, Tensor]:
@@ -250,12 +253,7 @@ def train(
     result = TrainResult(0, 0, -1.0, -1, None)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-
-    def emit(line: str) -> None:
-        result.log_lines.append(line)
-        if log is not None:
-            log(line)
-
+    emit = log if log is not None else (lambda line: None)
     stop = False
     for epoch in range(cfg.total_epochs):
         lr = lr_at(epoch, cfg)
@@ -295,8 +293,6 @@ def train(
                 stop = True
                 break
         if result.aborted:
-            break
-        if not epoch_losses:
             break
         metrics = evaluate_model(model, valid_samples)
         result.final_metrics = metrics

@@ -74,7 +74,7 @@ def test_dyt_pinned_value():
 
 
 def test_dyt_default_alpha_init():
-    block = DyT("dyt", 1)
+    block = DyT("dyt", 1, "f32")
     assert block.alpha.value.data[0] == np.float32(DYT_ALPHA_INIT)
 
 
@@ -268,8 +268,8 @@ def test_ffn_identity_weights_double_positive_constant():
 def test_ffn_hidden_width_rounding():
     rng = np.random.default_rng(37)
     half, tenth = ModelConfig.tiny(ffn_ratio=0.5), ModelConfig.tiny(ffn_ratio=0.1)
-    assert FeedForward("f", half, 3, rng).expand.weight.value.shape[0] == 2
-    assert FeedForward("f", tenth, 1, rng).expand.weight.value.shape[0] == 1
+    assert FeedForward("f", half, 3, rng, "f32").expand.weight.value.shape[0] == 2
+    assert FeedForward("f", tenth, 1, rng, "f32").expand.weight.value.shape[0] == 1
     with pytest.raises(ConfigurationError):
         ModelConfig.tiny(ffn_ratio=0.0)
 
@@ -306,9 +306,15 @@ def test_shdc_shape_preserved_random_configs():
 
 def test_shdc_channel_mismatch():
     rng = np.random.default_rng(0)
-    block = ShdcBlock("s", TINY, 4, False, rng)
+    block = ShdcBlock("s", TINY, 4, False, rng, "f32")
     with pytest.raises(DimensionError):
         block(ad.constant(Tensor(np.zeros((1, 3, 4, 4), np.float32), dtype="f32")))
+    # The block checks no width itself: its first op, the depthwise
+    # residual, rejects the input, with or without the fusion branches.
+    fused = ShdcBlock("s", TINY, 4, True, rng, "f32")
+    for c in (3, 6):
+        with pytest.raises(DimensionError):
+            fused(ad.constant(Tensor(np.zeros((1, c, 4, 4), np.float32), dtype="f32")))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +473,29 @@ def test_dyfusion_dynamic_upsample_records_eight_nodes_without_narrow(monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["dynamic", "bilinear"])
+@pytest.mark.parametrize(
+    "low, skip",
+    [
+        ((2, 3, 4, 4), (2, 3, 8, 8)),  # input width not divisible by the groups
+        ((2, 6, 4, 4), (2, 3, 8, 8)),  # input width divisible, still wrong
+        ((2, 4, 4, 4), (2, 2, 8, 8)),  # skip width
+        ((2, 4, 4, 4), (2, 3, 8, 7)),  # skip extent
+        ((2, 4, 4, 4), (1, 3, 8, 8)),  # skip batch
+    ],
+    ids=["width-3", "width-6", "skip-width", "skip-extent", "skip-batch"],
+)
+def test_dyfusion_wrong_shapes_rejected_by_its_ops(mode, low, skip):
+    # DyFusionUp(in 4, skip 3, groups 2) checks no shape itself; the
+    # offset conv, the fold reshape, the align conv, concat and the
+    # fuse stage reject each of these.
+    rng = np.random.default_rng(89)
+    cfg = ModelConfig.tiny(sampler_groups=2, dilation_rates=(1, 2), upsample_mode=mode)
+    block = DyFusionUp("up", cfg, 4, 3, rng, dtype="f64")
+    with pytest.raises(DimensionError):
+        block(v64(np.zeros(low)), v64(np.zeros(skip)))
+
+
 def test_dyfusion_spatial_mismatch_rejected():
     rng = np.random.default_rng(79)
     block = _up_block(rng, in_ch=2, skip_ch=2, groups=1)
@@ -484,6 +513,14 @@ def test_dyfusion_spatial_mismatch_rejected():
     "name", ["dyt", "attention", "msdc", "ffn", "shdc", "dyfusion"]
 )
 def test_block_gradients_single_seed(name):
-    row = gradsuite.run_check(name, seed=0)
+    [row] = [r.report for r in gradsuite.run_suite([name], seeds=(0,))]
     assert row.passed, f"{name}: max_rel_err={row.max_rel_err:g}"
     assert row.max_rel_err < 1e-4
+
+
+def test_gradient_suite_rejects_unknown_name_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setitem(gradsuite.CHECKS, "dyt", ran.append)
+    with pytest.raises(ConfigurationError, match="warp_core"):
+        gradsuite.run_suite(["dyt", "warp_core"])
+    assert ran == []

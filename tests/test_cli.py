@@ -11,7 +11,7 @@ import pytest
 
 from dyglnet import cli, network
 from dyglnet.cli import _load_configs, main
-from dyglnet.data import read_pgm, write_pgm, write_ppm
+from dyglnet.data import read_pgm, write_pgm
 from dyglnet.network import Model, ModelConfig
 
 _TINY_LINES = [
@@ -56,7 +56,9 @@ def disk_dataset(tmp_path_factory):
     for i in range(4):
         img = str(root / f"img_{i}.ppm")
         msk = str(root / f"msk_{i}.pgm")
-        write_ppm(img, rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8))
+        with open(img, "wb") as f:
+            f.write(b"P6\n32 32\n255\n"
+                    + rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8).tobytes())
         write_pgm(msk, np.where(rng.random((32, 32)) < 0.3, 255, 0).astype(np.uint8))
         split = "train" if i < 2 else ("valid" if i == 2 else "test")
         rows.append((img, msk, split))
@@ -162,6 +164,18 @@ def test_nan_split_ratio_exits_2_before_any_model_is_built(tmp_path, capsys, mon
     assert rc == 2
     assert "split_ratio" in capsys.readouterr().err
     assert built == []
+
+
+def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys):
+    # numpy's own ValueError for a negative seed ("expected
+    # non-negative integer") names no config key.
+    path = tmp_path / "seed.cfg"
+    lines = [ln for ln in _TINY_LINES if not ln.startswith("seed")]
+    path.write_text("\n".join(lines + ["seed = -1"]) + "\n")
+    rc = main(["train", "--config", str(path), "--synthetic", "4",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

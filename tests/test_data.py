@@ -10,20 +10,16 @@ from dyglnet.data import (
     NORM_MEAN,
     NORM_STD,
     AugmentConfig,
-    DatasetManifest,
-    ManifestEntry,
     SegmentationSample,
     augment,
     decode_pgm,
     decode_ppm,
     encode_pgm,
-    encode_ppm,
     load_manifest,
     load_sample,
     normalize_image,
     synth_dataset,
     write_pgm,
-    write_ppm,
 )
 from dyglnet.errors import (
     ConfigurationError,
@@ -51,9 +47,9 @@ def test_decode_ppm_single_red_pixel():
 def test_codec_round_trip_reproduces_bytes():
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-    buf = encode_ppm(img)
+    buf = b"P6\n7 5\n255\n" + img.tobytes()
     np.testing.assert_array_equal(decode_ppm(buf), img)
-    assert encode_ppm(decode_ppm(buf)) == buf
+    assert b"P6\n7 5\n255\n" + decode_ppm(buf).tobytes() == buf
     gray = rng.integers(0, 256, size=(4, 6), dtype=np.uint8)
     gbuf = encode_pgm(gray)
     np.testing.assert_array_equal(decode_pgm(gbuf), gray)
@@ -125,7 +121,7 @@ def test_load_sample_white_image_pinned(tmp_path):
     img_path = str(tmp_path / "white.ppm")
     mask_path = str(tmp_path / "white_mask.pgm")
     with open(img_path, "wb") as f:
-        f.write(encode_ppm(np.full((4, 4, 3), 255, np.uint8)))
+        f.write(b"P6\n4 4\n255\n" + bytes([255] * 48))
     with open(mask_path, "wb") as f:
         f.write(encode_pgm(np.full((4, 4), 255, np.uint8)))
     sample = load_sample(img_path, mask_path, size=16)
@@ -144,7 +140,7 @@ def test_mean_pixel_normalizes_to_zero(tmp_path):
     img_path = str(tmp_path / "mean.ppm")
     mask_path = str(tmp_path / "mean_m.pgm")
     with open(img_path, "wb") as f:
-        f.write(encode_ppm(img))
+        f.write(b"P6\n4 4\n255\n" + img.tobytes())
     with open(mask_path, "wb") as f:
         f.write(encode_pgm(np.zeros((4, 4), np.uint8)))
     sample = load_sample(img_path, mask_path, size=4)
@@ -182,7 +178,8 @@ def test_netpbm_sample_round_trip(tmp_path):
     raw_mask = np.where(rng.random((32, 32)) < 0.3, 255, 0).astype(np.uint8)
     img_path = str(tmp_path / "s.ppm")
     mask_path = str(tmp_path / "s.pgm")
-    write_ppm(img_path, raw)
+    with open(img_path, "wb") as f:
+        f.write(b"P6\n32 32\n255\n" + raw.tobytes())
     write_pgm(mask_path, raw_mask)
     back = load_sample(img_path, mask_path, size=32)
     img01 = back.image.data * NORM_STD.reshape(3, 1, 1) + NORM_MEAN.reshape(3, 1, 1)
@@ -197,7 +194,9 @@ def test_netpbm_sample_round_trip(tmp_path):
 def test_augment_disabled_is_bit_identical():
     sample = synth_dataset(1, seed=5, size=32)[0]
     rng = np.random.default_rng(0)
-    out = augment(sample, AugmentConfig.disabled(), rng)
+    off = AugmentConfig(crop_scale=(1.0, 1.0), p_hflip=0.0, p_vflip=0.0, p_rot=0.0,
+                        p_elastic=0.0, p_photometric=0.0)
+    out = augment(sample, off, rng)
     np.testing.assert_array_equal(out.image.data, sample.image.data)
     np.testing.assert_array_equal(out.mask.data, sample.mask.data)
 
@@ -345,18 +344,23 @@ def test_synth_rejects_bad_count():
 
 
 def test_manifest_file_round_trip(tmp_path):
-    entries = []
-    for name, split in (("a", "train"), ("b", "valid"), ("c", "test")):
+    rows = []
+    for name, split in (("a", "train"), ("b", "valid"), ("c", "test"), ("d", "train")):
         image, mask = str(tmp_path / f"{name}.ppm"), str(tmp_path / f"{name}.pgm")
         for p in (image, mask):
             open(p, "wb").close()  # the reader checks only that they exist
-        entries.append(ManifestEntry(image, mask, split))
+        rows.append((image, mask, split))
     path = str(tmp_path / "data.tsv")
     with open(path, "w") as f:
-        f.write("".join(f"{e.image}\t{e.mask}\t{e.split}\n" for e in entries))
+        f.write("".join(f"{image}\t{mask}\t{split}\n" for image, mask, split in rows))
         f.write("\n")  # blank lines are skipped
     back = load_manifest(path)
-    assert back.entries == entries
+    # Each split keeps its (image, mask) pairs in file order.
+    assert back == {
+        split: [(image, mask) for image, mask, s in rows if s == split]
+        for split in ("train", "valid", "test")
+    }
+    assert [pair[0] for pair in back["train"]] == [rows[0][0], rows[3][0]]
 
 
 def test_manifest_missing_file_rejected(tmp_path):
@@ -380,7 +384,15 @@ def test_manifest_bad_lines_rejected(tmp_path):
         load_manifest(path)
 
 
-def test_manifest_unknown_split_query():
-    manifest = DatasetManifest([ManifestEntry("a.ppm", "a.pgm", "train")])
-    with pytest.raises(ContractError):
-        manifest.split("eval")
+def test_manifest_unknown_split_query(tmp_path):
+    # Every known split is a key, empty when the file lists none of it;
+    # an unknown split is not a key.
+    image, mask = str(tmp_path / "a.ppm"), str(tmp_path / "a.pgm")
+    for p in (image, mask):
+        open(p, "wb").close()
+    path = str(tmp_path / "data.tsv")
+    with open(path, "w") as f:
+        f.write(f"{image}\t{mask}\ttrain\n")
+    splits = load_manifest(path)
+    assert splits == {"train": [(image, mask)], "valid": [], "test": []}
+    assert "eval" not in splits

@@ -318,17 +318,24 @@ def test_report_invariants_and_formats():
     total = report.tp + report.fp + report.fn + report.tn
     assert total == 4
     assert report.accuracy == (report.tp + report.tn) / total
-    record = report.to_record()
-    assert "dice=0.500000" in record and record.count("=") == 10
     text = report.to_text()
+    lines = text.splitlines()
+    assert lines[0] == f"{'dice':<12} 0.500000" and len(lines) == 7
     for key in ("dice", "iou", "precision", "recall", "specificity", "accuracy"):
         assert key in text
-    assert "tp=1" in text
+    assert lines[-1] == f"{'counts':<12} tp=1 fp=1 fn=1 tn=1"
 
 
 def test_evaluate_rejects_mismatched_shapes():
     with pytest.raises(DimensionError):
         evaluate(t64(np.zeros((1, 1, 2, 2))), t64(np.zeros((1, 1, 2, 3))))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 2, 2), (1, 1, 1, 2, 2)])
+def test_evaluate_takes_only_nchw_batches(shape):
+    # No lower-rank input counts as one image.
+    with pytest.raises(DimensionError):
+        evaluate(t64(np.zeros(shape)), t64(np.zeros(shape)))
 
 
 def test_evaluate_rejects_non_binary_target():

@@ -10,8 +10,9 @@ import struct
 import numpy as np
 import pytest
 
-from dyglnet import configtext, network
-from dyglnet.blocks import Conv2d, he_normal
+from dyglnet import configtext, gradsuite, network
+from dyglnet.autodiff import Parameter
+from dyglnet.blocks import BatchNorm2d, Conv2d, SingleHeadAttention, he_normal
 from dyglnet.checkpoint import read_checkpoint, write_checkpoint
 from dyglnet.errors import (
     ConfigurationError,
@@ -195,6 +196,63 @@ def test_config_text_round_trip():
     assert ModelConfig.from_text(cfg.to_text()) == cfg
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # its own config text would not parse back
+        dict(dilation_rates=(1.5,)),
+        # would run as rate 1
+        dict(dilation_rates=(True,)),
+        dict(dilation_rates=(1, 2.0)),
+        dict(stage_channels=(8, 16, 32, 64.0)),
+        dict(stage_channels=[8, 16, 32, 64]),
+        dict(blocks_per_stage=(True, 1, 1, 1)),
+        dict(sampler_groups=True),
+        dict(input_size=np.int64(64)),
+        dict(use_dyt="false"),
+        dict(ffn_ratio=True),
+    ],
+    ids=[
+        "rates-1.5", "rates-true", "rates-2.0", "widths-float", "widths-list",
+        "depths-true", "groups-true", "size-np.int64", "dyt-str", "ffn-true",
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(overrides):
+    with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+        ModelConfig.tiny(**overrides)
+
+
+def test_every_accepted_config_round_trips_through_text():
+    # Random configs drawn from good and badly typed values: whatever
+    # the config accepts, its own text must give it back.
+    pools = dict(
+        stage_channels=[(8, 16, 32, 64), (4, 8, 12, 16), (8, 16, 32, 64.0), [8, 16, 32, 64]],
+        blocks_per_stage=[(1, 1, 1, 1), (1, 2, 2, 1), (True, 1, 1, 1), (1, 1, 1, 1.0)],
+        split_ratio=[0.5, 0.25, 1 / 3, np.float64(0.75), True, "0.5"],
+        dilation_rates=[(1, 2, 3), (1,), (2, 5), (1.5,), (True,), 3],
+        ffn_ratio=[4.0, 2, 1 / 3, np.float64(1.5), True, 1e-3],
+        sampler_groups=[1, 2, 4, True, 2.0],
+        input_channels=[3, 1, True, 3.0],
+        output_channels=[1, 2, True],
+        input_size=[32, 64, 64.0, True],
+        use_dyt=[True, False, 1, "false"],
+        upsample_mode=["dynamic", "bilinear", "Dynamic", 1],
+    )
+    rng = np.random.default_rng(2026)
+    accepted = rejected = 0
+    for _ in range(400):
+        names = rng.choice(sorted(pools), size=rng.integers(1, 4), replace=False)
+        overrides = {str(k): pools[k][rng.integers(len(pools[k]))] for k in names}
+        try:
+            cfg = ModelConfig.tiny(**overrides)
+        except ConfigurationError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert ModelConfig.from_text(cfg.to_text()) == cfg, overrides
+    assert accepted >= 50 and rejected >= 50
+
+
 def test_config_text_rejects_unknown_keys():
     with pytest.raises(FormatError):
         ModelConfig.from_text("stage_channels = [8, 16, 32, 64]\nbogus = 1\n")
@@ -270,7 +328,7 @@ def test_training_mode_advances_bn_stats_only():
 
 def test_single_conv_param_arithmetic():
     rng = np.random.default_rng(0)
-    conv = Conv2d("c", 8, 4, 1, rng)
+    conv = Conv2d("c", 8, 4, 1, rng, "f32")
     total = conv.weight.value.size + conv.bias.value.size
     assert total == 8 * 4 + 4 == 36
     assert _conv_params(8, 4, 1) == 36
@@ -343,6 +401,31 @@ def test_save_load_round_trip_bit_identical(tmp_path):
         np.testing.assert_array_equal(orig[name], back[name])
     x = t32(np.random.default_rng(5).normal(size=(1, 3, 32, 32)) * 0.1)
     np.testing.assert_array_equal(model.predict(x).data, loaded.predict(x).data)
+
+
+def test_use_dyt_false_builds_batchnorm_attention(tmp_path):
+    # The README's DyT ablation switch: every attention norm becomes a
+    # batchnorm, its gradients check out, and checkpoints round-trip.
+    cfg = ModelConfig.tiny(input_size=32, use_dyt=False)
+    model = Model(cfg, seed=7)
+    blocks = model.stage3[1:] + model.stage4[1:]
+    assert blocks and all(isinstance(b.attn.norm, BatchNorm2d) for b in blocks)
+    rng = np.random.default_rng(3)
+    attn = SingleHeadAttention("attn", cfg, 4, rng, dtype="f64")
+    assert isinstance(attn.norm, BatchNorm2d)
+    x = Parameter("input", Tensor(rng.standard_normal((2, 4, 4, 3)), dtype="f64"))
+    report = gradsuite._module_check(attn, x, seed=0)
+    assert report.passed and report.checked > 0, report.max_rel_err
+    model(t32(rng.normal(size=(2, 3, 32, 32))), training=True)  # moves the BN statistics
+    path = str(tmp_path / "nodyt.ckpt")
+    save(model, path)
+    loaded = load(path)
+    assert loaded.cfg == cfg
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert a.name == b.name
+        np.testing.assert_array_equal(a.value.data, b.value.data)
+    x32 = t32(rng.normal(size=(1, 3, 32, 32)) * 0.1)
+    np.testing.assert_array_equal(model.predict(x32).data, loaded.predict(x32).data)
 
 
 def test_depthwise_parameter_layout_pinned_for_checkpoints(tmp_path):

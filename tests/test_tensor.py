@@ -407,6 +407,11 @@ def test_matmul_batched_and_errors():
         T.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
     with pytest.raises(DimensionError):
         T.matmul(t64(np.zeros((3,))), t64(np.zeros((3, 2))))
+    # Both operands share one rank: no implicit batch broadcast.
+    with pytest.raises(DimensionError):
+        T.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((4, 5))))
+    with pytest.raises(DimensionError):
+        T.matmul(t64(np.zeros((3, 4))), t64(np.zeros((2, 4, 5))))
 
 
 # ---------------------------------------------------------------------------

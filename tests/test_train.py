@@ -165,6 +165,16 @@ def test_clip_validation():
         clip_grad_norm([p], 1.0)
 
 
+@pytest.mark.parametrize("max_norm", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_clip_rejects_max_norm_outside_open_positive_range(max_norm):
+    # A NaN bound would scale every gradient to NaN.
+    p = _param("w", [0.0, 0.0])
+    p.grad[:] = [3.0, 4.0]
+    with pytest.raises(ContractError, match="max_norm"):
+        clip_grad_norm([p], max_norm)
+    np.testing.assert_array_equal(p.grad, [3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # TrainConfig validation
 
@@ -188,6 +198,12 @@ def test_clip_validation():
         dict(lambda_=1.5),
         dict(lambda_=-0.1),
         dict(lambda_=math.nan),
+        dict(seed=-1),
+        # the wrong type: range() or numpy would fail mid-run with a
+        # bare TypeError
+        dict(seed=1.5),
+        dict(seed=True),
+        dict(batch_size=4.0),
     ],
 )
 def test_train_config_validation(kwargs):
@@ -224,13 +240,14 @@ def test_train_bit_exact_determinism():
     train_set, valid_set = _datasets()
     results = []
     weights = []
-    for _ in range(2):
+    logs = [[], []]
+    for log in logs:
         model = Model(_MODEL_CFG, seed=0)
-        results.append(train(model, _small_cfg(), train_set, valid_set))
+        results.append(train(model, _small_cfg(), train_set, valid_set, log=log.append))
         weights.append({p.name: p.value.data.copy() for p in model.parameters()})
     a, b = results
     assert a.step_losses == b.step_losses
-    assert a.log_lines == b.log_lines
+    assert logs[0] == logs[1]
     assert a.final_metrics.dice == b.final_metrics.dice
     assert weights[0].keys() == weights[1].keys()
     for name in weights[0]:
@@ -268,13 +285,14 @@ def test_train_loss_depends_on_lambda():
 def test_train_log_line_format():
     train_set, valid_set = _datasets()
     model = Model(_MODEL_CFG, seed=0)
-    result = train(model, _small_cfg(), train_set, valid_set)
+    lines = []
+    result = train(model, _small_cfg(), train_set, valid_set, log=lines.append)
     pat = re.compile(
         r"^epoch=\d+ lr=[0-9.e+-]+ loss=[0-9.e+-]+ "
         r"val_dice=[0-9.e+-]+ val_iou=[0-9.e+-]+$"
     )
-    assert result.log_lines
-    for line in result.log_lines:
+    assert lines
+    for line in lines:
         assert pat.match(line), line
     assert result.epochs_run == 2
     assert result.steps_run == 4
@@ -357,15 +375,16 @@ def test_train_divergence_aborts_cleanly(tmp_path):
         lr0=1e8, warmup_epochs=1, total_epochs=4, batch_size=4, seed=1, clip_norm=1e9
     )
     runs = []
-    for attempt in range(2):
+    logs = [[], []]
+    for attempt, log in enumerate(logs):
         model = Model(_MODEL_CFG, seed=0)
         out = str(tmp_path / f"run{attempt}")
         with np.errstate(all="ignore"):
-            result = train(model, cfg, train_set, valid_set, out_dir=out)
+            result = train(model, cfg, train_set, valid_set, out_dir=out, log=log.append)
         assert result.aborted
         assert result.steps_run == 3
-        assert result.log_lines[-1].startswith("abort:")
-        assert "keeping the last completed checkpoint" in result.log_lines[-1]
+        assert log[-1].startswith("abort:")
+        assert "keeping the last completed checkpoint" in log[-1]
         # Epoch 0 completed, so last.ckpt survives; no final.ckpt.
         assert (tmp_path / f"run{attempt}" / "last.ckpt").exists()
         assert not (tmp_path / f"run{attempt}" / "final.ckpt").exists()
@@ -373,7 +392,7 @@ def test_train_divergence_aborts_cleanly(tmp_path):
         for p in reloaded.parameters():
             assert np.all(np.isfinite(p.value.data)), p.name
         runs.append(result)
-    assert runs[0].log_lines == runs[1].log_lines
+    assert logs[0] == logs[1]
     assert runs[0].step_losses == runs[1].step_losses
 
 
