@@ -6,12 +6,14 @@ transpose) are defined here whole: argument checks, forward and VJP.
 The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
 
 A :class:`Tape` records every differentiable op executed inside its
-``with`` block as a :class:`Value` node holding a vector-Jacobian
-closure. :func:`backward` replays the nodes in reverse creation order,
-accumulating into each watched :class:`Parameter`'s ``grad`` buffer,
-and releases each node as soon as its VJP has run.
-When no tape is active the same op functions run forward-only and keep
-no closures, so evaluation costs nothing extra.
+``with`` block as a :class:`Value` node: each op hands the tape its
+vector-Jacobian closure, which maps the upstream gradient to one
+gradient per parent. A watched :class:`Parameter` is a node too, with
+no parents; its VJP adds the gradient that reaches it into the
+parameter's ``grad`` buffer. :func:`backward` replays the nodes in
+reverse creation order and releases each one as soon as its VJP has
+run. When no tape is active the same op functions run forward-only and
+record nothing, so evaluation keeps no closures.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences in float64, re-probing suspect entries at two extra step
@@ -92,7 +94,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Value] = []
-        self._leaves: list[tuple[Parameter, Value]] = []
         self._consumed = False
         self._outer: Tape | None = None
 
@@ -113,22 +114,23 @@ class Tape:
 
 
 def watch(param: Parameter) -> Value:
-    """Leaf node for a parameter; registers it on the active tape."""
-    v = Value(param.value)
-    if _ACTIVE is not None:
-        _ACTIVE._leaves.append((param, v))
-    return v
+    """Graph input for a parameter: on an active tape, a node with no
+    parents whose VJP adds the gradient that reaches it into
+    ``param.grad``. A non-finite gradient raises ``NumericError``."""
+
+    def vjp(g):
+        if param.trainable:
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for {param.name}")
+            param.grad = param.grad + g
+        return ()
+
+    return _record(param.value, (), vjp)
 
 
 def constant(x) -> Value:
     """Non-differentiable graph input."""
     return Value(x if isinstance(x, Tensor) else Tensor(x))
-
-
-def as_value(x) -> Value:
-    if isinstance(x, Value):
-        return x
-    return constant(x)
 
 
 def backward(loss: Value, tape: Tape) -> None:
@@ -148,7 +150,7 @@ def backward(loss: Value, tape: Tape) -> None:
         gv, vjp, parents = v._grad, v._vjp, v._parents
         v._grad = v._vjp = None
         v._parents = ()
-        if gv is None or vjp is None:
+        if gv is None:
             continue
         grads = vjp(gv)
         del gv, vjp
@@ -159,34 +161,21 @@ def backward(loss: Value, tape: Tape) -> None:
                 parent._grad = g
             else:
                 parent._grad = parent._grad + g
-    for param, leaf in tape._leaves:
-        if leaf._grad is not None and param.trainable:
-            if not np.isfinite(leaf._grad).all():
-                raise NumericError(f"non-finite gradient for {param.name}")
-            param.grad = param.grad + leaf._grad
-    tape._leaves.clear()
 
 
-def _receives_grad(v: Value) -> bool:
-    """Whether a backward pass over the active tape can reach ``v``: it
-    is an op output recorded there or a watched leaf, not a constant."""
-    return v._vjp is not None or any(leaf is v for _, leaf in _ACTIVE._leaves)
-
-
-def _record(y: Tensor, parents: tuple, make_vjp: Callable) -> Value:
+def _record(y: Tensor, parents: tuple, vjp: Callable) -> Value:
     if _ACTIVE is None:
         return Value(y)
-    return _ACTIVE._add(Value(y, parents, make_vjp()))
+    return _ACTIVE._add(Value(y, parents, vjp))
 
 
-def record_op(y: Tensor, parents: tuple, make_vjp: Callable) -> Value:
+def record_op(y: Tensor, parents: tuple, vjp: Callable) -> Value:
     """Register a custom differentiable op.
 
-    ``make_vjp`` is called only when a tape is active and must return a
-    closure mapping the upstream gradient array to one gradient array
-    (or None) per parent.
+    ``vjp`` maps the upstream gradient array to one gradient array (or
+    None) per parent; it is kept only when a tape is active.
     """
-    return _record(y, parents, make_vjp)
+    return _record(y, parents, vjp)
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -220,38 +209,36 @@ def _broadcast_other(x: np.ndarray, o: np.ndarray) -> np.ndarray:
 def add(x: Value, other: Value) -> Value:
     xd, od = x.tensor.data, other.tensor.data
     y = Tensor._wrap(xd + _broadcast_other(xd, od))
-    return _record(y, (x, other), lambda: lambda g: (g, _reduce_to(g, od.shape)))
+    return _record(y, (x, other), lambda g: (g, _reduce_to(g, od.shape)))
 
 
 def mul(x: Value, other: Value) -> Value:
     xd, od = x.tensor.data, other.tensor.data
     ob = _broadcast_other(xd, od)
     y = Tensor._wrap(xd * ob)
-    return _record(
-        y, (x, other), lambda: lambda g: (g * ob, _reduce_to(g * xd, od.shape))
-    )
+    return _record(y, (x, other), lambda g: (g * ob, _reduce_to(g * xd, od.shape)))
 
 
 def scale(x: Value, s: float) -> Value:
     c = x.tensor.data.dtype.type(s)
     y = Tensor._wrap(x.tensor.data * c)
-    return _record(y, (x,), lambda: lambda g: (g * c,))
+    return _record(y, (x,), lambda g: (g * c,))
 
 
 def tanh(x: Value) -> Value:
     yd = np.tanh(x.tensor.data)
-    return _record(Tensor._wrap(yd), (x,), lambda: lambda g: (g * (1.0 - yd * yd),))
+    return _record(Tensor._wrap(yd), (x,), lambda g: (g * (1.0 - yd * yd),))
 
 
 def sigmoid(x: Value) -> Value:
     yd = T._sigmoid_forward(x.tensor.data)
-    return _record(Tensor._wrap(yd), (x,), lambda: lambda g: (g * yd * (1.0 - yd),))
+    return _record(Tensor._wrap(yd), (x,), lambda g: (g * yd * (1.0 - yd),))
 
 
 def relu(x: Value) -> Value:
     xd = x.tensor.data
     y = Tensor._wrap(np.maximum(xd, 0))
-    return _record(y, (x,), lambda: lambda g: (g * (xd > 0),))
+    return _record(y, (x,), lambda g: (g * (xd > 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +248,13 @@ def relu(x: Value) -> Value:
 def matmul(a: Value, b: Value) -> Value:
     y = T.matmul(a.tensor, b.tensor)
     ad, bd = a.tensor.data, b.tensor.data
-    return _record(y, (a, b), lambda: lambda g: T._matmul_vjp(ad, bd, g))
+    return _record(y, (a, b), lambda g: T._matmul_vjp(ad, bd, g))
 
 
 def softmax(x: Value, axis: int = -1) -> Value:
     y = T.softmax(x.tensor, axis)
     yd = y.data
-    return _record(y, (x,), lambda: lambda g: (T._softmax_vjp(yd, g, axis),))
+    return _record(y, (x,), lambda g: (T._softmax_vjp(yd, g, axis),))
 
 
 def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value:
@@ -276,14 +263,12 @@ def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value
     xd, wd = x.tensor.data, weight.tensor.data
     with_bias = bias is not None
     parents = (x, weight, bias) if with_bias else (x, weight)
-
-    def mk():
-        # (gx, gw, gb): gx is None for a constant input, gb without a bias
-        with_gx = _receives_grad(x)
-        k = len(parents)
-        return lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx, with_bias)[:k]
-
-    return _record(y, parents, mk)
+    # (gx, gw, gb): gx is None for a constant input, gb without a bias
+    with_gx = x._vjp is not None
+    k = len(parents)
+    return _record(
+        y, parents, lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx, with_bias)[:k]
+    )
 
 
 def depthwise_residual(
@@ -306,14 +291,11 @@ def depthwise_residual(
     )
     parents = (x, *weights, bias) if with_bias else (x, *weights)
 
-    def mk():
-        def vjp(g):
-            gx, gws, gb = T._dw_residual_vjp(xd, wds, dilations, g, with_bias)
-            return (gx, *gws, gb) if with_bias else (gx, *gws)
+    def vjp(g):
+        gx, gws, gb = T._dw_residual_vjp(xd, wds, dilations, g, with_bias)
+        return (gx, *gws, gb) if with_bias else (gx, *gws)
 
-        return vjp
-
-    return _record(y, parents, mk)
+    return _record(y, parents, vjp)
 
 
 def batchnorm2d(
@@ -328,13 +310,8 @@ def batchnorm2d(
     y, new_mean, new_var, mean, var = T.batchnorm2d(
         x.tensor, gamma.tensor, beta.tensor, running_mean, running_var, training
     )
-    xd, gd = x.tensor.data, gamma.tensor.data
-
-    def mk():
-        return T._batchnorm2d_vjp(xd, gd, mean, var, training)
-
-    out = _record(y, (x, gamma, beta), mk)
-    return out, new_mean, new_var
+    vjp = T._batchnorm2d_vjp(x.tensor.data, gamma.tensor.data, mean, var, training)
+    return _record(y, (x, gamma, beta), vjp), new_mean, new_var
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +332,13 @@ def pixel_sample(x: Value, u: Value) -> Value:
     T._check_same_dtype(xd, ud)
     y = Tensor._wrap(T._sample_pixel_forward(xd, ud[:, 0], ud[:, 1]))
 
-    def mk():
-        with_gu = _receives_grad(u)
-        return lambda g: T._sample_pixel_vjp(xd, ud, g, with_gu)
-
-    return _record(y, (x, u), mk)
+    with_gu = u._vjp is not None
+    return _record(y, (x, u), lambda g: T._sample_pixel_vjp(xd, ud, g, with_gu))
 
 
 def depth_to_space(x: Value, s: int) -> Value:
     y = T.depth_to_space(x.tensor, s)
-    return _record(y, (x,), lambda: lambda g: (T._space_to_depth_forward(g, s),))
+    return _record(y, (x,), lambda g: (T._space_to_depth_forward(g, s),))
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +364,17 @@ def concat(parts: Sequence[Value], axis: int) -> Value:
     y = Tensor._wrap(np.concatenate(arrays, axis=ax))
     sizes = [a.shape[ax] for a in arrays]
 
-    def mk():
-        def vjp(g):
-            out = []
-            start = 0
-            sl = [slice(None)] * rank
-            for s in sizes:
-                sl[ax] = slice(start, start + s)
-                out.append(np.ascontiguousarray(g[tuple(sl)]))
-                start += s
-            return tuple(out)
+    def vjp(g):
+        out = []
+        start = 0
+        sl = [slice(None)] * rank
+        for s in sizes:
+            sl[ax] = slice(start, start + s)
+            out.append(np.ascontiguousarray(g[tuple(sl)]))
+            start += s
+        return tuple(out)
 
-        return vjp
-
-    return _record(y, tuple(parts), mk)
+    return _record(y, tuple(parts), vjp)
 
 
 def narrow(x: Value, axis: int, start: int, size: int) -> Value:
@@ -420,15 +391,12 @@ def narrow(x: Value, axis: int, start: int, size: int) -> Value:
     sl = tuple(sl)
     y = Tensor._wrap(xd[sl].copy())
 
-    def mk():
-        def vjp(g):
-            gx = np.zeros(xd.shape, dtype=g.dtype)
-            gx[sl] = g
-            return (gx,)
+    def vjp(g):
+        gx = np.zeros(xd.shape, dtype=g.dtype)
+        gx[sl] = g
+        return (gx,)
 
-        return vjp
-
-    return _record(y, (x,), mk)
+    return _record(y, (x,), vjp)
 
 
 def split(x: Value, axis: int, sizes: Sequence[int]) -> list[Value]:
@@ -450,7 +418,7 @@ def reshape(x: Value, shape: tuple[int, ...]) -> Value:
     if int(np.prod(shape)) != x.tensor.size or any(s < 1 for s in shape):
         raise DimensionError(f"cannot reshape {xshape} to {shape}")
     y = Tensor._wrap(x.tensor.data.reshape(shape))
-    return _record(y, (x,), lambda: lambda g: (g.reshape(xshape),))
+    return _record(y, (x,), lambda g: (g.reshape(xshape),))
 
 
 def transpose(x: Value, axes: tuple[int, ...]) -> Value:
@@ -460,26 +428,20 @@ def transpose(x: Value, axes: tuple[int, ...]) -> Value:
         )
     y = Tensor._wrap(np.ascontiguousarray(x.tensor.data.transpose(axes)))
     inv = tuple(np.argsort(axes))
-    return _record(
-        y, (x,), lambda: lambda g: (np.ascontiguousarray(g.transpose(inv)),)
-    )
+    return _record(y, (x,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def sum_all(x: Value) -> Value:
     xd = x.tensor.data
     y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64)], dtype=xd.dtype))
-    return _record(
-        y, (x,), lambda: lambda g: (np.full(xd.shape, g[0], dtype=xd.dtype),)
-    )
+    return _record(y, (x,), lambda g: (np.full(xd.shape, g[0], dtype=xd.dtype),))
 
 
 def mean_all(x: Value) -> Value:
     xd = x.tensor.data
     n = xd.size
     y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64) / n], dtype=xd.dtype))
-    return _record(
-        y, (x,), lambda: lambda g: (np.full(xd.shape, g[0] / n, dtype=xd.dtype),)
-    )
+    return _record(y, (x,), lambda g: (np.full(xd.shape, g[0] / n, dtype=xd.dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +453,6 @@ class GradCheckReport:
     """Outcome of one finite-difference sweep."""
 
     max_rel_err: float = 0.0
-    worst_param: str = ""
-    worst_index: tuple = ()
     checked: int = 0
     skipped: int = 0
     tol: float = 1e-4
@@ -533,9 +493,6 @@ def grad_check(
         loss = fn()
     backward(loss, tape)
     analytic = {p.name: p.grad.copy() for p in trainables}
-    for p in trainables:
-        if not np.isfinite(analytic[p.name]).all():
-            raise NumericError(f"non-finite analytic gradient for {p.name}")
 
     def eval_at(param: Parameter, idx: tuple, delta: float) -> float:
         base = param.value
@@ -577,8 +534,5 @@ def grad_check(
                 n = probes[2]
                 err = _rel_err(a, n)
             report.checked += 1
-            if err > report.max_rel_err:
-                report.max_rel_err = err
-                report.worst_param = p.name
-                report.worst_index = tuple(int(i) for i in idx)
+            report.max_rel_err = max(report.max_rel_err, err)
     return report

@@ -21,18 +21,17 @@ from .tensor import Tensor, _sigmoid_forward
 _DICE_EPS = 1e-6  # smoothing term of the soft Dice ratio
 
 
-def _pair(a, b, a_name: str, b_name: str) -> tuple[Value, np.ndarray]:
-    av = ad.as_value(a)
-    bt = b.tensor if isinstance(b, Value) else b
-    if av.tensor.shape != bt.shape:
-        raise DimensionError(
-            f"{a_name} shape {av.tensor.shape} != {b_name} shape {bt.shape}"
-        )
-    if av.tensor.dtype != bt.dtype:
-        raise ContractError(
-            f"{a_name} dtype {av.tensor.dtype} != {b_name} dtype {bt.dtype}"
-        )
-    return av, bt.data
+def _pair(a: Value, b: Tensor, a_name: str, b_name: str) -> np.ndarray:
+    """Check a loss input against its target; returns the target array."""
+    if not isinstance(a, Value):
+        raise ContractError(f"{a_name} must be a Value, got {type(a).__name__}")
+    if not isinstance(b, Tensor):
+        raise ContractError(f"{b_name} must be a Tensor, got {type(b).__name__}")
+    if a.tensor.shape != b.shape:
+        raise DimensionError(f"{a_name} shape {a.tensor.shape} != {b_name} shape {b.shape}")
+    if a.tensor.dtype != b.dtype:
+        raise ContractError(f"{a_name} dtype {a.tensor.dtype} != {b_name} dtype {b.dtype}")
+    return b.data
 
 
 def _check_binary(t: np.ndarray, name: str) -> None:
@@ -40,15 +39,15 @@ def _check_binary(t: np.ndarray, name: str) -> None:
         raise ContractError(f"{name} must contain only 0 and 1")
 
 
-def dice_loss(probs, target) -> Value:
+def dice_loss(probs: Value, target: Tensor) -> Value:
     """Soft Dice loss, reduced over every element of the batch at once:
     1 - (2 sum(p t) + eps) / (sum(p) + sum(t) + eps), eps = ``_DICE_EPS``.
 
     ``probs`` must already be probabilities in [0,1]; ``target`` is a
     binary mask of the same shape. Differentiable in ``probs`` only.
     """
-    pv, td = _pair(probs, target, "probs", "target")
-    pd = pv.tensor.data
+    td = _pair(probs, target, "probs", "target")
+    pd = probs.tensor.data
     if pd.min() < -1e-6 or pd.max() > 1.0 + 1e-6:
         raise ContractError(
             f"probs outside [0,1]: range [{pd.min()}, {pd.max()}]"
@@ -63,24 +62,21 @@ def dice_loss(probs, target) -> Value:
     )
     loss = Tensor._wrap(np.asarray([1.0 - num / den], dtype=dt))
 
-    def mk():
-        def vjp(g):
-            return ((g[0] * (num - 2.0 * td * den) / (den * den)).astype(dt),)
+    def vjp(g):
+        return ((g[0] * (num - 2.0 * td * den) / (den * den)).astype(dt),)
 
-        return vjp
-
-    return ad.record_op(loss, (pv,), mk)
+    return ad.record_op(loss, (probs,), vjp)
 
 
-def bce_loss(logits, target) -> Value:
+def bce_loss(logits: Value, target: Tensor) -> Value:
     """Binary cross-entropy on raw logits, fused log-sigmoid form.
 
     Uses mean(max(x,0) - x*t + log1p(exp(-|x|))), which stays finite
     for logits of any magnitude. Differentiable in ``logits`` only.
     """
-    lv, td = _pair(logits, target, "logits", "target")
+    td = _pair(logits, target, "logits", "target")
     _check_binary(td, "target")
-    xd = lv.tensor.data
+    xd = logits.tensor.data
     dt = xd.dtype
     m = xd.size
     per = np.maximum(xd, 0) - xd * td + np.log1p(np.exp(-np.abs(xd)))
@@ -88,25 +84,21 @@ def bce_loss(logits, target) -> Value:
         np.asarray([np.sum(per, dtype=np.float64) / m], dtype=dt)
     )
 
-    def mk():
-        def vjp(g):
-            return ((g[0] * (_sigmoid_forward(xd) - td) / dt.type(m)).astype(dt),)
+    def vjp(g):
+        return ((g[0] * (_sigmoid_forward(xd) - td) / dt.type(m)).astype(dt),)
 
-        return vjp
-
-    return ad.record_op(loss, (lv,), mk)
+    return ad.record_op(loss, (logits,), vjp)
 
 
-def hybrid_loss(logits, target, lambda_: float) -> Value:
+def hybrid_loss(logits: Value, target: Tensor, lambda_: float) -> Value:
     """lambda_ * BCE + (1 - lambda_) * Dice, with Dice fed sigmoid(logits).
 
     The blend is an exact linear combination: lambda_=1 reproduces
     bce_loss bit-for-bit and lambda_=0 reproduces dice_loss. The weight
     is not checked here: ``TrainConfig.lambda_`` holds it to [0, 1].
     """
-    lv = ad.as_value(logits)
-    bce = bce_loss(lv, target)
-    dice = dice_loss(ad.sigmoid(lv), target)
+    bce = bce_loss(logits, target)
+    dice = dice_loss(ad.sigmoid(logits), target)
     return ad.add(ad.scale(bce, lambda_), ad.scale(dice, 1.0 - lambda_))
 
 

@@ -163,9 +163,8 @@ class Model(Module):
             "head", cfg.input_channels, cfg.output_channels, 1, rng, dtype
         )
 
-    def __call__(self, x, training: bool = False) -> Value:
-        xv = ad.as_value(x)
-        shape = xv.tensor.shape
+    def __call__(self, x: Value, training: bool = False) -> Value:
+        shape = x.tensor.shape
         if len(shape) != 4 or shape[1] != self.cfg.input_channels:
             raise DimensionError(
                 f"expected [N,{self.cfg.input_channels},H,W], got {shape}"
@@ -175,7 +174,7 @@ class Model(Module):
             raise DimensionError(
                 f"spatial extents must be divisible by 16, got {h}x{w}"
             )
-        f = xv
+        f = x
         for conv in self.stem:
             f = ad.relu(conv(f))
         e1 = f
@@ -190,12 +189,12 @@ class Model(Module):
         d = self.up1(f, e3, training)
         d = self.up2(d, e2, training)
         d = self.up3(d, e1, training)
-        d = self.up4(d, xv, training)
+        d = self.up4(d, x, training)
         return self.head(d)
 
     def predict(self, x: Tensor) -> Tensor:
         """Forward in eval mode outside any tape; returns raw logits."""
-        return self(x, training=False).tensor
+        return self(ad.constant(x), training=False).tensor
 
 
 def param_count(model: Model) -> int:

@@ -226,7 +226,9 @@ def test_msdc_records_one_node_before_batchnorm():
     block = MultiScaleDilatedConv("msdc", TINY, 4, rng, dtype="f64")
     with ad.Tape() as tape:
         block(v64(rng.normal(size=(2, 4, 5, 5))), training=True)
-    assert len(tape._nodes) == 2
+    assert len([v for v in tape._nodes if v._parents]) == 2
+    leaves = [v.tensor for v in tape._nodes if not v._parents]
+    assert leaves == [p.value for p in block.parameters(trainable_only=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +471,9 @@ def test_dyfusion_dynamic_upsample_records_eight_nodes_without_narrow(monkeypatc
     monkeypatch.setattr(ad, "narrow", lambda *a: calls.append(a) or narrow(*a))
     with ad.Tape() as tape:
         block.upsample(v64(rng.normal(size=(2, 4, 3, 3))))
-    assert len(tape._nodes) == 8
+    assert len([v for v in tape._nodes if v._parents]) == 8
+    leaves = [v.tensor for v in tape._nodes if not v._parents]
+    assert leaves == [p.value for p in block.offset.parameters(trainable_only=True)]
     assert calls == []
 
 

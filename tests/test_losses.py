@@ -40,12 +40,12 @@ def scalar(value):
 
 def test_dice_perfect_overlap_near_zero():
     probs = v64([1.0, 0.0, 1.0])
-    target = v64([1.0, 0.0, 1.0])
+    target = t64([1.0, 0.0, 1.0])
     assert scalar(dice_loss(probs, target)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_dice_disjoint_pinned():
-    loss = scalar(dice_loss(v64([1.0, 0.0]), v64([0.0, 1.0])))
+    loss = scalar(dice_loss(v64([1.0, 0.0]), t64([0.0, 1.0])))
     eps = 1e-6
     assert loss == pytest.approx(1.0 - eps / (2.0 + eps), abs=1e-12)
     assert loss == pytest.approx(1.0, abs=1e-5)
@@ -55,7 +55,7 @@ def test_dice_half_probs_evaluates_the_formula():
     # overlap = 0.5, prob sum = 1, target sum = 1:
     # loss = 1 - (2*0.5 + eps) / (1 + 1 + eps)
     eps = _DICE_EPS
-    loss = scalar(dice_loss(v64([0.5, 0.5]), v64([1.0, 0.0])))
+    loss = scalar(dice_loss(v64([0.5, 0.5]), t64([1.0, 0.0])))
     want = 1.0 - (2.0 * 0.5 + eps) / (1.0 + 1.0 + eps)
     assert loss == pytest.approx(want, abs=1e-12)
     assert loss == pytest.approx(0.5, abs=1e-6)
@@ -67,26 +67,26 @@ def test_dice_batch_global_reduction():
     target = np.array([[[[1.0, 0.0]]], [[[1.0, 0.0]]]])
     eps = 1e-6
     want = 1.0 - (2.0 * 1.0 + eps) / (1.0 + 2.0 + eps)
-    assert scalar(dice_loss(v64(probs), v64(target))) == pytest.approx(want, abs=1e-12)
+    assert scalar(dice_loss(v64(probs), t64(target))) == pytest.approx(want, abs=1e-12)
 
 
 def test_dice_range_contract():
     with pytest.raises(ContractError):
-        dice_loss(v64([1.5, 0.0]), v64([1.0, 0.0]))
+        dice_loss(v64([1.5, 0.0]), t64([1.0, 0.0]))
     with pytest.raises(ContractError):
-        dice_loss(v64([-0.2, 0.0]), v64([0.0, 0.0]))
+        dice_loss(v64([-0.2, 0.0]), t64([0.0, 0.0]))
     with pytest.raises(ContractError):
-        dice_loss(v64([0.5, 0.5]), v64([0.3, 1.0]))  # non-binary target
+        dice_loss(v64([0.5, 0.5]), t64([0.3, 1.0]))  # non-binary target
 
 
 def test_dice_permutation_invariance():
     rng = np.random.default_rng(3)
     probs = rng.random(24)
     target = (rng.random(24) > 0.5).astype(np.float64)
-    base = scalar(dice_loss(v64(probs), v64(target)))
+    base = scalar(dice_loss(v64(probs), t64(target)))
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(24)
-        shuffled = scalar(dice_loss(v64(probs[perm]), v64(target[perm])))
+        shuffled = scalar(dice_loss(v64(probs[perm]), t64(target[perm])))
         assert shuffled == pytest.approx(base, rel=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_dice_in_valid_range():
     for _ in range(20):
         probs = rng.random((1, 1, 3, 3))
         target = (rng.random((1, 1, 3, 3)) > 0.5).astype(np.float64)
-        loss = scalar(dice_loss(v64(probs), v64(target)))
+        loss = scalar(dice_loss(v64(probs), t64(target)))
         assert 0.0 <= loss < 1.0
 
 
@@ -104,27 +104,27 @@ def test_dice_in_valid_range():
 
 
 def test_bce_zero_logit_pinned():
-    assert scalar(bce_loss(v64([0.0]), v64([1.0]))) == pytest.approx(
+    assert scalar(bce_loss(v64([0.0]), t64([1.0]))) == pytest.approx(
         0.693147, abs=1e-5
     )
 
 
 def test_bce_saturated_correct_is_stable():
-    loss = scalar(bce_loss(v64([50.0]), v64([1.0])))
+    loss = scalar(bce_loss(v64([50.0]), t64([1.0])))
     assert math.isfinite(loss)
     assert loss == pytest.approx(0.0, abs=1e-6)
-    loss_neg = scalar(bce_loss(v64([-50.0]), v64([0.0])))
+    loss_neg = scalar(bce_loss(v64([-50.0]), t64([0.0])))
     assert math.isfinite(loss_neg)
     assert loss_neg == pytest.approx(0.0, abs=1e-6)
 
 
 def test_bce_mean_pinned():
-    loss = scalar(bce_loss(v64([0.0, 2.0]), v64([1.0, 0.0])))
+    loss = scalar(bce_loss(v64([0.0, 2.0]), t64([1.0, 0.0])))
     assert loss == pytest.approx(1.410038, abs=1e-4)
 
 
 def test_bce_extreme_logits_finite():
-    loss = scalar(bce_loss(v64([1e3, -1e3]), v64([0.0, 1.0])))
+    loss = scalar(bce_loss(v64([1e3, -1e3]), t64([0.0, 1.0])))
     assert math.isfinite(loss)
     assert loss == pytest.approx(1e3, rel=1e-6)
 
@@ -134,12 +134,26 @@ def test_bce_non_negative():
     for _ in range(20):
         logits = rng.normal(scale=3.0, size=16)
         target = (rng.random(16) > 0.5).astype(np.float64)
-        assert scalar(bce_loss(v64(logits), v64(target))) >= 0.0
+        assert scalar(bce_loss(v64(logits), t64(target))) >= 0.0
 
 
 def test_bce_shape_mismatch():
     with pytest.raises(DimensionError):
-        bce_loss(v64([0.0, 1.0]), v64([1.0]))
+        bce_loss(v64([0.0, 1.0]), t64([1.0]))
+
+
+@pytest.mark.parametrize("loss_fn", [dice_loss, bce_loss])
+def test_losses_name_an_input_of_the_wrong_type(loss_fn):
+    # the prediction is a Value, the target a Tensor: a raw array or a
+    # swapped pair is named as such, not reported as a dtype mismatch
+    with pytest.raises(ContractError, match="target must be a Tensor, got ndarray"):
+        loss_fn(v64([0.5, 0.5]), np.array([1.0, 0.0]))
+    with pytest.raises(ContractError, match="target must be a Tensor, got Value"):
+        loss_fn(v64([0.5, 0.5]), v64([1.0, 0.0]))
+    with pytest.raises(ContractError, match="must be a Value, got Tensor"):
+        loss_fn(t64([0.5, 0.5]), t64([1.0, 0.0]))
+    with pytest.raises(ContractError, match="target must be a Tensor, got ndarray"):
+        hybrid_loss(v64([0.5, 0.5]), np.array([1.0, 0.0]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +164,10 @@ def test_hybrid_is_exact_blend():
     rng = np.random.default_rng(9)
     logits = rng.normal(size=(1, 1, 4, 4))
     target = (rng.random((1, 1, 4, 4)) > 0.5).astype(np.float64)
-    bce = scalar(bce_loss(v64(logits), v64(target)))
-    dice = scalar(dice_loss(ad.sigmoid(v64(logits)), v64(target)))
+    bce = scalar(bce_loss(v64(logits), t64(target)))
+    dice = scalar(dice_loss(ad.sigmoid(v64(logits)), t64(target)))
     for lam in (0.0, 0.25, 0.5, 1.0):
-        got = scalar(hybrid_loss(v64(logits), v64(target), lam))
+        got = scalar(hybrid_loss(v64(logits), t64(target), lam))
         assert got == lam * bce + (1.0 - lam) * dice
 
 
@@ -161,11 +175,11 @@ def test_hybrid_endpoints_exact():
     rng = np.random.default_rng(11)
     logits = rng.normal(size=(2, 1, 3, 3))
     target = (rng.random((2, 1, 3, 3)) > 0.5).astype(np.float64)
-    only_bce = scalar(hybrid_loss(v64(logits), v64(target), 1.0))
-    only_dice = scalar(hybrid_loss(v64(logits), v64(target), 0.0))
-    assert only_bce == scalar(bce_loss(v64(logits), v64(target)))
+    only_bce = scalar(hybrid_loss(v64(logits), t64(target), 1.0))
+    only_dice = scalar(hybrid_loss(v64(logits), t64(target), 0.0))
+    assert only_bce == scalar(bce_loss(v64(logits), t64(target)))
     assert only_dice == scalar(
-        dice_loss(ad.sigmoid(v64(logits)), v64(target))
+        dice_loss(ad.sigmoid(v64(logits)), t64(target))
     )
 
 
@@ -174,7 +188,7 @@ def test_hybrid_linear_in_lambda():
     logits = rng.normal(size=(1, 1, 3, 3))
     target = (rng.random((1, 1, 3, 3)) > 0.5).astype(np.float64)
     at = {
-        lam: scalar(hybrid_loss(v64(logits), v64(target), lam))
+        lam: scalar(hybrid_loss(v64(logits), t64(target), lam))
         for lam in (0.0, 0.5, 1.0)
     }
     assert at[0.5] == pytest.approx(0.5 * (at[0.0] + at[1.0]), rel=1e-15)
@@ -186,7 +200,7 @@ def test_hybrid_gradient_matches_fd():
     target = t64((rng.random((1, 1, 4, 4)) > 0.5).astype(np.float64))
 
     def fn():
-        return hybrid_loss(ad.watch(w), ad.constant(target), 0.5)
+        return hybrid_loss(ad.watch(w), target, 0.5)
 
     report = ad.grad_check(fn, [w], eps=1e-5, tol=1e-5)
     assert report.passed, report.max_rel_err
