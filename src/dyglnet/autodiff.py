@@ -6,14 +6,16 @@ transpose) are defined here whole: argument checks, forward and VJP.
 The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
 
 A :class:`Tape` records every differentiable op executed inside its
-``with`` block as a :class:`Value` node: each op hands the tape its
-vector-Jacobian closure, which maps the upstream gradient to one
-gradient per parent. A watched :class:`Parameter` is a node too, with
+``with`` block as a gradient slot: its parents' slots, the VJP closure
+the op hands it (upstream gradient to one gradient per parent) and the
+gradient summed so far. A watched :class:`Parameter` is a node too, with
 no parents; its VJP adds the gradient that reaches it into the
-parameter's ``grad`` buffer. :func:`backward` replays the nodes in
-reverse creation order and releases each one as soon as its VJP has
-run. When no tape is active the same op functions run forward-only and
-record nothing, so evaluation keeps no closures.
+parameter's ``grad`` buffer. Only the :class:`Value` an op returns holds
+its tensor, so the tape keeps an output alive only through a VJP that
+reads it; every closure here keeps only what it reads. :func:`backward`
+replays the slots in reverse creation order and releases each one as
+soon as its VJP has run. With no active tape the ops run forward-only
+and record nothing, so evaluation keeps no closures and no slots.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences in float64, re-probing suspect entries at two extra step
@@ -64,16 +66,35 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+class _Slot:
+    """What the tape keeps of one node: its parents' slots (``None`` for
+    an input off the tape), its VJP and its summed upstream gradient."""
+
+    __slots__ = ("parents", "vjp", "grad")
+
+    def __init__(self, parents: tuple, vjp: Callable):
+        self.parents, self.vjp, self.grad = parents, vjp, None
+
+
 class Value:
-    """One node of the computation graph: a tensor plus its VJP."""
+    """A tensor plus its gradient slot, which the tape holds instead of
+    the tensor; ``_slot`` is None off the tape (constants, untaped ops)."""
 
-    __slots__ = ("tensor", "_parents", "_vjp", "_grad")
+    __slots__ = ("tensor", "_slot")
 
-    def __init__(self, tensor: Tensor, parents=(), vjp=None):
+    def __init__(self, tensor: Tensor, slot: _Slot | None = None):
         self.tensor = tensor
-        self._parents = parents
-        self._vjp = vjp
-        self._grad: np.ndarray | None = None
+        self._slot = slot
+
+    @property
+    def _vjp(self) -> Callable | None:
+        """The slot's VJP, or None. Only ``bench/tracer.py`` uses it, to wrap
+        VJPs in timers; it goes with that wrapping (ROADMAP item 1)."""
+        return None if self._slot is None else self._slot.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp: Callable) -> None:
+        self._slot.vjp = vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,10 +111,10 @@ _ACTIVE: "Tape | None" = None
 
 
 class Tape:
-    """Recording context; one backward pass per recording."""
+    """Recording context for one backward pass: slots only, no tensors."""
 
     def __init__(self):
-        self._nodes: list[Value] = []
+        self._nodes: list[_Slot] = []
         self._consumed = False
         self._outer: Tape | None = None
 
@@ -107,10 +128,6 @@ class Tape:
         global _ACTIVE
         _ACTIVE = self._outer
         self._outer = None
-
-    def _add(self, v: Value) -> Value:
-        self._nodes.append(v)
-        return v
 
 
 def watch(param: Parameter) -> Value:
@@ -139,34 +156,36 @@ def backward(loss: Value, tape: Tape) -> None:
         raise StateError("tape already consumed by a backward pass")
     if loss.tensor.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    if loss._slot is None or loss._slot not in tape._nodes:
+        raise ContractError("loss was not recorded on this tape")
     tape._consumed = True
-    loss._grad = np.ones((1,), dtype=loss.tensor.data.dtype)
+    loss._slot.grad = np.ones((1,), dtype=loss.tensor.data.dtype)
     nodes = tape._nodes
     while nodes:
-        # Pop each node and drop its closure, upstream gradient and
+        # Pop each slot and drop its closure, upstream gradient and
         # parent links as soon as its VJP has run, so the activations
         # and gradients the rest of the walk no longer needs are freed.
-        v = nodes.pop()
-        gv, vjp, parents = v._grad, v._vjp, v._parents
-        v._grad = v._vjp = None
-        v._parents = ()
+        s = nodes.pop()
+        gv, vjp, parents = s.grad, s.vjp, s.parents
+        s.grad, s.vjp, s.parents = None, None, ()
         if gv is None:
             continue
         grads = vjp(gv)
         del gv, vjp
         for parent, g in zip(parents, grads):
-            if g is None:
+            if g is None or parent is None:
                 continue
-            if parent._grad is None:
-                parent._grad = g
+            if parent.grad is None:
+                parent.grad = g
             else:
-                parent._grad = parent._grad + g
+                parent.grad = parent.grad + g
 
 
 def _record(y: Tensor, parents: tuple, vjp: Callable) -> Value:
     if _ACTIVE is None:
         return Value(y)
-    return _ACTIVE._add(Value(y, parents, vjp))
+    _ACTIVE._nodes.append(slot := _Slot(tuple(p._slot for p in parents), vjp))
+    return Value(y, slot)
 
 
 def record_op(y: Tensor, parents: tuple, vjp: Callable) -> Value:
@@ -207,9 +226,9 @@ def _broadcast_other(x: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 
 def add(x: Value, other: Value) -> Value:
-    xd, od = x.tensor.data, other.tensor.data
-    y = Tensor._wrap(xd + _broadcast_other(xd, od))
-    return _record(y, (x, other), lambda g: (g, _reduce_to(g, od.shape)))
+    xd, oshape = x.tensor.data, other.tensor.shape
+    y = Tensor._wrap(xd + _broadcast_other(xd, other.tensor.data))
+    return _record(y, (x, other), lambda g: (g, _reduce_to(g, oshape)))
 
 
 def mul(x: Value, other: Value) -> Value:
@@ -236,9 +255,8 @@ def sigmoid(x: Value) -> Value:
 
 
 def relu(x: Value) -> Value:
-    xd = x.tensor.data
-    y = Tensor._wrap(np.maximum(xd, 0))
-    return _record(y, (x,), lambda g: (g * (xd > 0),))
+    yd = np.maximum(x.tensor.data, 0)
+    return _record(Tensor._wrap(yd), (x,), lambda g: (g * (yd > 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +282,7 @@ def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value
     with_bias = bias is not None
     parents = (x, weight, bias) if with_bias else (x, weight)
     # (gx, gw, gb): gx is None for a constant input, gb without a bias
-    with_gx = x._vjp is not None
+    with_gx = x._slot is not None
     k = len(parents)
     return _record(
         y, parents, lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx, with_bias)[:k]
@@ -332,7 +350,7 @@ def pixel_sample(x: Value, u: Value) -> Value:
     T._check_same_dtype(xd, ud)
     y = Tensor._wrap(T._sample_pixel_forward(xd, ud[:, 0], ud[:, 1]))
 
-    with_gu = u._vjp is not None
+    with_gu = u._slot is not None
     return _record(y, (x, u), lambda g: T._sample_pixel_vjp(xd, ud, g, with_gu))
 
 
@@ -390,9 +408,10 @@ def narrow(x: Value, axis: int, start: int, size: int) -> Value:
     sl[axis] = slice(start, start + size)
     sl = tuple(sl)
     y = Tensor._wrap(xd[sl].copy())
+    xshape = xd.shape
 
     def vjp(g):
-        gx = np.zeros(xd.shape, dtype=g.dtype)
+        gx = np.zeros(xshape, dtype=g.dtype)
         gx[sl] = g
         return (gx,)
 
@@ -433,15 +452,16 @@ def transpose(x: Value, axes: tuple[int, ...]) -> Value:
 
 def sum_all(x: Value) -> Value:
     xd = x.tensor.data
-    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64)], dtype=xd.dtype))
-    return _record(y, (x,), lambda g: (np.full(xd.shape, g[0], dtype=xd.dtype),))
+    shape, dt = xd.shape, xd.dtype
+    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64)], dtype=dt))
+    return _record(y, (x,), lambda g: (np.full(shape, g[0], dtype=dt),))
 
 
 def mean_all(x: Value) -> Value:
     xd = x.tensor.data
-    n = xd.size
-    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64) / n], dtype=xd.dtype))
-    return _record(y, (x,), lambda g: (np.full(xd.shape, g[0] / n, dtype=xd.dtype),))
+    shape, dt, n = xd.shape, xd.dtype, xd.size
+    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64) / n], dtype=dt))
+    return _record(y, (x,), lambda g: (np.full(shape, g[0] / n, dtype=dt),))
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,23 @@ def test_backward_on_consumed_tape_raises():
             ad.backward(loss, tape)
 
 
+def test_backward_rejects_a_loss_not_recorded_on_its_tape():
+    w = param("w", np.array([1.0, -2.0, 3.0]))
+    # built after the with block: the loss is on no tape
+    with Tape() as tape:
+        wv = ad.watch(w)
+    with pytest.raises(ContractError, match="not recorded on this tape"):
+        ad.backward(ad.sum_all(ad.mul(wv, wv)), tape)
+    # recorded on another tape
+    with Tape() as other:
+        loss = ad.sum_all(ad.mul(ad.watch(w), const64([1.0, 1.0, 1.0])))
+    with pytest.raises(ContractError, match="not recorded on this tape"):
+        ad.backward(loss, tape)
+    np.testing.assert_array_equal(w.grad, np.zeros(3))
+    ad.backward(loss, other)
+    np.testing.assert_array_equal(w.grad, np.ones(3))
+
+
 def test_backward_peak_memory_does_not_grow_with_the_chain():
     # The tape of a 30-op chain holds 30 activations. backward drops
     # each upstream gradient once its node's VJP has run, so what it
@@ -185,6 +202,37 @@ def test_backward_releases_the_tape_as_it_walks_it():
     np.testing.assert_array_equal(w.grad != 0.0, np.ones(6, dtype=bool))
 
 
+def test_tape_keeps_only_what_vjps_read():
+    # The tape holds gradient slots, not tensors, so an op output lives
+    # on only while a VJP closure reads it: relu keeps its output, add
+    # its second operand's shape and narrow its input's shape.
+    rng = np.random.default_rng(67)
+    x = param("x", rng.normal(size=(1, 2, 4, 4)))
+    w = param("w", rng.normal(size=(2, 2, 3, 3)))
+    refs, reached, passed = {}, [], []
+    with Tape() as tape:
+        xv = ad.watch(x)
+        conv = ad.conv2d(xv, ad.watch(w), None, ConvSpec(padding=1))
+        operand = ad.scale(xv, 0.5)
+        wide = ad.concat([xv, xv], axis=1)
+        refs.update((name, weakref.ref(v.tensor.data)) for name, v in (
+            ("conv", conv), ("add operand", operand), ("narrow input", wide)))
+        h = ad.mul(ad.add(ad.relu(conv), operand), ad.narrow(wide, 1, 1, 2))
+        # the sigmoid's VJP reads its output: alive until backward passes it
+        h = _probe(h, lambda g: passed.append(refs["sigmoid"]() is None))
+        h = ad.sigmoid(h)
+        refs["sigmoid"] = weakref.ref(h.tensor.data)
+        h = _probe(h, lambda g: reached.append(refs["sigmoid"]() is not None))
+        loss = ad.sum_all(h)
+        del xv, conv, operand, wide, h
+        freed = {name: ref() is None for name, ref in refs.items()}
+        assert freed == {"conv": True, "add operand": True,
+                         "narrow input": True, "sigmoid": False}
+        ad.backward(loss, tape)
+    assert reached == [True] and passed == [True]
+    assert np.all(x.grad != 0.0) and np.all(w.grad != 0.0)
+
+
 def test_constant_input_conv_gets_no_input_gradient():
     rng = np.random.default_rng(21)
     xd = rng.normal(size=(2, 3, 7, 7))
@@ -195,9 +243,9 @@ def test_constant_input_conv_gets_no_input_gradient():
     x = const64(xd)
     with Tape() as tape:
         y = ad.conv2d(x, ad.watch(w), ad.watch(b), spec)
-        assert tape._nodes[-1]._vjp(gy)[0] is None
+        assert tape._nodes[-1].vjp(gy)[0] is None
         ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
-    assert x._grad is None
+    assert x._slot is None
     # the same weight and bias gradients as the VJP that forms gx too
     _, gw, gb = T._conv2d_vjp(xd, w.value.data, spec, gy, True, True)
     np.testing.assert_array_equal(w.grad, gw)
@@ -209,12 +257,13 @@ def test_parameter_watched_twice_gets_the_sum_of_both_paths():
     x1, x2 = np.array([0.5, -0.25, 2.0]), np.array([1.5, 4.0, -0.125])
     w = param("w", np.array([1.0, -3.0, 0.75]))
     with Tape() as tape:
+        w1, w2 = ad.watch(w), ad.watch(w)
         loss = ad.add(
-            ad.sum_all(ad.mul(ad.watch(w), const64(x1))),
-            ad.sum_all(ad.mul(ad.watch(w), const64(x2))),
+            ad.sum_all(ad.mul(w1, const64(x1))),
+            ad.sum_all(ad.mul(w2, const64(x2))),
         )
-        leaves = [v for v in tape._nodes if not v._parents]
-        assert [v.tensor for v in leaves] == [w.value, w.value]
+        assert [s for s in tape._nodes if not s.parents] == [w1._slot, w2._slot]
+        assert w1.tensor is w.value and w2.tensor is w.value
         ad.backward(loss, tape)
     np.testing.assert_array_equal(w.grad, x1 + x2)
 
@@ -222,10 +271,10 @@ def test_parameter_watched_twice_gets_the_sum_of_both_paths():
 def test_parameter_watched_outside_a_tape_records_no_node():
     w = param("w", np.array([1.0, 2.0]))
     v = ad.watch(w)
-    assert v._vjp is None and v.tensor is w.value
+    assert v._slot is None and v.tensor is w.value
     with Tape() as tape:
         loss = ad.sum_all(ad.mul(v, const64([3.0, 4.0])))
-        assert all(n._parents for n in tape._nodes)
+        assert all(s.parents for s in tape._nodes)
         ad.backward(loss, tape)
     np.testing.assert_array_equal(w.grad, np.zeros(2))
 
@@ -569,7 +618,7 @@ def test_pixel_sample_constant_coordinates_get_no_gradient():
     gy = rng.normal(size=(2, 3, 7))
     xp = param("x", x)
     with Tape() as tape:
-        gx, gu = ad.pixel_sample(ad.watch(xp), const64(u))._vjp(gy)
+        gx, gu = ad.pixel_sample(ad.watch(xp), const64(u))._slot.vjp(gy)
     assert gu is None
     np.testing.assert_array_equal(gx, _pixel_sample_grads(x, u, gy)[1])
 
@@ -617,7 +666,7 @@ def test_pixel_sample_memory_is_bounded_by_the_chunk():
                 y = ad.pixel_sample(xv, uv)
                 retained = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                gx, gu = y._vjp(gy)
+                gx, gu = y._slot.vjp(gy)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

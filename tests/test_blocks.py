@@ -219,16 +219,36 @@ def test_msdc_shape_preserved_and_bad_rates():
         ModelConfig.tiny(dilation_rates=(0,))
 
 
-def test_msdc_records_one_node_before_batchnorm():
+def _watched(monkeypatch):
+    """Record ``(param, slot)`` for every ``ad.watch`` call."""
+    watched = []
+    watch = ad.watch
+
+    def recording(p):
+        v = watch(p)
+        watched.append((p, v._slot))
+        return v
+
+    monkeypatch.setattr(ad, "watch", recording)
+    return watched
+
+
+def _assert_leaves_are_watched(tape, watched, params):
+    # the tape's leaf slots are the watched parameters', in watch order
+    assert [s for s in tape._nodes if not s.parents] == [s for _, s in watched]
+    assert [p for p, _ in watched] == params
+
+
+def test_msdc_records_one_node_before_batchnorm(monkeypatch):
     # The identity and all branches are one fused op, so the tape holds
     # its output and the batchnorm's, not a partial sum per branch.
     rng = np.random.default_rng(29)
     block = MultiScaleDilatedConv("msdc", TINY, 4, rng, dtype="f64")
+    watched = _watched(monkeypatch)
     with ad.Tape() as tape:
         block(v64(rng.normal(size=(2, 4, 5, 5))), training=True)
-    assert len([v for v in tape._nodes if v._parents]) == 2
-    leaves = [v.tensor for v in tape._nodes if not v._parents]
-    assert leaves == [p.value for p in block.parameters(trainable_only=True)]
+    assert len([s for s in tape._nodes if s.parents]) == 2
+    _assert_leaves_are_watched(tape, watched, block.parameters(trainable_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +489,13 @@ def test_dyfusion_dynamic_upsample_records_eight_nodes_without_narrow(monkeypatc
     calls = []
     narrow = ad.narrow
     monkeypatch.setattr(ad, "narrow", lambda *a: calls.append(a) or narrow(*a))
+    watched = _watched(monkeypatch)
     with ad.Tape() as tape:
         block.upsample(v64(rng.normal(size=(2, 4, 3, 3))))
-    assert len([v for v in tape._nodes if v._parents]) == 8
-    leaves = [v.tensor for v in tape._nodes if not v._parents]
-    assert leaves == [p.value for p in block.offset.parameters(trainable_only=True)]
+    assert len([s for s in tape._nodes if s.parents]) == 8
+    _assert_leaves_are_watched(
+        tape, watched, block.offset.parameters(trainable_only=True)
+    )
     assert calls == []
 
 
