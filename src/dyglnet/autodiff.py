@@ -14,8 +14,10 @@ parameter's ``grad`` buffer. Only the :class:`Value` an op returns holds
 its tensor, so the tape keeps an output alive only through a VJP that
 reads it; every closure here keeps only what it reads. :func:`backward`
 replays the slots in reverse creation order and releases each one as
-soon as its VJP has run. With no active tape the ops run forward-only
-and record nothing, so evaluation keeps no closures and no slots.
+soon as its VJP has run. Each slot names its tape until then, and an op
+whose input belongs to another tape, or to a released slot, raises
+``ContractError``. With no active tape the ops run forward-only and
+record nothing, so evaluation keeps no closures and no slots.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences in float64, re-probing suspect entries at two extra step
@@ -68,12 +70,13 @@ class Parameter:
 
 class _Slot:
     """What the tape keeps of one node: its parents' slots (``None`` for
-    an input off the tape), its VJP and its summed upstream gradient."""
+    an input off the tape), its VJP, its summed upstream gradient and its
+    tape (``None`` once backward has released it)."""
 
-    __slots__ = ("parents", "vjp", "grad")
+    __slots__ = ("parents", "vjp", "grad", "tape")
 
-    def __init__(self, parents: tuple, vjp: Callable):
-        self.parents, self.vjp, self.grad = parents, vjp, None
+    def __init__(self, parents: tuple, vjp: Callable, tape: "Tape"):
+        self.parents, self.vjp, self.grad, self.tape = parents, vjp, None, tape
 
 
 class Value:
@@ -156,7 +159,7 @@ def backward(loss: Value, tape: Tape) -> None:
         raise StateError("tape already consumed by a backward pass")
     if loss.tensor.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if loss._slot is None or loss._slot not in tape._nodes:
+    if loss._slot is None or loss._slot.tape is not tape:
         raise ContractError("loss was not recorded on this tape")
     tape._consumed = True
     loss._slot.grad = np.ones((1,), dtype=loss.tensor.data.dtype)
@@ -167,7 +170,7 @@ def backward(loss: Value, tape: Tape) -> None:
         # and gradients the rest of the walk no longer needs are freed.
         s = nodes.pop()
         gv, vjp, parents = s.grad, s.vjp, s.parents
-        s.grad, s.vjp, s.parents = None, None, ()
+        s.grad, s.vjp, s.parents, s.tape = None, None, (), None
         if gv is None:
             continue
         grads = vjp(gv)
@@ -182,9 +185,16 @@ def backward(loss: Value, tape: Tape) -> None:
 
 
 def _record(y: Tensor, parents: tuple, vjp: Callable) -> Value:
-    if _ACTIVE is None:
+    tape = _ACTIVE
+    if tape is None:
         return Value(y)
-    _ACTIVE._nodes.append(slot := _Slot(tuple(p._slot for p in parents), vjp))
+    slots = tuple(p._slot for p in parents)
+    if any(s is not None and s.tape is not tape for s in slots):
+        raise ContractError(
+            "an op input was recorded on another tape, or its tape already "
+            "ran backward"
+        )
+    tape._nodes.append(slot := _Slot(slots, vjp, tape))
     return Value(y, slot)
 
 
@@ -275,17 +285,12 @@ def softmax(x: Value, axis: int = -1) -> Value:
     return _record(y, (x,), lambda g: (T._softmax_vjp(yd, g, axis),))
 
 
-def conv2d(x: Value, weight: Value, bias: Value | None, spec: ConvSpec) -> Value:
-    b = bias.tensor if bias is not None else None
-    y = T.conv2d(x.tensor, weight.tensor, b, spec)
+def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
+    y = T.conv2d(x.tensor, weight.tensor, bias.tensor, spec)
     xd, wd = x.tensor.data, weight.tensor.data
-    with_bias = bias is not None
-    parents = (x, weight, bias) if with_bias else (x, weight)
-    # (gx, gw, gb): gx is None for a constant input, gb without a bias
-    with_gx = x._slot is not None
-    k = len(parents)
+    with_gx = x._slot is not None  # gx is None for a constant input
     return _record(
-        y, parents, lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx, with_bias)[:k]
+        y, (x, weight, bias), lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx)
     )
 
 

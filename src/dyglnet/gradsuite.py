@@ -1,19 +1,21 @@
 """Named finite-difference gradient checks over every learned block.
 
-Each entry builds a small f64 instance of one block (or the whole
-network), wires a scalar readout over random inputs, and compares
-analytic gradients against central differences. The same registry
-backs the ``gradcheck`` CLI subcommand and the test suite.
+Each check builds a small f64 instance of one block, loss or the whole
+network, wires a scalar readout over random inputs, and compares
+analytic gradients against central differences. The blocks and the
+losses are rows of two tables, each run by one driver; the same
+registry backs the ``gradcheck`` CLI subcommand and the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradCheckReport, Parameter, grad_check
+from .autodiff import GradCheckReport, Parameter, Value, grad_check
 from .blocks import (
     DyFusionUp,
     DyT,
@@ -37,72 +39,29 @@ def _rand_mask(rng: np.random.Generator, shape) -> Tensor:
     return Tensor._wrap((rng.uniform(size=shape) < 0.5).astype(np.float64))
 
 
-def _input_param(rng: np.random.Generator, shape, scale: float = 1.0) -> Parameter:
-    return Parameter("input", Tensor._wrap(scale * rng.standard_normal(shape)))
-
-
 def _module_check(
-    module: Module,
-    x: Parameter,
-    seed: int,
-    max_entries: int | None = 6,
+    module: Module, x: Parameter, rest: list[Value], seed: int, probes: int
 ) -> GradCheckReport:
+    """Check ``module(x, *rest)`` with respect to x and every trainable
+    parameter, probing ``probes`` entries of each; the last input has the
+    block's output shape."""
     params = [x] + module.parameters(trainable_only=True)
     # Random-weighted readout: a plain mean is blind to anything a
     # trailing batchnorm absorbs (its output mean is constant), which
     # would leave near-zero gradients drowned in difference noise.
-    w = ad.constant(_randn(np.random.default_rng([seed, 0xEE]), x.value.shape))
+    out_shape = (rest[-1] if rest else x.value).shape
+    w = ad.constant(_randn(np.random.default_rng([seed, 0xEE]), out_shape))
 
     def fn():
-        return ad.mean_all(ad.mul(module(ad.watch(x), training=True), w))
+        return ad.mean_all(ad.mul(module(ad.watch(x), *rest, training=True), w))
 
     return grad_check(
-        fn,
-        params,
-        max_entries_per_param=max_entries,
+        fn, params, max_entries_per_param=probes,
         rng=np.random.default_rng([seed, 0xFD]),
     )
 
 
-def check_dyt(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 1])
-    m = DyT("dyt", 3, dtype="f64")
-    x = _input_param(rng, (2, 3, 5, 4))
-    return _module_check(m, x, seed)
-
-
-def check_attention(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 2])
-    m = SingleHeadAttention("attn", ModelConfig.tiny(), 4, rng, dtype="f64")
-    x = _input_param(rng, (2, 4, 4, 3))
-    return _module_check(m, x, seed)
-
-
-def check_msdc(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 3])
-    cfg = ModelConfig.tiny(dilation_rates=(1, 2))
-    m = MultiScaleDilatedConv("msdc", cfg, 3, rng, dtype="f64")
-    x = _input_param(rng, (2, 3, 6, 6))
-    return _module_check(m, x, seed)
-
-
-def check_ffn(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 4])
-    m = FeedForward("ffn", ModelConfig.tiny(ffn_ratio=2.0), 3, rng, dtype="f64")
-    x = _input_param(rng, (2, 3, 4, 4))
-    return _module_check(m, x, seed)
-
-
-def check_shdc(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 5])
-    cfg = ModelConfig.tiny(dilation_rates=(1, 2))
-    m = ShdcBlock("shdc", cfg, 6, True, rng, dtype="f64")
-    x = _input_param(rng, (2, 6, 4, 4))
-    return _module_check(m, x, seed, max_entries=4)
-
-
-def check_dyfusion(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 6])
+def _dyfusion(rng: np.random.Generator) -> DyFusionUp:
     cfg = ModelConfig.tiny(sampler_groups=2, dilation_rates=(1, 2))
     m = DyFusionUp("up", cfg, 4, 3, rng, dtype="f64")
     # Nudge the zero-initialized offset predictor so the coordinate
@@ -110,51 +69,61 @@ def check_dyfusion(seed: int) -> GradCheckReport:
     # integer-lattice kinks.
     ow = m.offset.weight
     ow.assign(Tensor._wrap(rng.uniform(-0.02, 0.02, size=ow.value.shape)))
-    x_low = _input_param(rng, (2, 4, 4, 4), scale=0.5)
-    skip = ad.constant(_randn(rng, (2, 3, 8, 8)))
-    params = [x_low] + m.parameters(trainable_only=True)
-    w = ad.constant(_randn(np.random.default_rng([seed, 0xEE]), (2, 3, 8, 8)))
-
-    def fn():
-        return ad.mean_all(ad.mul(m(ad.watch(x_low), skip, training=True), w))
-
-    return grad_check(
-        fn, params, max_entries_per_param=4,
-        rng=np.random.default_rng([seed, 0xFD]),
-    )
+    return m
 
 
-def check_dice(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 7])
-    x = _input_param(rng, (2, 1, 5, 5))
+# name: (RNG tag, block builder, input scale, input shapes, probes per
+# parameter). The first input is checked; the others (DyFusionUp's skip)
+# are constants drawn after it.
+_BLOCKS = {
+    "dyt": (1, lambda rng: DyT("dyt", 3, dtype="f64"), 1.0, [(2, 3, 5, 4)], 6),
+    "attention": (
+        2, lambda rng: SingleHeadAttention(
+            "attn", ModelConfig.tiny(), 4, rng, dtype="f64"),
+        1.0, [(2, 4, 4, 3)], 6,
+    ),
+    "msdc": (
+        3, lambda rng: MultiScaleDilatedConv(
+            "msdc", ModelConfig.tiny(dilation_rates=(1, 2)), 3, rng, dtype="f64"),
+        1.0, [(2, 3, 6, 6)], 6,
+    ),
+    "ffn": (
+        4, lambda rng: FeedForward(
+            "ffn", ModelConfig.tiny(ffn_ratio=2.0), 3, rng, dtype="f64"),
+        1.0, [(2, 3, 4, 4)], 6,
+    ),
+    "shdc": (
+        5, lambda rng: ShdcBlock(
+            "shdc", ModelConfig.tiny(dilation_rates=(1, 2)), 6, True, rng, dtype="f64"),
+        1.0, [(2, 6, 4, 4)], 4,
+    ),
+    "dyfusion": (6, _dyfusion, 0.5, [(2, 4, 4, 4), (2, 3, 8, 8)], 4),
+}
+
+
+def _block_check(name: str, seed: int) -> GradCheckReport:
+    tag, build, scale, shapes, probes = _BLOCKS[name]
+    rng = np.random.default_rng([seed, tag])
+    module = build(rng)
+    x = Parameter("input", Tensor._wrap(scale * rng.standard_normal(shapes[0])))
+    rest = [ad.constant(_randn(rng, s)) for s in shapes[1:]]
+    return _module_check(module, x, rest, seed, probes)
+
+
+# name: (RNG tag, loss of the logits and a random binary mask)
+_LOSSES = {
+    "dice": (7, lambda x, t: dice_loss(ad.sigmoid(x), t)),
+    "bce": (8, bce_loss),
+    "hybrid": (9, lambda x, t: hybrid_loss(x, t, 0.6)),
+}
+
+
+def _loss_check(name: str, seed: int) -> GradCheckReport:
+    tag, loss = _LOSSES[name]
+    rng = np.random.default_rng([seed, tag])
+    x = Parameter("input", _randn(rng, (2, 1, 5, 5)))
     target = _rand_mask(rng, (2, 1, 5, 5))
-
-    def fn():
-        return dice_loss(ad.sigmoid(ad.watch(x)), target)
-
-    return grad_check(fn, [x])
-
-
-def check_bce(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 8])
-    x = _input_param(rng, (2, 1, 5, 5))
-    target = _rand_mask(rng, (2, 1, 5, 5))
-
-    def fn():
-        return bce_loss(ad.watch(x), target)
-
-    return grad_check(fn, [x])
-
-
-def check_hybrid(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng([seed, 9])
-    x = _input_param(rng, (2, 1, 5, 5))
-    target = _rand_mask(rng, (2, 1, 5, 5))
-
-    def fn():
-        return hybrid_loss(ad.watch(x), target, 0.6)
-
-    return grad_check(fn, [x])
+    return grad_check(lambda: loss(ad.watch(x), target), [x])
 
 
 def check_network(seed: int) -> GradCheckReport:
@@ -176,15 +145,8 @@ def check_network(seed: int) -> GradCheckReport:
 
 
 CHECKS = {
-    "dyt": check_dyt,
-    "attention": check_attention,
-    "msdc": check_msdc,
-    "ffn": check_ffn,
-    "shdc": check_shdc,
-    "dyfusion": check_dyfusion,
-    "dice": check_dice,
-    "bce": check_bce,
-    "hybrid": check_hybrid,
+    **{name: partial(_block_check, name) for name in _BLOCKS},
+    **{name: partial(_loss_check, name) for name in _LOSSES},
     "network": check_network,
 }
 

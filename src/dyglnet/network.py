@@ -29,6 +29,10 @@ REFERENCE_PARAM_BUDGET = 9_980_000  # target trainable-parameter budget at full 
 
 TINY_STAGE_CHANNELS = (8, 16, 32, 64)
 
+# Encoder stages whose blocks fuse attention with the local branch; stage 2
+# runs its blocks local only (stage 1 is the stem).
+_FUSED_STAGES = (3, 4)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -76,14 +80,15 @@ class ModelConfig:
                 f"sampler_groups {self.sampler_groups} must divide every stage "
                 f"width {self.stage_channels}"
             )
-        # NaN fails every comparison; the blocks of stages 3 and 4 split
-        # their width into an attention and a local branch.
+        # NaN fails every comparison; a fusing stage splits its width into
+        # an attention and a local branch.
+        fused = tuple(self.stage_channels[i - 1] for i in _FUSED_STAGES)
         if not 0.0 < self.split_ratio < 1.0 or any(
-            not 0 < self.global_channels(c) < c for c in self.stage_channels[2:]
+            not 0 < self.global_channels(c) < c for c in fused
         ):
             raise ConfigurationError(
                 f"split_ratio must lie in (0, 1) and leave both branches of "
-                f"{self.stage_channels[2:]} channels non-empty, got {self.split_ratio}"
+                f"{fused} channels non-empty, got {self.split_ratio}"
             )
         if not self.dilation_rates or min(self.dilation_rates) < 1:
             raise ConfigurationError(
@@ -128,40 +133,36 @@ class Model(Module):
 
     def __init__(self, cfg: ModelConfig, seed: int, dtype: str = "f32"):
         rng = np.random.default_rng(seed)
-        c1, c2, c3, c4 = cfg.stage_channels
+        w = (cfg.input_channels, *cfg.stage_channels)  # w[i]: stage i's width
         self.cfg = cfg
-
         self.stem = [
-            Conv2d("enc.stem.conv0", cfg.input_channels, c1, 3, rng, dtype,
-                   stride=2, padding=1)
+            Conv2d("enc.stem.conv0", w[0], w[1], 3, rng, dtype, stride=2, padding=1)
         ]
         for j in range(cfg.blocks_per_stage[0]):
             self.stem.append(
-                Conv2d(f"enc.stem.conv{j + 1}", c1, c1, 3, rng, dtype, padding=1)
+                Conv2d(f"enc.stem.conv{j + 1}", w[1], w[1], 3, rng, dtype, padding=1)
             )
-
-        def make_stage(i: int, cin: int, cout: int, fusion: bool) -> list[Module]:
-            layers: list[Module] = [
-                Conv2d(f"enc.stage{i}.down", cin, cout, 3, rng, dtype,
+        # Stages 2-4 each downsample with a stride-2 conv, then run their
+        # blocks. Each is a list attribute of its own, since Module._collect
+        # walks one list level.
+        stages = []
+        for i in (2, 3, 4):
+            stage: list[Module] = [
+                Conv2d(f"enc.stage{i}.down", w[i - 1], w[i], 3, rng, dtype,
                        stride=2, padding=1)
             ]
             for j in range(cfg.blocks_per_stage[i - 1]):
-                layers.append(
-                    ShdcBlock(f"enc.stage{i}.block{j}", cfg, cout, fusion, rng, dtype)
-                )
-            return layers
-
-        self.stage2 = make_stage(2, c1, c2, fusion=False)
-        self.stage3 = make_stage(3, c2, c3, fusion=True)
-        self.stage4 = make_stage(4, c3, c4, fusion=True)
-
-        self.up1 = DyFusionUp("dec.up1", cfg, c4, c3, rng, dtype)
-        self.up2 = DyFusionUp("dec.up2", cfg, c3, c2, rng, dtype)
-        self.up3 = DyFusionUp("dec.up3", cfg, c2, c1, rng, dtype)
-        self.up4 = DyFusionUp("dec.up4", cfg, c1, cfg.input_channels, rng, dtype)
-        self.head = Conv2d(
-            "head", cfg.input_channels, cfg.output_channels, 1, rng, dtype
-        )
+                stage.append(ShdcBlock(f"enc.stage{i}.block{j}", cfg, w[i],
+                                       i in _FUSED_STAGES, rng, dtype))
+            stages.append(stage)
+        self.stage2, self.stage3, self.stage4 = stages
+        # up k lifts stage 5-k's output onto stage 4-k's skip; the outermost
+        # skip is the input image.
+        self.ups = [
+            DyFusionUp(f"dec.up{k}", cfg, w[5 - k], w[4 - k], rng, dtype)
+            for k in (1, 2, 3, 4)
+        ]
+        self.head = Conv2d("head", w[0], cfg.output_channels, 1, rng, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         shape = x.tensor.shape
@@ -177,20 +178,16 @@ class Model(Module):
         f = x
         for conv in self.stem:
             f = ad.relu(conv(f))
-        e1 = f
-        for layer in self.stage2:
-            f = layer(f, training)
-        e2 = f
-        for layer in self.stage3:
-            f = layer(f, training)
-        e3 = f
-        for layer in self.stage4:
-            f = layer(f, training)
-        d = self.up1(f, e3, training)
-        d = self.up2(d, e2, training)
-        d = self.up3(d, e1, training)
-        d = self.up4(d, x, training)
-        return self.head(d)
+        # Each encoder stage pushes its input as a skip; the decoder pops
+        # them innermost first, down to the image itself.
+        skips = [x]
+        for stage in (self.stage2, self.stage3, self.stage4):
+            skips.append(f)
+            for layer in stage:
+                f = layer(f, training)
+        for up in self.ups:
+            f = up(f, skips.pop(), training)
+        return self.head(f)
 
     def predict(self, x: Tensor) -> Tensor:
         """Forward in eval mode outside any tape; returns raw logits."""

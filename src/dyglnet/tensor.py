@@ -162,7 +162,7 @@ def _taps(spec: ConvSpec, kh: int, kw: int, ho: int, wo: int):
 
 
 def _conv2d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec
 ) -> np.ndarray:
     n, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
@@ -180,8 +180,7 @@ def _conv2d_forward(
         pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)
         acc += np.matmul(wg[:, :, :, i, j], pm)
     y = acc.reshape(n, cout, ho, wo)
-    if b is not None:
-        y += b.reshape(1, cout, 1, 1)
+    y += b.reshape(1, cout, 1, 1)
     return y
 
 
@@ -191,9 +190,8 @@ def _conv2d_vjp(
     spec: ConvSpec,
     gy: np.ndarray,
     with_gx: bool,
-    with_bias: bool,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """(gx, gw, gb); gx is None unless ``with_gx``, gb unless ``with_bias``."""
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(gx, gw, gb); gx is None unless ``with_gx``."""
     n, _, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
     g = spec.groups
@@ -220,17 +218,14 @@ def _conv2d_vjp(
     gx = None
     if with_gx:
         gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid]) if p else gxp
-    gb = gyg.sum(axis=(0, 3)).reshape(cout) if with_bias else None
-    return gx, gw, gb
+    return gx, gw, gyg.sum(axis=(0, 3)).reshape(cout)
 
 
-def conv2d(
-    x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec
-) -> Tensor:
-    """Grouped, dilated 2-d cross-correlation over an NCHW batch.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
+    """Grouped, dilated 2-d cross-correlation over an NCHW batch, plus a bias.
 
     ``weight`` has shape [out_channels, in_channels/groups, kh, kw];
-    ``bias`` is per-output-channel or None.
+    ``bias`` is per-output-channel.
     """
     if x.rank != 4:
         raise DimensionError(f"conv2d input must be rank 4, got {x.shape}")
@@ -247,14 +242,10 @@ def conv2d(
             f"weight expects {cin_g} channels per group, input provides "
             f"{cin // spec.groups}"
         )
-    arrays = [x.data, weight.data]
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise DimensionError(f"bias shape {bias.shape} != ({cout},)")
-        arrays.append(bias.data)
-    _check_same_dtype(*arrays)
-    b = bias.data if bias is not None else None
-    return Tensor._wrap(_conv2d_forward(x.data, weight.data, b, spec))
+    if bias.shape != (cout,):
+        raise DimensionError(f"bias shape {bias.shape} != ({cout},)")
+    _check_same_dtype(x.data, weight.data, bias.data)
+    return Tensor._wrap(_conv2d_forward(x.data, weight.data, bias.data, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -272,8 +272,6 @@ def train(
                     logits = model(ad.constant(x), training=True)
                     loss = hybrid_loss(logits, y, cfg.lambda_)
                     loss_val = float(loss.tensor.item())
-                    if not math.isfinite(loss_val):
-                        raise NumericError("non-finite loss")
                     ad.backward(loss, tape)
                 clip_grad_norm(params, cfg.clip_norm)
                 opt.step(lr)

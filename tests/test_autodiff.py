@@ -156,6 +156,44 @@ def test_backward_rejects_a_loss_not_recorded_on_its_tape():
     np.testing.assert_array_equal(w.grad, np.ones(3))
 
 
+# A value recorded on one tape cannot feed an op on another: its gradient
+# would land in a slot nothing reads, leaving w.grad at [0, 0] instead of
+# d(sum w*w)/dw = [2, 4].
+
+
+def test_op_rejects_a_value_recorded_on_another_tape():
+    w = param("w", [1.0, 2.0])
+    with Tape():
+        wv = ad.watch(w)
+    with Tape():
+        with pytest.raises(ContractError, match="another tape"):
+            ad.mul(wv, wv)
+    np.testing.assert_array_equal(w.grad, np.zeros(2))
+
+
+def test_op_rejects_a_value_whose_tape_ran_backward():
+    w = param("w", [1.0, 2.0])
+    with Tape() as a:
+        wv = ad.watch(w)
+        ad.backward(ad.sum_all(wv), a)
+    with Tape():
+        with pytest.raises(ContractError, match="already ran backward"):
+            ad.mul(wv, wv)
+    np.testing.assert_array_equal(w.grad, np.ones(2))
+
+
+def test_op_on_a_nested_tape_rejects_an_outer_tape_value():
+    w = param("w", [1.0, 2.0])
+    with Tape() as outer:
+        wv = ad.watch(w)
+        with Tape():
+            with pytest.raises(ContractError, match="another tape"):
+                ad.mul(wv, wv)
+        # the outer tape itself still takes the value
+        ad.backward(ad.sum_all(ad.mul(wv, wv)), outer)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
 def test_backward_peak_memory_does_not_grow_with_the_chain():
     # The tape of a 30-op chain holds 30 activations. backward drops
     # each upstream gradient once its node's VJP has run, so what it
@@ -212,7 +250,7 @@ def test_tape_keeps_only_what_vjps_read():
     refs, reached, passed = {}, [], []
     with Tape() as tape:
         xv = ad.watch(x)
-        conv = ad.conv2d(xv, ad.watch(w), None, ConvSpec(padding=1))
+        conv = ad.conv2d(xv, ad.watch(w), const64(np.zeros(2)), ConvSpec(padding=1))
         operand = ad.scale(xv, 0.5)
         wide = ad.concat([xv, xv], axis=1)
         refs.update((name, weakref.ref(v.tensor.data)) for name, v in (
@@ -247,7 +285,7 @@ def test_constant_input_conv_gets_no_input_gradient():
         ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
     assert x._slot is None
     # the same weight and bias gradients as the VJP that forms gx too
-    _, gw, gb = T._conv2d_vjp(xd, w.value.data, spec, gy, True, True)
+    _, gw, gb = T._conv2d_vjp(xd, w.value.data, spec, gy, True)
     np.testing.assert_array_equal(w.grad, gw)
     np.testing.assert_array_equal(b.grad, gb)
 

@@ -63,7 +63,7 @@ def test_tensor_dtype_and_item():
 def test_conv2d_ones_kernel_pinned():
     x = t64(np.ones((1, 1, 3, 3)))
     w = t64(np.ones((1, 1, 3, 3)))
-    y = T.conv2d(x, w, None, ConvSpec(stride=1, padding=1)).data[0, 0]
+    y = T.conv2d(x, w, t64(np.zeros(1)), ConvSpec(stride=1, padding=1)).data[0, 0]
     assert y[1, 1] == pytest.approx(9.0, abs=1e-12)
     for corner in (y[0, 0], y[0, 2], y[2, 0], y[2, 2]):
         assert corner == pytest.approx(4.0, abs=1e-12)
@@ -73,7 +73,7 @@ def test_conv2d_identity_kernel_grouped():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(1, 2, 4, 4)))
     w = t64(np.ones((2, 1, 1, 1)))
-    y = T.conv2d(x, w, None, ConvSpec(groups=2))
+    y = T.conv2d(x, w, t64(np.zeros(2)), ConvSpec(groups=2))
     np.testing.assert_array_equal(y.data, x.data)
 
 
@@ -81,7 +81,9 @@ def test_conv2d_dilated_depthwise_vs_oracle():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 4, 8, 8))
     w = rng.normal(size=(4, 1, 3, 3))
-    got = T.conv2d(t64(x), t64(w), None, ConvSpec(padding=2, dilation=2, groups=4))
+    got = T.conv2d(
+        t64(x), t64(w), t64(np.zeros(4)), ConvSpec(padding=2, dilation=2, groups=4)
+    )
     want = oracles.conv2d_naive(x, w, None, padding=2, dilation=2, groups=4)
     np.testing.assert_allclose(got.data, want, atol=1e-6)
 
@@ -105,7 +107,7 @@ def test_conv2d_200_random_cases_vs_oracle():
         wt = rng.normal(size=(cout, cin // groups, k, k))
         b = rng.normal(size=(cout,)) if rng.random() < 0.5 else None
         spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=groups)
-        got = T.conv2d(t64(x), t64(wt), None if b is None else t64(b), spec)
+        got = T.conv2d(t64(x), t64(wt), t64(np.zeros(cout) if b is None else b), spec)
         want = oracles.conv2d_naive(x, wt, b, stride, pad, dilation, groups)
         np.testing.assert_allclose(got.data, want, atol=1e-6, err_msg=f"case {case}")
 
@@ -125,7 +127,7 @@ def test_conv2d_depthwise_sweep_vs_oracle():
         wt = rng.normal(size=(c, 1, k, k))
         b = rng.normal(size=(c,)) if rng.random() < 0.5 else None
         spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=c)
-        got = T.conv2d(t64(x), t64(wt), None if b is None else t64(b), spec)
+        got = T.conv2d(t64(x), t64(wt), t64(np.zeros(c) if b is None else b), spec)
         want = oracles.conv2d_naive(x, wt, b, stride, pad, dilation, c)
         np.testing.assert_allclose(got.data, want, atol=1e-6, err_msg=f"case {case}")
 
@@ -156,17 +158,16 @@ def test_conv2d_vjp_adjoint_vs_oracle():
         x = rng.normal(size=(n, groups * cin_g, *rng.integers(low, low + 5, 2)))
         wt = rng.normal(size=(groups * cout_g, cin_g, k, k))
         b = rng.normal(size=(groups * cout_g,))
-        with_bias = rng.random() < 0.5
         spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=groups)
         y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
         gy = rng.normal(size=y.shape)
-        gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, True, with_bias)
+        gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, True)
         assert gx.shape == x.shape and gw.shape == wt.shape
-        terms = [(np.vdot(x, gx), np.vdot(y, gy)), (np.vdot(wt, gw), np.vdot(y, gy))]
-        if with_bias:
-            terms.append((np.vdot(b, gb), np.sum(b.reshape(1, -1, 1, 1) * gy)))
-        else:
-            assert gb is None
+        terms = [
+            (np.vdot(x, gx), np.vdot(y, gy)),
+            (np.vdot(wt, gw), np.vdot(y, gy)),
+            (np.vdot(b, gb), np.sum(b.reshape(1, -1, 1, 1) * gy)),
+        ]
         for got, want in terms:
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), f"case {case}"
 
@@ -207,8 +208,7 @@ def test_conv2d_vjp_entrywise_vs_dense_jacobian(
     y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
     gy = rng.normal(size=y.shape)
     jx, jw = _conv_jacobians(x, wt, stride, pad, dilation, groups)
-    gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, True, False)
-    assert gb is None
+    gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True)
     np.testing.assert_allclose(gx, (jx.T @ gy.ravel()).reshape(x.shape), rtol=0, atol=1e-9)
     np.testing.assert_allclose(gw, (jw.T @ gy.ravel()).reshape(wt.shape), rtol=0, atol=1e-9)
     if stride == 2 and pad == 0:
@@ -246,9 +246,9 @@ def test_conv2d_vjp_adjoint_on_default_model_geometries(monkeypatch):
     for (cout, cin_g, kh, kw), spec in geometries:
         x = rng.normal(size=(2, cin_g * spec.groups, *rng.integers(9, 17, 2)))
         wt = rng.normal(size=(cout, cin_g, kh, kw))
-        y = T.conv2d(t64(x), t64(wt), None, spec).data
+        y = T.conv2d(t64(x), t64(wt), t64(np.zeros(cout)), spec).data
         gy = rng.normal(size=y.shape)
-        gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True, True)
+        gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True)
         want = np.vdot(y, gy)
         for got in (np.vdot(x, gx), np.vdot(wt, gw)):
             assert abs(got - want) <= 1e-9 * abs(want), (cout, cin_g, kh, spec)
@@ -263,8 +263,8 @@ def test_conv2d_vjp_non_contiguous_cotangent_bit_identical():
     # reversed channels, every other row, transposed spatial axes
     gy = rng.normal(size=(2, 4, wo, 2 * ho))[:, ::-1, :, ::2].transpose(0, 1, 3, 2)
     assert gy.shape == (2, 4, ho, wo) and not gy.flags.c_contiguous
-    got = T._conv2d_vjp(x, wt, spec, gy, True, True)
-    want = T._conv2d_vjp(x, wt, spec, np.ascontiguousarray(gy), True, True)
+    got = T._conv2d_vjp(x, wt, spec, gy, True)
+    want = T._conv2d_vjp(x, wt, spec, np.ascontiguousarray(gy), True)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -273,7 +273,7 @@ def test_conv2d_group_divisibility_error():
     x = t64(np.zeros((1, 3, 4, 4)))
     w = t64(np.zeros((2, 1, 1, 1)))
     with pytest.raises(DimensionError):
-        T.conv2d(x, w, None, ConvSpec(groups=2))
+        T.conv2d(x, w, t64(np.zeros(2)), ConvSpec(groups=2))
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +678,8 @@ def test_kernels_deterministic():
     x = rng.normal(size=(1, 4, 6, 6))
     w = rng.normal(size=(4, 1, 3, 3))
     spec = ConvSpec(padding=1, groups=4)
-    a = T.conv2d(t64(x), t64(w), None, spec).data
-    b = T.conv2d(t64(x), t64(w), None, spec).data
+    a = T.conv2d(t64(x), t64(w), t64(np.zeros(4)), spec).data
+    b = T.conv2d(t64(x), t64(w), t64(np.zeros(4)), spec).data
     np.testing.assert_array_equal(a, b)
     g = rng.uniform(-1, 1, size=(1, 3, 3, 2))
     s1 = T.bilinear_sample(t64(x), t64(g)).data
