@@ -6,7 +6,8 @@ matmul, softmax, batchnorm, bilinear sampling and resize, and
 depth-to-space; the element-wise and layout ops live in ``autodiff``.
 Kernels are vectorized with numpy but keep a shape discipline
 that mirrors the obvious loop nest: convolution walks kernel taps over
-strided views, bilinear sampling gathers four neighbours per point.
+runs of a flat padded lattice, bilinear sampling gathers four neighbours
+per point.
 All operations are deterministic, never mutate their inputs, and
 reject non-finite values at construction.
 """
@@ -120,6 +121,11 @@ def _check_same_dtype(*arrays: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # Convolution
+#
+# Every conv kernel reads a flat lattice (``_lattice``), so tap (i, j) reads
+# one contiguous run per channel, which a GEMM or a multiply takes as a
+# strided view: no per-tap copy. The output is computed on an ho x wq
+# lattice whose last wq - wo columns are dropped once.
 
 
 @dataclass(frozen=True)
@@ -148,38 +154,47 @@ class ConvSpec:
         return out
 
 
-def _taps(spec: ConvSpec, kh: int, kw: int, ho: int, wo: int):
-    """Yield ``(i, j, rows, cols)`` for each kernel tap in row-major order:
-    the slices of the padded input that tap (i, j) reads for an
-    ``ho`` x ``wo`` output."""
+def _lattice(x: np.ndarray, s: int, p: int, slack: bool) -> tuple[np.ndarray, int]:
+    """x [n,c,h,w] zero-padded by p and split into s² phases, as
+    ([n, c·s², rows·wq], wq): phase a·s + b of channel k holds padded
+    pixel (r·s + a, q·s + b) at r·wq + q. ``slack`` adds a zero row, so a
+    run of whole rows may start up to wq - 1 past a row's start. With
+    s = 1, p = 0 and no slack it is a view of x."""
+    n, c, h, w = x.shape
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    if s == 1 and p == 0 and not slack:
+        return x.reshape(n, c, h * w), wq
+    xp = np.zeros((n, c, (hq + slack) * s, wq * s), dtype=x.dtype)
+    xp[:, :, p : p + h, p : p + w] = x
+    return _space_to_depth_forward(xp, s).reshape(n, c * s * s, -1), wq
+
+
+def _runs(kh: int, kw: int, d: int, s: int, wq: int):
+    """Yield ``(i, j, phase, start)`` per kernel tap in row-major order:
+    the lattice run that tap (i, j) reads, in which output (y, x) of an
+    ho x wq lattice sits at y·wq + x."""
     for i in range(kh):
         for j in range(kw):
-            hi = i * spec.dilation
-            wi = j * spec.dilation
-            rows = slice(hi, hi + spec.stride * (ho - 1) + 1, spec.stride)
-            cols = slice(wi, wi + spec.stride * (wo - 1) + 1, spec.stride)
-            yield i, j, rows, cols
+            (r, a), (q, b) = divmod(i * d, s), divmod(j * d, s)
+            yield i, j, a * s + b, r * wq + q
 
 
 def _conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec
 ) -> np.ndarray:
-    n, cin, h, wid = x.shape
+    n, _, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
-    g = spec.groups
-    ho = spec.out_size(h, kh)
-    wo = spec.out_size(wid, kw)
-    cout_g = cout // g
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-    wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    acc = np.zeros((n, g, cout_g, ho * wo), dtype=x.dtype)
-    for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
-        # [g,cout_g,cin_g] @ [n,g,cin_g,P] -> [n,g,cout_g,P]
-        pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)
-        acc += np.matmul(wg[:, :, :, i, j], pm)
-    y = acc.reshape(n, cout, ho, wo)
+    g, s = spec.groups, spec.stride
+    ho, wo = spec.out_size(h, kh), spec.out_size(wid, kw)
+    xl, wq = _lattice(x, s, spec.padding, kw > 1)
+    xg = xl.reshape(n, g, cin_g, s * s, -1)
+    wg = w.reshape(g, cout // g, cin_g, kh, kw)
+    run = ho * wq
+    acc = np.zeros((n, g, cout // g, run), dtype=x.dtype)
+    for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq):
+        # [g,cout_g,cin_g] @ [n,g,cin_g,run] -> [n,g,cout_g,run]
+        acc += np.matmul(wg[:, :, :, i, j], xg[:, :, :, ph, at : at + run])
+    y = acc.reshape(n, cout, ho, wq)[..., :wo]
     y += b.reshape(1, cout, 1, 1)
     return y
 
@@ -191,34 +206,37 @@ def _conv2d_vjp(
     gy: np.ndarray,
     with_gx: bool,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(gx, gw, gb); gx is None unless ``with_gx``."""
-    n, _, h, wid = x.shape
+    """(gx, gw, gb); gx is None unless ``with_gx``. gy goes on the output
+    lattice with zeros in its pad columns, so every tap is two GEMMs."""
+    n, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
-    g = spec.groups
+    g, s, p = spec.groups, spec.stride, spec.padding
     cout_g = cout // g
     _, _, ho, wo = gy.shape
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xl, wq = _lattice(x, s, p, kw > 1)
+    xg = xl.reshape(n, g, cin_g, s * s, -1)
+    run = ho * wq
+    gyl = gyg = np.ascontiguousarray(gy).reshape(n, g, cout_g, ho, wo)
+    if wq > wo:
+        gyl = np.zeros((n, g, cout_g, ho, wq), dtype=gy.dtype)
+        gyl[..., :wo] = gyg
+    gyl = gyl.reshape(n, g, cout_g, run)
     gw = np.empty_like(w)
-    xg = xp.reshape(n, g, cin_g, xp.shape[2], xp.shape[3])
-    if with_gx:
-        gxp = np.zeros_like(xp)
-        gxg = gxp.reshape(xg.shape)
-        wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    gyg = np.ascontiguousarray(gy).reshape(n, g, cout_g, ho * wo)
     gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
-    for i, j, rows, cols in _taps(spec, kh, kw, ho, wo):
-        pm = xg[:, :, :, rows, cols].reshape(n, g, cin_g, ho * wo)  # [n,g,cin_g,P]
-        # weight grad: sum_n [n,g,cout_g,P] @ [n,g,P,cin_g] -> [g,cout_g,cin_g]
-        gwg[:, :, :, i, j] = np.matmul(gyg, pm.transpose(0, 1, 3, 2)).sum(axis=0)
+    wg = w.reshape(g, cout_g, cin_g, kh, kw)
+    gxl = np.zeros_like(xg) if with_gx else None
+    for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq):
+        xr = xg[:, :, :, ph, at : at + run]  # [n,g,cin_g,run]
+        # weight grad: sum_n [n,g,cout_g,run] @ [n,g,run,cin_g] -> [g,cout_g,cin_g]
+        gwg[:, :, :, i, j] = np.matmul(gyl, xr.transpose(0, 1, 3, 2)).sum(axis=0)
         if with_gx:
-            # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,P] -> [n,g,cin_g,P]
-            gpatch = np.matmul(wg[:, :, :, i, j].transpose(0, 2, 1), gyg)
-            gxg[:, :, :, rows, cols] += gpatch.reshape(n, g, cin_g, ho, wo)
+            # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,run] -> [n,g,cin_g,run]
+            gxl[:, :, :, ph, at : at + run] += np.matmul(wg[:, :, :, i, j].transpose(0, 2, 1), gyl)
     gx = None
-    if with_gx:
-        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid]) if p else gxp
-    return gx, gw, gyg.sum(axis=(0, 3)).reshape(cout)
+    if with_gx:  # back from the phases, then crop the padding
+        gxp = _depth_to_space_forward(gxl.reshape(n, cin * s * s, -1, wq), s)
+        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid])
+    return gx, gw, gyg.sum(axis=(0, 3, 4)).reshape(cout)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -251,41 +269,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
 # ---------------------------------------------------------------------------
 # Depthwise residual: x + sum_k dwconv3x3(x, w_k; dilation = padding = d_k)
 
-# Bytes of one [n, channel block, h, w] slab. A block's taps all re-read
-# the same slab, so it is sized to stay in a core's L2 cache.
+# Bytes of one [n, channel block, lattice run] slab. A block's taps all
+# re-read the same slab, so it is sized to stay in a core's L2 cache.
 _DW_BLOCK_BYTES = 1 << 18
 
 
-def _dw_blocks(x: np.ndarray) -> tuple[list[slice], np.ndarray]:
-    """The channel blocks of x [n,c,h,w] and one scratch slab as large
-    as a full block."""
-    n, c, h, w = x.shape
-    cb = max(1, min(c, _DW_BLOCK_BYTES // (n * h * w * x.itemsize)))
-    blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
-    return blocks, np.empty((n, cb, h, w), dtype=x.dtype)
-
-
-def _dw_accumulate(
-    out: np.ndarray,
-    src: np.ndarray,
-    ws: list[np.ndarray],
-    dilations: tuple[int, ...],
-    pad: int,
-    tmp: np.ndarray,
-    mirror: bool,
-) -> None:
-    """out += sum_k dwconv3x3(src, ws[k]; dilation = padding = dilations[k])
-    on one channel block, where ``src`` is the block padded by ``pad`` >=
-    every dilation. ``mirror`` flips each kernel: that is the transpose,
-    so it maps an output gradient to the input gradient."""
-    _, cb, h, w = out.shape
-    t = tmp[:, :cb]
-    for wk, d in zip(ws, dilations):
-        view = src[:, :, pad - d :, pad - d :]
-        for i, j, rows, cols in _taps(ConvSpec(dilation=d), 3, 3, h, w):
-            tap = wk[:, 0, 2 - i, 2 - j] if mirror else wk[:, 0, i, j]
-            np.multiply(view[:, :, rows, cols], tap.reshape(cb, 1, 1), out=t)
-            out += t
+def _dw_blocks(n: int, c: int, run: int, dtype: np.dtype) -> list[slice]:
+    """The blocks of c channels whose [n, block, run] slab fits
+    ``_DW_BLOCK_BYTES``: full ones, then what is left."""
+    cb = max(1, min(c, _DW_BLOCK_BYTES // (n * run * dtype.itemsize)))
+    return [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
 
 def _dw_residual_forward(
@@ -295,19 +288,28 @@ def _dw_residual_forward(
     b: np.ndarray | None,
 ) -> np.ndarray:
     """x + sum_k dwconv3x3(x, ws[k]; dilation = padding = dilations[k])
-    (+ b): one pad by the largest dilation, then each channel block's
-    output starts as its slice of x and takes every tap of every branch."""
+    (+ b): one lattice padded by the largest dilation, then each channel
+    block's output lattice starts as its run of x and takes every tap."""
+    n, c, h, w = x.shape
     pad = max(dilations)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xl, wq = _lattice(x, 1, pad, True)
+    run, mid = h * wq, pad * (wq + 1)
     y = np.empty_like(x)
-    blocks, tmp = _dw_blocks(x)
+    blocks = _dw_blocks(n, c, run, x.dtype)
+    tmp, acc = np.empty((2, n, blocks[0].stop, run), dtype=x.dtype)
     for blk in blocks:
-        yb = y[:, blk]
+        cb = blk.stop - blk.start
+        ab, t = acc[:, :cb], tmp[:, :cb]
         if b is None:
-            yb[...] = x[:, blk]
+            ab[...] = xl[:, blk, mid : mid + run]
         else:
-            np.add(x[:, blk], b[blk].reshape(-1, 1, 1), out=yb)
-        _dw_accumulate(yb, xp[:, blk], [w[blk] for w in ws], dilations, pad, tmp, False)
+            np.add(xl[:, blk, mid : mid + run], b[blk].reshape(cb, 1), out=ab)
+        for wk, d in zip(ws, dilations):
+            view = xl[:, blk, (pad - d) * (wq + 1) :]  # the lattice as if padded by d
+            for i, j, _, at in _runs(3, 3, d, 1, wq):
+                np.multiply(view[:, :, at : at + run], wk[blk, 0, i, j].reshape(cb, 1), out=t)
+                ab += t
+        y[:, blk] = ab.reshape(n, cb, h, wq)[..., :w]
     return y
 
 
@@ -318,23 +320,22 @@ def _dw_residual_vjp(
     gy: np.ndarray,
     with_bias: bool,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
-    """(gx, [gw_k], gb) of ``_dw_residual_forward``; pads x and gy itself,
-    so the tape keeps nothing but the op's output."""
+    """(gx, [gw_k], gb) of ``_dw_residual_forward``; lays x and gy on
+    lattices itself, so the tape keeps nothing but the op's output. gx is
+    the forward of gy with every kernel mirrored: that is the transpose."""
+    n, c, h, w = x.shape
     pad = max(dilations)
-    widths = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    xp = np.pad(x, widths)
-    gyp = np.pad(gy, widths)
-    gx = gy.copy()  # the identity term
+    xl, wq = _lattice(x, 1, pad, True)
+    gyl, _ = _lattice(gy, 1, pad, True)
+    run, mid = h * wq, pad * (wq + 1)
     gws = [np.empty_like(w) for w in ws]
-    _, _, h, w = x.shape
-    blocks, tmp = _dw_blocks(x)
-    for blk in blocks:
-        _dw_accumulate(gx[:, blk], gyp[:, blk], [wk[blk] for wk in ws], dilations, pad, tmp, True)
-        gyb = gy[:, blk]
+    for blk in _dw_blocks(n, c, run, x.dtype):
+        gyb = gyl[:, blk, mid : mid + run]  # gy, zero in the pad columns
         for gw, d in zip(gws, dilations):
-            view = xp[:, blk, pad - d :, pad - d :]
-            for i, j, rows, cols in _taps(ConvSpec(dilation=d), 3, 3, h, w):
-                gw[blk, 0, i, j] = np.einsum("nchw,nchw->c", view[:, :, rows, cols], gyb)
+            view = xl[:, blk, (pad - d) * (wq + 1) :]
+            for i, j, _, at in _runs(3, 3, d, 1, wq):
+                gw[blk, 0, i, j] = np.einsum("ncp,ncp->c", view[:, :, at : at + run], gyb)
+    gx = _dw_residual_forward(gy, [wk[:, :, ::-1, ::-1] for wk in ws], dilations, None)
     gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
     return gx, gws, gb
 

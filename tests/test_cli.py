@@ -368,6 +368,10 @@ def test_package_exports_resolve():
     missing = [name for name in dyglnet.__all__ if not hasattr(dyglnet, name)]
     assert missing == []
     assert len(set(dyglnet.__all__)) == len(dyglnet.__all__)
+    # no re-exported name shadows a submodule
+    import dyglnet.train as t
+
+    assert t.TrainConfig is dyglnet.TrainConfig
 
 
 def test_console_script_help_runs():

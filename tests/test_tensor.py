@@ -89,15 +89,19 @@ def test_conv2d_dilated_depthwise_vs_oracle():
 
 
 def test_conv2d_200_random_cases_vs_oracle():
+    # Strides up to 3 split the padded input into up to 9 phases, and
+    # 5-wide kernels read them at nonzero row and column offsets.
     rng = np.random.default_rng(7)
+    seen = set()
     for case in range(200):
         n = int(rng.integers(1, 3))
         cin = int(rng.integers(1, 5))
-        k = int(rng.choice([1, 3]))
-        dilation = int(rng.choice([1, 2, 3])) if k == 3 else 1
+        k = int(rng.choice([1, 3, 5]))
+        dilation = int(rng.choice([1, 2, 3])) if k > 1 else 1
         groups = int(rng.choice([1, cin]))
         cout = int(rng.integers(1, 3)) * groups
-        stride = int(rng.choice([1, 2]))
+        stride = int(rng.choice([1, 2, 3]))
+        seen.add((stride, k))
         pad = int(rng.integers(0, 3))
         eff = dilation * (k - 1) + 1
         low = max(1, eff - 2 * pad)
@@ -110,6 +114,7 @@ def test_conv2d_200_random_cases_vs_oracle():
         got = T.conv2d(t64(x), t64(wt), t64(np.zeros(cout) if b is None else b), spec)
         want = oracles.conv2d_naive(x, wt, b, stride, pad, dilation, groups)
         np.testing.assert_allclose(got.data, want, atol=1e-6, err_msg=f"case {case}")
+    assert seen == {(s, k) for s in (1, 2, 3) for k in (1, 3, 5)}
 
 
 def test_conv2d_depthwise_sweep_vs_oracle():
@@ -136,8 +141,10 @@ def test_conv2d_vjp_adjoint_vs_oracle():
     # y = conv(x, w) + b is linear in x and in w separately, so for any
     # cotangent gy each VJP term must reproduce <y_nobias, gy> (and the
     # bias term <b broadcast, gy>). Covers strict depthwise, grouped with
-    # a channel multiplier, and dense convs.
+    # a channel multiplier, and dense convs, at strides 1-3 and kernels
+    # 1, 3 and 5.
     rng = np.random.default_rng(9)
+    seen = set()
     for case in range(200):
         kind = case % 3
         if kind == 0:
@@ -149,9 +156,10 @@ def test_conv2d_vjp_adjoint_vs_oracle():
         else:
             groups = 1
             cin_g, cout_g = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        k = int(rng.choice([1, 3]))
+        k = int(rng.choice([1, 3, 5]))
         dilation = int(rng.integers(1, 4))
-        stride = int(rng.choice([1, 2]))
+        stride = int(rng.choice([1, 2, 3]))
+        seen.add((stride, k))
         pad = int(rng.integers(0, 4))
         low = max(1, dilation * (k - 1) + 1 - 2 * pad)
         n = int(rng.integers(1, 3))
@@ -170,6 +178,7 @@ def test_conv2d_vjp_adjoint_vs_oracle():
         ]
         for got, want in terms:
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), f"case {case}"
+    assert seen == {(s, k) for s in (1, 2, 3) for k in (1, 3, 5)}
 
 
 def _conv_jacobians(x, w, stride, pad, dilation, groups):
@@ -295,8 +304,14 @@ def _dw_residual_oracle(x, ws, dilations, b):
     return want
 
 
-def _channel_blocks(x):
-    return [(s.start, s.stop) for s in T._dw_blocks(x)[0]]
+def _run(h, w, dilations):
+    # one channel's lattice run: h rows of pitch w + 2 * max(dilations)
+    return h * (w + 2 * max(dilations))
+
+
+def _channel_blocks(x, dilations):
+    n, c, h, w = x.shape
+    return [(s.start, s.stop) for s in T._dw_blocks(n, c, _run(h, w, dilations), x.dtype)]
 
 
 @pytest.mark.parametrize(
@@ -309,18 +324,19 @@ def _channel_blocks(x):
         (1, 2, 1, 3, (3,), True, None),
         (2, 7, 4, 5, (1, 2, 3), True, 3),  # blocks 3, 3 and a partial 1
         (1, 10, 3, 3, (1, 3), False, 4),  # blocks 4, 4 and a partial 2
-        (4, 3, 64, 64, (2,), True, None),  # the real block size: 2 channels, then 1
+        (3, 3, 64, 64, (2,), True, None),  # the real block size: 2 channels, then 1
     ],
 )
 def test_dw_residual_vs_oracle(n, c, h, w, dilations, bias, block_channels, monkeypatch):
+    run = _run(h, w, dilations)
     if block_channels is not None:
-        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block_channels * n * h * w * 8)
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block_channels * n * run * 8)
     rng = np.random.default_rng(n * 1000 + c * 100 + h)
     x = rng.normal(size=(n, c, h, w))
     ws = [rng.normal(size=(c, 1, 3, 3)) for _ in dilations]
     b = rng.normal(size=(c,)) if bias else None
-    blocks = _channel_blocks(x)
-    if block_channels is not None or c * n * h * w * 8 > _DW_BLOCK_BYTES:
+    blocks = _channel_blocks(x, dilations)
+    if block_channels is not None or c * n * run * 8 > _DW_BLOCK_BYTES:
         # spans several channel blocks and ends on a partial one
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
     got = T._dw_residual_forward(x, ws, dilations, b)
@@ -339,7 +355,7 @@ def test_dw_residual_vjp_adjoint_vs_oracle(monkeypatch):
         c = int(rng.integers(1, 9))
         h, w = (int(v) for v in rng.integers(1, 7, 2))
         dilations = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 4))))
-        block = n * h * w * 8 * int(rng.integers(1, 4)) if case % 2 else _DW_BLOCK_BYTES
+        block = n * _run(h, w, dilations) * 8 * int(rng.integers(1, 4)) if case % 2 else _DW_BLOCK_BYTES
         monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block)
         x = rng.normal(size=(n, c, h, w))
         ws = [rng.normal(size=(c, 1, 3, 3)) for _ in dilations]
