@@ -99,15 +99,8 @@ class Value:
     def _vjp(self, vjp: Callable) -> None:
         self._slot.vjp = vjp
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.tensor.shape
-
-    def item(self) -> float:
-        return self.tensor.item()
-
     def __repr__(self) -> str:
-        return f"Value(shape={self.shape}, dtype={self.tensor.dtype})"
+        return f"Value(shape={self.tensor.shape}, dtype={self.tensor.dtype})"
 
 
 _ACTIVE: "Tape | None" = None
@@ -158,7 +151,7 @@ def backward(loss: Value, tape: Tape) -> None:
     if tape._consumed:
         raise StateError("tape already consumed by a backward pass")
     if loss.tensor.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+        raise ContractError(f"loss must be scalar, got shape {loss.tensor.shape}")
     if loss._slot is None or loss._slot.tape is not tape:
         raise ContractError("loss was not recorded on this tape")
     tape._consumed = True
@@ -353,7 +346,7 @@ def pixel_sample(x: Value, u: Value) -> Value:
     if xd.ndim != 4 or ud.ndim != 3 or ud.shape[:2] != (xd.shape[0], 2):
         raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
     T._check_same_dtype(xd, ud)
-    y = Tensor._wrap(T._sample_pixel_forward(xd, ud[:, 0], ud[:, 1]))
+    y = Tensor._wrap(T._sample_pixel_forward(xd, ud))
 
     with_gu = u._slot is not None
     return _record(y, (x, u), lambda g: T._sample_pixel_vjp(xd, ud, g, with_gu))
@@ -472,6 +465,8 @@ def mean_all(x: Value) -> Value:
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 
+_FD_EPS = 1e-5  # central-difference step; re-probes use twice and half of it
+
 
 @dataclass
 class GradCheckReport:
@@ -494,12 +489,12 @@ def _rel_err(a: float, n: float) -> float:
 def grad_check(
     fn: Callable[[], Value],
     params: Sequence[Parameter],
-    eps: float = 1e-5,
     tol: float = 1e-4,
     max_entries_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
-    """Compare analytic gradients of ``fn()`` against central differences.
+    """Compare analytic gradients of ``fn()`` against central differences
+    of step ``_FD_EPS``.
 
     ``fn`` must rebuild the scalar loss from the current parameter
     values on every call. All parameters must be float64. When
@@ -524,7 +519,7 @@ def grad_check(
         arr = base.numpy()
         arr[idx] += delta
         param.assign(Tensor._wrap(arr))
-        out = fn().item()
+        out = fn().tensor.item()
         param.assign(base)
         return out
 
@@ -543,14 +538,14 @@ def grad_check(
         for f in flat:
             idx = np.unravel_index(int(f), p.value.shape)
             a = float(analytic[p.name][idx])
-            n = fd(p, idx, eps)
+            n = fd(p, idx, _FD_EPS)
             err = _rel_err(a, n)
             if err > tol:
                 # Re-probe at other step sizes: a difference quotient
                 # that moves with the step is either a kink or pure
                 # rounding noise (a structurally zero gradient), and
                 # neither says anything about the analytic value.
-                probes = [n, fd(p, idx, 2 * eps), fd(p, idx, eps / 2)]
+                probes = [n, fd(p, idx, 2 * _FD_EPS), fd(p, idx, _FD_EPS / 2)]
                 span = max(probes) - min(probes)
                 scale_p = max(abs(q) for q in probes)
                 if scale_p > 0.0 and span > 0.1 * scale_p:

@@ -37,21 +37,23 @@ class Module:
 
     @staticmethod
     def _collect(obj, out: list[Parameter]) -> None:
-        for attr in obj.__dict__.values():
-            for item in attr if isinstance(attr, (list, tuple)) else (attr,):
-                if isinstance(item, Parameter):
-                    out.append(item)
-                elif isinstance(item, Module):
-                    Module._collect(item, out)
+        """Parameters in attribute order, through modules and nested lists."""
+        if isinstance(obj, Parameter):
+            out.append(obj)
+        elif isinstance(obj, Module):
+            for attr in obj.__dict__.values():
+                Module._collect(attr, out)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                Module._collect(item, out)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         raise NotImplementedError
 
 
-def he_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype: str
-) -> Tensor:
-    std = math.sqrt(2.0 / fan_in)
+def he_normal(rng: np.random.Generator, shape: tuple[int, ...], dtype: str) -> Tensor:
+    """N(0, 2 / fan_in) weights, fan_in = prod(shape[1:])."""
+    std = math.sqrt(2.0 / math.prod(shape[1:]))
     return Tensor(rng.normal(0.0, std, size=shape), dtype=dtype)
 
 
@@ -75,7 +77,7 @@ class Conv2d(Module):
         if zero_init:
             w = Tensor(np.zeros(wshape), dtype=dtype)
         else:
-            w = he_normal(rng, wshape, in_channels * kernel * kernel, dtype)
+            w = he_normal(rng, wshape, dtype)
         self.weight = Parameter(f"{name}.weight", w)
         self.bias = Parameter(f"{name}.bias", Tensor(np.zeros(out_channels), dtype=dtype))
 
@@ -196,7 +198,7 @@ class MultiScaleDilatedConv(Module):
         self.weights = [
             Parameter(
                 f"{name}.branch{r}.weight",
-                he_normal(rng, (channels, 1, 3, 3), 9, dtype),
+                he_normal(rng, (channels, 1, 3, 3), dtype),
             )
             for r in self.rates
         ]
@@ -252,7 +254,7 @@ class ShdcBlock(Module):
         self.channels = c
         self.fusion = fusion
         self.pre_weight = Parameter(
-            f"{name}.pre.weight", he_normal(rng, (c, 1, 3, 3), 9, dtype)
+            f"{name}.pre.weight", he_normal(rng, (c, 1, 3, 3), dtype)
         )
         self.pre_bias = Parameter(f"{name}.pre.bias", Tensor(np.zeros(c), dtype=dtype))
         if fusion:

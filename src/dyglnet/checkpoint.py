@@ -40,8 +40,8 @@ def write_checkpoint(
         chunks.append(encoded)
         chunks.append(struct.pack("<B", t.rank))
         chunks.append(struct.pack(f"<{t.rank}I", *t.shape))
-        chunks.append(struct.pack("<B", _DTYPE_CODES[t.dtype]))
         code = _DTYPE_CODES[t.dtype]
+        chunks.append(struct.pack("<B", code))
         chunks.append(t.data.astype(_CODE_DTYPES[code], copy=False).tobytes())
     snapshot = config_text.encode("utf-8")
     chunks.append(struct.pack("<I", len(snapshot)))

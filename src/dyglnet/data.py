@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     UnsupportedFormatError,
 )
+from .losses import _check_binary
 from .tensor import Tensor
 
 NORM_MEAN = np.asarray([0.485, 0.456, 0.406], dtype=np.float32)
@@ -46,9 +47,7 @@ class SegmentationSample:
             raise DimensionError(
                 f"image {self.image.shape} and mask {self.mask.shape} extents differ"
             )
-        md = self.mask.data
-        if not np.all((md == 0.0) | (md == 1.0)):
-            raise ContractError("mask must contain only 0 and 1")
+        _check_binary(self.mask.data, "mask")
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +214,21 @@ class AugmentConfig:
                 raise ConfigurationError(f"{name} must lie in [0,1], got {p}")
 
 
-def _warp_bilinear(img: np.ndarray, src_x: np.ndarray, src_y: np.ndarray,
-                   fill: float) -> np.ndarray:
+def _warp(img: np.ndarray, mask: np.ndarray, src_x: np.ndarray,
+          src_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output pixel (i, j) of image and mask reads source pixel coords
+    (src_x, src_y)[i, j]: the image bilinearly, the mask from its nearest
+    pixel. Points outside the frame read ``IMAGE_FILL`` / ``MASK_FILL``."""
     c, hh, ww = img.shape
-    ux = src_x.reshape(1, -1).astype(img.dtype)
-    uy = src_y.reshape(1, -1).astype(img.dtype)
-    out = T._sample_pixel_forward(img[None], ux, uy)[0].reshape(c, hh, ww)
-    outside = (src_x < 0) | (src_x > ww - 1) | (src_y < 0) | (src_y > hh - 1)
-    out[:, outside] = fill
-    return out
-
-
-def _warp_nearest(img: np.ndarray, src_x: np.ndarray, src_y: np.ndarray,
-                  fill: float) -> np.ndarray:
-    c, hh, ww = img.shape
+    u = np.stack([src_x, src_y]).reshape(1, 2, -1).astype(img.dtype)
+    img = T._sample_pixel_forward(img[None], u)[0].reshape(c, hh, ww)
     xi = np.clip(np.rint(src_x), 0, ww - 1).astype(np.int64)
     yi = np.clip(np.rint(src_y), 0, hh - 1).astype(np.int64)
-    out = img[:, yi, xi].copy()
+    mask = mask[:, yi, xi]
     outside = (src_x < 0) | (src_x > ww - 1) | (src_y < 0) | (src_y > hh - 1)
-    out[:, outside] = fill
-    return out
+    img[:, outside] = IMAGE_FILL
+    mask[:, outside] = MASK_FILL
+    return img, mask
 
 
 def _identity_grid(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -270,12 +264,8 @@ def augment(
                 break
         if chosen is not None:
             y0, x0 = chosen
-            img = _resize_chw(
-                np.ascontiguousarray(img[:, y0 : y0 + side, x0 : x0 + side]), s
-            )
-            m = _resize_chw(
-                np.ascontiguousarray(mask[:, y0 : y0 + side, x0 : x0 + side]), s
-            )
+            img = _resize_chw(img[:, y0 : y0 + side, x0 : x0 + side], s)
+            m = _resize_chw(mask[:, y0 : y0 + side, x0 : x0 + side], s)
             mask = (m > 0.5).astype(np.float32)
 
     if rng.uniform() < cfg.p_hflip:
@@ -292,8 +282,7 @@ def augment(
         xc, yc = gx - ctr, gy - ctr
         src_x = math.cos(theta) * xc + math.sin(theta) * yc + ctr
         src_y = -math.sin(theta) * xc + math.cos(theta) * yc + ctr
-        img = _warp_bilinear(img, src_x, src_y, IMAGE_FILL)
-        mask = _warp_nearest(mask, src_x, src_y, MASK_FILL)
+        img, mask = _warp(img, mask, src_x, src_y)
 
     if rng.uniform() < cfg.p_elastic:
         coarse = rng.uniform(
@@ -303,8 +292,7 @@ def augment(
         gx, gy = _identity_grid(s)
         src_x = gx + disp[0]
         src_y = gy + disp[1]
-        img = _warp_bilinear(img, src_x, src_y, IMAGE_FILL)
-        mask = _warp_nearest(mask, src_x, src_y, MASK_FILL)
+        img, mask = _warp(img, mask, src_x, src_y)
 
     if rng.uniform() < cfg.p_photometric:
         contrast = 1.0 + float(rng.uniform(-CONTRAST_RANGE, CONTRAST_RANGE))

@@ -49,7 +49,7 @@ def _module_check(
     # Random-weighted readout: a plain mean is blind to anything a
     # trailing batchnorm absorbs (its output mean is constant), which
     # would leave near-zero gradients drowned in difference noise.
-    out_shape = (rest[-1] if rest else x.value).shape
+    out_shape = rest[-1].tensor.shape if rest else x.value.shape
     w = ad.constant(_randn(np.random.default_rng([seed, 0xEE]), out_shape))
 
     def fn():

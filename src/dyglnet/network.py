@@ -143,9 +143,8 @@ class Model(Module):
                 Conv2d(f"enc.stem.conv{j + 1}", w[1], w[1], 3, rng, dtype, padding=1)
             )
         # Stages 2-4 each downsample with a stride-2 conv, then run their
-        # blocks. Each is a list attribute of its own, since Module._collect
-        # walks one list level.
-        stages = []
+        # blocks.
+        self.stages: list[list[Module]] = []
         for i in (2, 3, 4):
             stage: list[Module] = [
                 Conv2d(f"enc.stage{i}.down", w[i - 1], w[i], 3, rng, dtype,
@@ -154,8 +153,7 @@ class Model(Module):
             for j in range(cfg.blocks_per_stage[i - 1]):
                 stage.append(ShdcBlock(f"enc.stage{i}.block{j}", cfg, w[i],
                                        i in _FUSED_STAGES, rng, dtype))
-            stages.append(stage)
-        self.stage2, self.stage3, self.stage4 = stages
+            self.stages.append(stage)
         # up k lifts stage 5-k's output onto stage 4-k's skip; the outermost
         # skip is the input image.
         self.ups = [
@@ -181,7 +179,7 @@ class Model(Module):
         # Each encoder stage pushes its input as a skip; the decoder pops
         # them innermost first, down to the image itself.
         skips = [x]
-        for stage in (self.stage2, self.stage3, self.stage4):
+        for stage in self.stages:
             skips.append(f)
             for layer in stage:
                 f = layer(f, training)

@@ -46,12 +46,9 @@ class Tensor:
 
     def __init__(self, data, dtype: str | None = None):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = np.array(arr, dtype=_np_dtype(dtype), order="C", copy=True)
-        elif arr.dtype in (np.float32, np.float64):
-            arr = np.array(arr, order="C", copy=True)
-        else:
-            arr = np.array(arr, dtype=np.float64, order="C", copy=True)
+        if dtype is None:  # keep f32 or f64, read anything else as f64
+            dtype = _DTYPE_NAMES.get(arr.dtype, "f64")
+        arr = np.array(arr, dtype=_np_dtype(dtype), order="C", copy=True)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         self._data = _validated(arr)
@@ -514,14 +511,10 @@ def _batchnorm2d_vjp(
 # Convention: pixel i of an extent-S axis sits at continuous coordinate i,
 # and normalized coordinate (2*i + 1)/S - 1, so the normalized range [-1, 1]
 # spans the outer pixel edges. Out-of-range points clamp to the border and
-# contribute zero gradient to the coordinates.
+# contribute zero gradient to the coordinates. Every sampler takes pixel
+# coordinates u [n, 2, p], x then y on axis 1.
 
-
-def _pixel_coords(g: np.ndarray, size: int) -> np.ndarray:
-    return (g + 1.0) * (size / 2.0) - 0.5
-
-
-# The sampler walks the coordinate array [n, p] in chunks of whole rows,
+# The sampler walks the coordinate array u in chunks of whole rows,
 # about this many points each, and rebuilds each chunk's corner indices
 # and lerp fractions from the coordinates; the tape keeps only x and u.
 # Only a row's own points reach its image, so a chunk of whole rows
@@ -530,22 +523,22 @@ def _pixel_coords(g: np.ndarray, size: int) -> np.ndarray:
 _SAMPLE_CHUNK = 1 << 16
 
 
-def _sample_chunks(ux: np.ndarray, uy: np.ndarray, c: int, h: int, w: int):
-    """Per chunk of whole rows of pixel coords [n, p], yields (rows, at,
-    bins, steps, fx, fy): the row slice; the top-left corner as a flat
+def _sample_chunks(u: np.ndarray, c: int, h: int, w: int):
+    """Per chunk of whole rows of pixel coords u [n, 2, p], yields (rows,
+    at, bins, steps, fx, fy): the row slice; the top-left corner as a flat
     index into x [n,c,h,w] at channel 0 and as a bin of the chunk's own
     [rows, h*w] planes; the steps to the four corners 00, 01, 10, 11
     (x0 <= w - 2, so a step is 1 unless its axis has one pixel); and the
     lerp fractions."""
-    n, p = ux.shape
+    n, _, p = u.shape
     hw = h * w
     sx, sy = min(1, w - 1), w * min(1, h - 1)
     steps = (0, sx, sy, sy + sx)
     nr = max(1, _SAMPLE_CHUNK // max(p, 1))
     for r0 in range(0, n, nr):
         rows = slice(r0, min(r0 + nr, n))
-        fx = np.clip(ux[rows], 0.0, w - 1.0)
-        fy = np.clip(uy[rows], 0.0, h - 1.0)
+        fx = np.clip(u[rows, 0], 0.0, w - 1.0)
+        fy = np.clip(u[rows, 1], 0.0, h - 1.0)
         x0 = np.minimum(np.floor(fx), max(w - 2, 0))
         y0 = np.minimum(np.floor(fy), max(h - 2, 0))
         # Exact in the input precision: x0 <= fx <= x0 + 1 (Sterbenz).
@@ -559,15 +552,15 @@ def _sample_chunks(ux: np.ndarray, uy: np.ndarray, c: int, h: int, w: int):
         yield rows, at, bins, steps, fx, fy
 
 
-def _sample_pixel_forward(x: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """Bilinear gather. x: [n,c,h,w] at pixel coords ux, uy [n,p] -> [n,c,p].
+def _sample_pixel_forward(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Bilinear gather. x: [n,c,h,w] at pixel coords u [n,2,p] -> [n,c,p].
 
     One chunk and one channel at a time, read from x's flat view, so
     temporaries stay at one chunk of one channel."""
     n, c, h, w = x.shape
-    out = np.empty((n, c, ux.shape[1]), dtype=x.dtype)
+    out = np.empty((n, c, u.shape[2]), dtype=x.dtype)
     xf = x.reshape(-1)
-    for rows, at, _, steps, fx, fy in _sample_chunks(ux, uy, c, h, w):
+    for rows, at, _, steps, fx, fy in _sample_chunks(u, c, h, w):
         for ci in range(c):
             top, v01, bot, v11 = (np.take(xf[ci * h * w + s :], at) for s in steps)
             v01 -= top
@@ -585,8 +578,8 @@ def _sample_pixel_forward(x: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.n
 def _sample_pixel_vjp(
     x: np.ndarray, u: np.ndarray, gy: np.ndarray, with_gu: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(gx, gu) of a bilinear read at pixel coords u [n, 2, p] (x then y
-    on axis 1); gu is None when ``with_gu`` is false.
+    """(gx, gu) of a bilinear read at pixel coords u [n, 2, p]; gu is
+    None when ``with_gu`` is false.
 
     gx is scattered by ``bincount``: each corner is summed in float64 and
     the four sums are added in the input precision, in the fixed order
@@ -596,7 +589,7 @@ def _sample_pixel_vjp(
     xf = x.reshape(-1)
     gx = np.empty((n, c, hw), dtype=gy.dtype)
     gu = np.zeros(u.shape, dtype=x.dtype) if with_gu else None
-    for rows, at, bins, steps, fx, fy in _sample_chunks(u[:, 0], u[:, 1], c, h, w):
+    for rows, at, bins, steps, fx, fy in _sample_chunks(u, c, h, w):
         gfx = 1.0 - fx
         gfy = 1.0 - fy
         g = gy[rows]
@@ -646,19 +639,17 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     _check_same_dtype(x.data, grid.data)
     n, c, h, w = x.shape
     oh, ow = grid.shape[1], grid.shape[2]
-    g2 = grid.data.reshape(n, oh * ow, 2)
-    ux = _pixel_coords(g2[:, :, 0], w)
-    uy = _pixel_coords(g2[:, :, 1], h)
-    y = _sample_pixel_forward(x.data, ux, uy)
+    g = grid.data.reshape(n, oh * ow, 2).transpose(0, 2, 1)
+    half = np.asarray([[w], [h]], dtype=g.dtype) / 2  # normalized -> pixel coords
+    y = _sample_pixel_forward(x.data, (g + 1.0) * half - 0.5)
     return Tensor._wrap(y.reshape(n, c, oh, ow))
 
 
 def _resize_coords(
     n: int, h: int, w: int, out_h: int, out_w: int, dtype: np.dtype
 ) -> np.ndarray:
-    """Pixel coords [n, 2, out_h*out_w] (x then y on axis 1) of an
-    h x w -> out_h x out_w resize: output pixel j samples
-    (j + 0.5) * in/out - 0.5."""
+    """Pixel coords [n, 2, out_h*out_w] of an h x w -> out_h x out_w
+    resize: output pixel j samples (j + 0.5) * in/out - 0.5."""
     dt = dtype.type
     ux = (np.arange(out_w, dtype=dt) + dt(0.5)) * (w / out_w) - dt(0.5)
     uy = (np.arange(out_h, dtype=dt) + dt(0.5)) * (h / out_h) - dt(0.5)
@@ -678,7 +669,7 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if (out_h, out_w) == (h, w):
         return Tensor._wrap(x.data.copy())
     u = _resize_coords(n, h, w, out_h, out_w, x.data.dtype)
-    y = _sample_pixel_forward(x.data, u[:, 0], u[:, 1])
+    y = _sample_pixel_forward(x.data, u)
     return Tensor._wrap(y.reshape(n, c, out_h, out_w))
 
 

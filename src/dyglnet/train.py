@@ -147,9 +147,7 @@ class AdamW:
             v_hat = v / dt.type(bc2)
             update = dt.type(lr) * m_hat / (np.sqrt(v_hat) + dt.type(cfg.adam_eps))
             decay = dt.type(1.0 - lr * cfg.weight_decay)
-            p.assign(
-                Tensor._wrap(np.ascontiguousarray(p.value.data * decay - update))
-            )
+            p.assign(Tensor._wrap(p.value.data * decay - update))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -214,8 +212,7 @@ def evaluate_model(
     logits = []
     for i in range(0, len(samples), _EVAL_CHUNK):
         x = np.stack([s.image.data for s in samples[i : i + _EVAL_CHUNK]])
-        out = model(ad.constant(Tensor._wrap(x)), training=False)
-        logits.append(out.tensor.data)
+        logits.append(model.predict(Tensor._wrap(x)).data)
     pred = Tensor._wrap(np.concatenate(logits, axis=0))
     target = Tensor._wrap(np.stack([s.mask.data for s in samples]))
     return evaluate(pred, target, threshold=threshold)
@@ -254,7 +251,6 @@ def train(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     emit = log if log is not None else (lambda line: None)
-    stop = False
     for epoch in range(cfg.total_epochs):
         lr = lr_at(epoch, cfg)
         order = shuffle_rng.permutation(len(train_samples))
@@ -281,17 +277,13 @@ def train(
                     f"keeping the last completed checkpoint"
                 )
                 result.aborted = True
-                stop = True
-                break
+                return result
             opt.zero_grad()
             epoch_losses.append(loss_val)
             result.step_losses.append(loss_val)
             result.steps_run += 1
             if max_steps is not None and result.steps_run >= max_steps:
-                stop = True
                 break
-        if result.aborted:
-            break
         metrics = evaluate_model(model, valid_samples)
         result.final_metrics = metrics
         result.epochs_run = epoch + 1
@@ -307,8 +299,8 @@ def train(
             result.best_epoch = epoch
             if out_dir is not None:
                 save_model(model, os.path.join(out_dir, "best.ckpt"))
-        if stop:
+        if max_steps is not None and result.steps_run >= max_steps:
             break
-    if out_dir is not None and not result.aborted:
+    if out_dir is not None:
         save_model(model, os.path.join(out_dir, "final.ckpt"))
     return result

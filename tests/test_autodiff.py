@@ -348,7 +348,7 @@ def test_grad_check_square_function_pinned():
         wv = ad.watch(w)
         return ad.sum_all(ad.mul(wv, wv))
 
-    report = grad_check(fn, [w], eps=1e-5, tol=1e-9)
+    report = grad_check(fn, [w], tol=1e-9)
     assert report.passed
     assert report.max_rel_err < 1e-9
     # Analytic derivative of x^2 at 3 is 6.
@@ -366,7 +366,7 @@ def test_grad_check_dice_of_sigmoid():
     def fn():
         return dice_loss(ad.sigmoid(ad.watch(w)), target)
 
-    report = grad_check(fn, [w], eps=1e-5, tol=1e-5)
+    report = grad_check(fn, [w], tol=1e-5)
     assert report.passed, report
     assert report.max_rel_err < 1e-5
 
@@ -382,9 +382,9 @@ def test_grad_check_fails_a_wrong_analytic_gradient():
         sq = ad.record_op(Tensor._wrap(wd * wd), (wv,), lambda g: (factor * g * wd,))
         return ad.sum_all(sq)
 
-    right = grad_check(lambda: fn(2.0), [w], eps=1e-5, tol=1e-4)
+    right = grad_check(lambda: fn(2.0), [w], tol=1e-4)
     assert right.passed and right.checked == 1
-    wrong = grad_check(lambda: fn(1.0), [w], eps=1e-5, tol=1e-4)
+    wrong = grad_check(lambda: fn(1.0), [w], tol=1e-4)
     assert not wrong.passed
     assert wrong.checked == 1 and wrong.skipped == 0
     assert wrong.max_rel_err == pytest.approx(0.5, rel=1e-6)
@@ -395,7 +395,7 @@ def test_grad_check_fails_a_wrong_analytic_gradient():
 
 
 def _fd_ok(fn, params, tol=1e-4):
-    report = grad_check(fn, params, eps=1e-5, tol=tol)
+    report = grad_check(fn, params, tol=tol)
     assert report.passed, report
 
 
@@ -538,21 +538,25 @@ def test_fd_softmax():
 
 
 def test_fd_batchnorm_training():
+    # Both modes: training differentiates through the batch statistics,
+    # eval mode normalizes with the running ones, which a taped eval
+    # forward (model(x, training=False) under a Tape) reaches.
     rng = np.random.default_rng(19)
     x = param("x", rng.normal(size=(2, 3, 4, 4)))
     gamma = param("gamma", rng.normal(size=(3,)) + 1.5)
     beta = param("beta", rng.normal(size=(3,)))
-    rm = Tensor(np.zeros(3), dtype="f64")
-    rv = Tensor(np.ones(3), dtype="f64")
+    rm = Tensor(rng.normal(size=(3,)), dtype="f64")
+    rv = Tensor(rng.uniform(0.5, 2.0, size=(3,)), dtype="f64")
     wgt = const64(np.random.default_rng(20).normal(size=(2, 3, 4, 4)))
 
-    def fn():
+    def loss(training):
         y, _, _ = ad.batchnorm2d(
-            ad.watch(x), ad.watch(gamma), ad.watch(beta), rm, rv, training=True
+            ad.watch(x), ad.watch(gamma), ad.watch(beta), rm, rv, training
         )
         return ad.mean_all(ad.mul(y, wgt))
 
-    _fd_ok(fn, [x, gamma, beta])
+    for training in (True, False):
+        _fd_ok(lambda: loss(training), [x, gamma, beta])
 
 
 def test_fd_pixel_sample_values_and_coordinates():

@@ -202,7 +202,7 @@ def test_hybrid_gradient_matches_fd():
     def fn():
         return hybrid_loss(ad.watch(w), target, 0.5)
 
-    report = ad.grad_check(fn, [w], eps=1e-5, tol=1e-5)
+    report = ad.grad_check(fn, [w], tol=1e-5)
     assert report.passed, report.max_rel_err
 
 

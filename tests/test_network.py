@@ -347,7 +347,7 @@ def test_init_replays_he_normal_in_parameter_order():
         if p.name.endswith(".offset.weight"):
             want = np.zeros(shape, dtype=np.float32)
         else:
-            want = he_normal(rng, shape, math.prod(shape[1:]), "f32").data
+            want = he_normal(rng, shape, "f32").data
         np.testing.assert_array_equal(p.value.data, want, err_msg=p.name)
 
 
@@ -406,7 +406,7 @@ def test_use_dyt_false_builds_batchnorm_attention(tmp_path):
     # batchnorm, its gradients check out, and checkpoints round-trip.
     cfg = ModelConfig.tiny(input_size=32, use_dyt=False)
     model = Model(cfg, seed=7)
-    blocks = model.stage3[1:] + model.stage4[1:]
+    blocks = model.stages[1][1:] + model.stages[2][1:]
     assert blocks and all(isinstance(b.attn.norm, BatchNorm2d) for b in blocks)
     rng = np.random.default_rng(3)
     attn = SingleHeadAttention("attn", cfg, 4, rng, dtype="f64")

@@ -629,9 +629,9 @@ def c64(a):
 
 
 def test_elementwise_pinned():
-    assert ad.sigmoid(c64([0.0])).item() == pytest.approx(0.5, abs=1e-12)
-    assert ad.tanh(c64([0.0])).item() == 0.0
-    assert ad.tanh(c64([50.0])).item() == pytest.approx(1.0, abs=1e-9)
+    assert ad.sigmoid(c64([0.0])).tensor.item() == pytest.approx(0.5, abs=1e-12)
+    assert ad.tanh(c64([0.0])).tensor.item() == 0.0
+    assert ad.tanh(c64([50.0])).tensor.item() == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_array_equal(
         ad.add(c64([1.0, 2.0]), c64([3.0, 4.0])).tensor.data, [4.0, 6.0]
     )
@@ -664,7 +664,7 @@ def test_concat_shapes():
     a = c64(np.zeros((1, 2, 2, 2)))
     b = c64(np.ones((1, 3, 2, 2)))
     y = ad.concat([a, b], axis=1)
-    assert y.shape == (1, 5, 2, 2)
+    assert y.tensor.shape == (1, 5, 2, 2)
 
 
 def test_depth_to_space_reference_layout():

@@ -12,7 +12,7 @@ import pytest
 
 from dyglnet import autodiff as ad
 from dyglnet.autodiff import Parameter
-from dyglnet.data import synth_dataset
+from dyglnet.data import AugmentConfig, synth_dataset
 from dyglnet.errors import ConfigurationError, ContractError, NumericError
 from dyglnet.losses import hybrid_loss
 from dyglnet.network import Model, ModelConfig, load
@@ -252,6 +252,21 @@ def test_train_bit_exact_determinism():
     assert weights[0].keys() == weights[1].keys()
     for name in weights[0]:
         np.testing.assert_array_equal(weights[0][name], weights[1][name])
+
+
+def test_train_with_augmentation_replays_and_differs_from_plain():
+    train_set, valid_set = _datasets()
+    runs = []
+    for aug in (AugmentConfig(), AugmentConfig(), None):
+        model = Model(_MODEL_CFG, seed=0)
+        result = train(model, _small_cfg(), train_set, valid_set, aug=aug)
+        runs.append((result.step_losses, [p.value.data for p in model.parameters()]))
+    (a, wa), (b, wb), (plain, wp) = runs
+    assert len(a) == 4 and a == b
+    for x, y in zip(wa, wb):
+        np.testing.assert_array_equal(x, y)
+    assert a != plain
+    assert any(not np.array_equal(x, y) for x, y in zip(wa, wp))
 
 
 def test_train_first_step_loss_matches_recomputation():
