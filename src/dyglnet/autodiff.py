@@ -12,12 +12,15 @@ gradient summed so far. A watched :class:`Parameter` is a node too, with
 no parents; its VJP adds the gradient that reaches it into the
 parameter's ``grad`` buffer. Only the :class:`Value` an op returns holds
 its tensor, so the tape keeps an output alive only through a VJP that
-reads it; every closure here keeps only what it reads. :func:`backward`
-replays the slots in reverse creation order and releases each one as
-soon as its VJP has run. Each slot names its tape until then, and an op
-whose input belongs to another tape, or to a released slot, raises
-``ContractError``. With no active tape the ops run forward-only and
-record nothing, so evaluation keeps no closures and no slots.
+reads it; every closure here keeps only what it reads. ``conv2d`` and
+``depthwise_residual`` hand their input to the VJP in a one-item box,
+and the VJP releases it once read, so it runs once: a second call
+raises ``StateError``. :func:`backward` replays the slots in reverse
+creation order and releases each one as soon as its VJP has run. Each
+slot names its tape until then, and an op whose input belongs to
+another tape, or to a released slot, raises ``ContractError``. With no
+active tape the ops run forward-only and record nothing, so evaluation
+keeps no closures and no slots.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences in float64, re-probing suspect entries at two extra step
@@ -280,10 +283,10 @@ def softmax(x: Value, axis: int = -1) -> Value:
 
 def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
     y = T.conv2d(x.tensor, weight.tensor, bias.tensor, spec)
-    xd, wd = x.tensor.data, weight.tensor.data
+    xs, wd = [x.tensor.data], weight.tensor.data  # the VJP takes x out of its box
     with_gx = x._slot is not None  # gx is None for a constant input
     return _record(
-        y, (x, weight, bias), lambda g: T._conv2d_vjp(xd, wd, spec, g, with_gx)
+        y, (x, weight, bias), lambda g: T._conv2d_vjp(xs, wd, spec, g, with_gx)
     )
 
 
@@ -300,15 +303,15 @@ def depthwise_residual(
     with_bias = bias is not None
     b = bias.tensor if with_bias else None
     T._check_dw_residual_args(x.tensor, [w.tensor for w in weights], dilations, b)
-    xd = x.tensor.data
+    xs = [x.tensor.data]  # the VJP takes x out of its box
     wds = [w.tensor.data for w in weights]
     y = Tensor._wrap(
-        T._dw_residual_forward(xd, wds, dilations, b.data if with_bias else None)
+        T._dw_residual_forward(xs[0], wds, dilations, b.data if with_bias else None)
     )
     parents = (x, *weights, bias) if with_bias else (x, *weights)
 
     def vjp(g):
-        gx, gws, gb = T._dw_residual_vjp(xd, wds, dilations, g, with_bias)
+        gx, gws, gb = T._dw_residual_vjp(xs, wds, dilations, g, with_bias)
         return (gx, *gws, gb) if with_bias else (gx, *gws)
 
     return _record(y, parents, vjp)

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateStatisticsError,
     DimensionError,
     NumericError,
+    StateError,
 )
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -166,6 +167,14 @@ def _lattice(x: np.ndarray, s: int, p: int, slack: bool) -> tuple[np.ndarray, in
     return _space_to_depth_forward(xp, s).reshape(n, c * s * s, -1), wq
 
 
+def _take(x: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """x, or the array a VJP's one-item box gives up so that the VJP can
+    free it once read; an empty box means the VJP already ran."""
+    if isinstance(x, list) and not x:
+        raise StateError("this VJP already ran and released its saved input")
+    return x.pop() if isinstance(x, list) else x
+
+
 def _runs(kh: int, kw: int, d: int, s: int, wq: int):
     """Yield ``(i, j, phase, start)`` per kernel tap in row-major order:
     the lattice run that tap (i, j) reads, in which output (y, x) of an
@@ -187,24 +196,28 @@ def _conv2d_forward(
     xg = xl.reshape(n, g, cin_g, s * s, -1)
     wg = w.reshape(g, cout // g, cin_g, kh, kw)
     run = ho * wq
-    acc = np.zeros((n, g, cout // g, run), dtype=x.dtype)
-    for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq):
-        # [g,cout_g,cin_g] @ [n,g,cin_g,run] -> [n,g,cout_g,run]
-        acc += np.matmul(wg[:, :, :, i, j], xg[:, :, :, ph, at : at + run])
+    taps = [(wg[:, :, :, i, j], xg[:, :, :, ph, at : at + run])
+            for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq)]
+    acc = np.matmul(*taps[0])  # [n,g,cout_g,run]; the later taps add in place
+    for wt, xt in taps[1:]:
+        acc += np.matmul(wt, xt)
     y = acc.reshape(n, cout, ho, wq)[..., :wo]
     y += b.reshape(1, cout, 1, 1)
     return y
 
 
 def _conv2d_vjp(
-    x: np.ndarray,
+    x: np.ndarray | list[np.ndarray],
     w: np.ndarray,
     spec: ConvSpec,
     gy: np.ndarray,
     with_gx: bool,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(gx, gw, gb); gx is None unless ``with_gx``. gy goes on the output
-    lattice with zeros in its pad columns, so every tap is two GEMMs."""
+    lattice with zeros in its pad columns, so every tap is two GEMMs. x
+    (an array or a ``_take`` box) and its lattice are dropped before the
+    gx taps; a stride-1, unpadded 1x1 conv's gx is its one GEMM."""
+    x = _take(x)
     n, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
     g, s, p = spec.groups, spec.stride, spec.padding
@@ -212,28 +225,33 @@ def _conv2d_vjp(
     _, _, ho, wo = gy.shape
     xl, wq = _lattice(x, s, p, kw > 1)
     xg = xl.reshape(n, g, cin_g, s * s, -1)
+    del x, xl  # xg is the last holder of x's lattice
     run = ho * wq
     gyl = gyg = np.ascontiguousarray(gy).reshape(n, g, cout_g, ho, wo)
     if wq > wo:
         gyl = np.zeros((n, g, cout_g, ho, wq), dtype=gy.dtype)
         gyl[..., :wo] = gyg
     gyl = gyl.reshape(n, g, cout_g, run)
+    gb = gyg.sum(axis=(0, 3, 4)).reshape(cout)
     gw = np.empty_like(w)
     gwg = gw.reshape(g, cout_g, cin_g, kh, kw)
-    wg = w.reshape(g, cout_g, cin_g, kh, kw)
-    gxl = np.zeros_like(xg) if with_gx else None
     for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq):
-        xr = xg[:, :, :, ph, at : at + run]  # [n,g,cin_g,run]
         # weight grad: sum_n [n,g,cout_g,run] @ [n,g,run,cin_g] -> [g,cout_g,cin_g]
-        gwg[:, :, :, i, j] = np.matmul(gyl, xr.transpose(0, 1, 3, 2)).sum(axis=0)
-        if with_gx:
-            # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,run] -> [n,g,cin_g,run]
-            gxl[:, :, :, ph, at : at + run] += np.matmul(wg[:, :, :, i, j].transpose(0, 2, 1), gyl)
-    gx = None
-    if with_gx:  # back from the phases, then crop the padding
-        gxp = _depth_to_space_forward(gxl.reshape(n, cin * s * s, -1, wq), s)
-        gx = np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid])
-    return gx, gw, gyg.sum(axis=(0, 3, 4)).reshape(cout)
+        xr = xg[:, :, :, ph, at : at + run].transpose(0, 1, 3, 2)
+        gwg[:, :, :, i, j] = np.matmul(gyl, xr).sum(axis=0)
+    lattice = xg.shape
+    del xg, xr
+    if not with_gx:
+        return None, gw, gb
+    # input grad: [g,cin_g,cout_g] @ [n,g,cout_g,run] -> [n,g,cin_g,run]
+    wt = w.reshape(g, cout_g, cin_g, kh, kw).transpose(0, 2, 1, 3, 4)
+    if s == 1 and p == 0 and kh == kw == 1:  # x is its own lattice
+        return np.matmul(wt[..., 0, 0], gyl).reshape(n, cin, h, wid), gw, gb
+    gxl = np.zeros(lattice, dtype=gy.dtype)
+    for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq):
+        gxl[:, :, :, ph, at : at + run] += np.matmul(wt[..., i, j], gyl)
+    gxp = _depth_to_space_forward(gxl.reshape(n, cin * s * s, -1, wq), s)  # off the phases
+    return np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid]), gw, gb
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
@@ -285,15 +303,20 @@ def _dw_residual_forward(
     b: np.ndarray | None,
 ) -> np.ndarray:
     """x + sum_k dwconv3x3(x, ws[k]; dilation = padding = dilations[k])
-    (+ b): one lattice padded by the largest dilation, then each channel
-    block's output lattice starts as its run of x and takes every tap."""
-    n, c, h, w = x.shape
+    (+ b), on one lattice padded by the largest dilation."""
+    xl, wq = _lattice(x, 1, max(dilations), True)
+    return _dw_residual_taps(xl, wq, x.shape, ws, dilations, b)
+
+
+def _dw_residual_taps(xl: np.ndarray, wq: int, shape: tuple, ws: list, dilations: tuple, b):
+    """``_dw_residual_forward`` of an x of ``shape`` laid on lattice xl:
+    each channel block's output starts as its run of x, then takes every tap."""
+    n, c, h, w = shape
     pad = max(dilations)
-    xl, wq = _lattice(x, 1, pad, True)
     run, mid = h * wq, pad * (wq + 1)
-    y = np.empty_like(x)
-    blocks = _dw_blocks(n, c, run, x.dtype)
-    tmp, acc = np.empty((2, n, blocks[0].stop, run), dtype=x.dtype)
+    y = np.empty(shape, dtype=xl.dtype)
+    blocks = _dw_blocks(n, c, run, xl.dtype)
+    tmp, acc = np.empty((2, n, blocks[0].stop, run), dtype=xl.dtype)
     for blk in blocks:
         cb = blk.stop - blk.start
         ab, t = acc[:, :cb], tmp[:, :cb]
@@ -311,28 +334,30 @@ def _dw_residual_forward(
 
 
 def _dw_residual_vjp(
-    x: np.ndarray,
+    x: np.ndarray | list[np.ndarray],
     ws: list[np.ndarray],
     dilations: tuple[int, ...],
     gy: np.ndarray,
     with_bias: bool,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
-    """(gx, [gw_k], gb) of ``_dw_residual_forward``; lays x and gy on
-    lattices itself, so the tape keeps nothing but the op's output. gx is
-    the forward of gy with every kernel mirrored: that is the transpose."""
-    n, c, h, w = x.shape
+    """(gx, [gw_k], gb) of ``_dw_residual_forward``; x is an array or a box
+    (``_take``). It lays x and gy on lattices itself and drops x's after
+    the gw taps. gx is the forward of gy with every kernel mirrored (the
+    transpose), run on the same gy lattice."""
+    n, c, h, w = gy.shape
     pad = max(dilations)
-    xl, wq = _lattice(x, 1, pad, True)
+    xl, wq = _lattice(_take(x), 1, pad, True)
     gyl, _ = _lattice(gy, 1, pad, True)
     run, mid = h * wq, pad * (wq + 1)
     gws = [np.empty_like(w) for w in ws]
-    for blk in _dw_blocks(n, c, run, x.dtype):
+    for blk in _dw_blocks(n, c, run, xl.dtype):
         gyb = gyl[:, blk, mid : mid + run]  # gy, zero in the pad columns
         for gw, d in zip(gws, dilations):
             view = xl[:, blk, (pad - d) * (wq + 1) :]
             for i, j, _, at in _runs(3, 3, d, 1, wq):
                 gw[blk, 0, i, j] = np.einsum("ncp,ncp->c", view[:, :, at : at + run], gyb)
-    gx = _dw_residual_forward(gy, [wk[:, :, ::-1, ::-1] for wk in ws], dilations, None)
+    del xl, view
+    gx = _dw_residual_taps(gyl, wq, gy.shape, [wk[:, :, ::-1, ::-1] for wk in ws], dilations, None)
     gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
     return gx, gws, gb
 
@@ -415,8 +440,10 @@ _BN_EPS = 1e-5  # added to the variance before its square root
 def _bn_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     m = x.shape[0] * x.shape[2] * x.shape[3]
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    var = np.square(x - mean.reshape(1, -1, 1, 1)).mean(axis=(0, 2, 3), dtype=np.float64)
-    return mean.astype(x.dtype), var.astype(x.dtype), m
+    # the float64 squared deviations, one image at a time, in one buffer
+    dev, mc = np.empty(x.shape[1:], dtype=np.float64), mean.reshape(-1, 1, 1)
+    ss = sum(np.square(np.subtract(xi, mc, out=dev), out=dev).sum(axis=(1, 2)) for xi in x)
+    return mean.astype(x.dtype), (ss / m).astype(x.dtype), m
 
 
 def batchnorm2d(

@@ -279,15 +279,64 @@ def test_constant_input_conv_gets_no_input_gradient():
     gy = rng.normal(size=(2, 4, 4, 4))
     spec = ConvSpec(stride=2, padding=1)
     x = const64(xd)
+    # a VJP runs once: the direct call and backward each get a tape
+    with Tape() as tape:
+        ad.conv2d(x, ad.watch(w), ad.watch(b), spec)
+        assert tape._nodes[-1].vjp(gy)[0] is None
     with Tape() as tape:
         y = ad.conv2d(x, ad.watch(w), ad.watch(b), spec)
-        assert tape._nodes[-1].vjp(gy)[0] is None
         ad.backward(ad.sum_all(ad.mul(y, const64(gy))), tape)
     assert x._slot is None
     # the same weight and bias gradients as the VJP that forms gx too
     _, gw, gb = T._conv2d_vjp(xd, w.value.data, spec, gy, True)
     np.testing.assert_array_equal(w.grad, gw)
     np.testing.assert_array_equal(b.grad, gb)
+
+
+def test_one_by_one_conv_vjp_frees_its_input_before_forming_gx():
+    # The conv's input is an op output that only the tape holds. Its VJP
+    # drops it once gw is done, and gx is the GEMM's own output, so
+    # between the probes around the conv it adds less than half a gx.
+    x = param("x", np.random.default_rng(5).normal(size=(2, 32, 48, 48)))
+    w = param("w", np.random.default_rng(6).normal(size=(2, 32, 1, 1)))
+    levels = {}
+
+    def enter(g):
+        levels["entry"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()  # before the forward, so freeing the input counts
+    try:
+        with Tape() as tape:
+            h = _probe(ad.scale(ad.watch(x), 0.5), lambda g: levels.update(
+                peak=tracemalloc.get_traced_memory()[1]))
+            h = ad.conv2d(h, ad.watch(w), const64(np.zeros(2)), ConvSpec())
+            loss = ad.sum_all(_probe(h, enter))
+            del h
+            ad.backward(loss, tape)
+    finally:
+        tracemalloc.stop()
+    assert levels["peak"] - levels["entry"] <= 0.5 * x.value.data.nbytes
+    assert np.all(x.grad != 0.0)
+
+
+@pytest.mark.parametrize("op", ["conv2d", "depthwise_residual"])
+def test_a_vjp_that_released_its_input_refuses_a_second_run(op):
+    rng = np.random.default_rng(8)
+    x = param("x", rng.normal(size=(1, 2, 5, 5)))
+    w = param("w", rng.normal(size=(2, 1, 3, 3)))
+    gy = rng.normal(size=(1, 2, 5, 5))
+    with Tape() as tape:
+        xv, wv = ad.watch(x), ad.watch(w)
+        if op == "conv2d":
+            ad.conv2d(xv, wv, const64(np.zeros(2)), ConvSpec(padding=1, groups=2))
+        else:
+            ad.depthwise_residual(xv, [wv], (1,))
+        vjp = tape._nodes[-1].vjp
+    gx = vjp(gy)[0]
+    assert gx.shape == x.value.shape
+    with pytest.raises(StateError, match="already ran"):
+        vjp(gy)
 
 
 def test_parameter_watched_twice_gets_the_sum_of_both_paths():
