@@ -40,21 +40,33 @@ from .tensor import ConvSpec, Tensor
 
 
 class Parameter:
-    """Named, trainable tensor with a persistent gradient buffer.
+    """Named, trainable tensor with a gradient buffer allocated on first use.
 
-    ``grad`` accumulates across backward passes until :meth:`zero_grad`.
-    Non-trainable parameters (running statistics) are carried by the
-    same type but never receive gradients or optimizer updates.
+    ``grad`` accumulates across backward passes until :meth:`zero_grad`
+    releases it; read before any gradient arrives, it is zeros. So a
+    model used only for inference holds no gradient memory. Non-trainable
+    parameters (running statistics) are carried by the same type but
+    never receive gradients or optimizer updates.
     """
 
     def __init__(self, name: str, value: Tensor, trainable: bool = True):
         self.name = name
         self.value = value
         self.trainable = trainable
-        self.grad = np.zeros(value.shape, dtype=value.data.dtype)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros(self.value.shape, dtype=self.value.data.dtype)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray) -> None:
+        self._grad = g
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros(self.value.shape, dtype=self.value.data.dtype)
+        self._grad = None
 
     def assign(self, value: Tensor) -> None:
         if value.shape != self.value.shape:
@@ -138,7 +150,9 @@ def watch(param: Parameter) -> Value:
         if param.trainable:
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for {param.name}")
-            param.grad = param.grad + g
+            # a first gradient lands as a new array g + 0: bitwise zeros + g
+            g0 = param._grad
+            param._grad = g + g.dtype.type(0) if g0 is None else g0 + g
         return ()
 
     return _record(param.value, (), vjp)

@@ -167,15 +167,16 @@ class SingleHeadAttention(Module):
     def __call__(self, x: Value, training: bool = False) -> Value:
         n, c, h, w = x.tensor.shape
         p = h * w
-        z = self.norm(x, training)
-        qkv = self.qkv(z)
-        q, k, v = ad.split(qkv, 1, [c, c, c])
+        q, k, v = ad.split(self.qkv(self.norm(x, training)), 1, [c, c, c])
         q_tok = ad.transpose(ad.reshape(q, (n, c, p)), (0, 2, 1))  # [n,p,c]
         k_map = ad.reshape(k, (n, c, p))  # [n,c,p]
-        v_tok = ad.transpose(ad.reshape(v, (n, c, p)), (0, 2, 1))
+        del q, k
         scores = ad.scale(ad.matmul(q_tok, k_map), 1.0 / math.sqrt(c))
+        del q_tok, k_map
         attn = ad.softmax(scores, axis=2)
-        out = ad.matmul(attn, v_tok)  # [n,p,c]
+        del scores
+        out = ad.matmul(attn, ad.transpose(ad.reshape(v, (n, c, p)), (0, 2, 1)))  # [n,p,c]
+        del attn, v
         return ad.reshape(ad.transpose(out, (0, 2, 1)), (n, c, h, w))
 
 
@@ -272,8 +273,12 @@ class ShdcBlock(Module):
             cg = self.cfg.global_channels(self.channels)
             g_in, l_in = ad.split(h, 1, [cg, self.channels - cg])
             g_out = self.attn(g_in, training)
-            l_out = self.local(l_in, training)
-            h = ad.add(h, self.fuse(ad.concat([g_out, l_out], 1)))
+            del g_in
+            cat = ad.concat([g_out, self.local(l_in, training)], 1)
+            del g_out, l_in
+            fused = self.fuse(cat)
+            del cat
+            h = ad.add(h, fused)
         return self.ffn(h, training)
 
 
@@ -346,14 +351,16 @@ class DyFusionUp(Module):
         h2, w2 = _SCALE * h, _SCALE * w
         base = T._resize_coords(n * g, h, w, h2, w2, x_low.tensor.data.dtype)
         u = ad.constant(Tensor._wrap(base))
+        del base
         if self.cfg.upsample_mode == "dynamic":
             u = ad.add(self.offset_field(x_low), u)
         folded = ad.reshape(x_low, (n * g, c // g, h, w))
         return ad.reshape(ad.pixel_sample(folded, u), (n, c, h2, w2))
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
-        up = self.upsample(x_low)
-        aligned = self.align(up)
+        aligned = self.align(self.upsample(x_low))
         cat = ad.concat([x_skip, aligned], 1)
+        del x_skip, aligned
         fused = self.fuse(cat, training)
+        del cat
         return self.out(fused)

@@ -188,7 +188,9 @@ class Model(Module):
         return self.head(f)
 
     def predict(self, x: Tensor) -> Tensor:
-        """Forward in eval mode outside any tape; returns raw logits."""
+        """Forward in eval mode outside any tape; returns raw logits. Off the
+        tape the blocks drop each activation once its last reader has run,
+        and the parameters allocate no gradient buffers."""
         return self(ad.constant(x), training=False).tensor
 
 

@@ -414,13 +414,14 @@ def _matmul_vjp(
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis (max-subtracted)."""
+    """Numerically stable softmax along one axis (max-subtracted), in one
+    buffer: the float64 quotient is rounded once into the exponentials."""
     if not -x.rank <= axis < x.rank:
         raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
-    m = np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
+    e = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(e, out=e)
     s = np.sum(e, axis=axis, keepdims=True, dtype=np.float64)
-    return Tensor._wrap((e / s).astype(x.data.dtype))
+    return Tensor._wrap(np.divide(e, s, out=e, casting="unsafe"))
 
 
 def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:

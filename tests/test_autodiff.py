@@ -118,6 +118,49 @@ def test_grad_accumulates_across_backward_calls():
     np.testing.assert_array_equal(w.grad, np.zeros(3))
 
 
+def test_parameter_allocates_its_gradient_on_first_use():
+    # An inference model never reads a gradient, so it holds no buffer.
+    w = param("w", np.array([0.5, -1.5]))
+    assert w._grad is None
+    g = w.grad  # reading allocates the zeros
+    assert w._grad is g and g.dtype == np.float64
+    np.testing.assert_array_equal(g, np.zeros(2))
+    w.zero_grad()
+    assert w._grad is None
+    w.grad[:] = [3.0, -4.0]  # in place, as clip_grad_norm and the tests do
+    w.grad *= 0.5
+    np.testing.assert_array_equal(w.grad, [1.5, -2.0])
+    w.zero_grad()
+    assert w._grad is None
+    w.grad *= 2.0  # an in-place op on a released buffer sees zeros
+    np.testing.assert_array_equal(w.grad, np.zeros(2))
+
+
+def test_first_gradient_lands_as_zeros_plus_g():
+    # A -0.0 gradient reaching an unallocated buffer lands as +0.0, the
+    # bits that adding it to a zero-filled buffer gave; later ones add.
+    x = np.array([-0.0, 0.0, -2.5])
+    w = param("w", np.array([1.0, 2.0, 3.0]))
+    for expected in ([0.0, 0.0, -2.5], [0.0, 0.0, -5.0]):
+        with Tape() as tape:
+            ad.backward(ad.sum_all(ad.mul(ad.watch(w), const64(x))), tape)
+        np.testing.assert_array_equal(w.grad, expected)
+        assert not np.signbit(w.grad[:2]).any()
+    w.zero_grad()
+    assert w._grad is None
+    with Tape() as tape:
+        ad.backward(ad.sum_all(ad.mul(ad.watch(w), const64(x))), tape)
+    assert not np.signbit(w.grad[:2]).any()
+    # add's VJP hands one array to both operands; each parameter still
+    # gets a buffer of its own, so scaling one in place leaves the other
+    v = param("v", np.zeros(3))
+    w.zero_grad()
+    with Tape() as tape:
+        ad.backward(ad.sum_all(ad.add(ad.watch(w), ad.watch(v))), tape)
+    w.grad *= 2.0
+    np.testing.assert_array_equal(v.grad, np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # Tape lifecycle contracts
 

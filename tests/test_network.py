@@ -344,6 +344,41 @@ def test_default_train_step_backward_peaks_near_what_the_tape_holds():
     assert peak - held <= 6 * 2**20
 
 
+def _traced(fn):
+    """fn's result, the bytes it leaves allocated and its traced peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_inference_models_hold_no_gradient_buffers(tmp_path):
+    # A parameter allocates its gradient on first use, so a built or a
+    # loaded model holds its weights and little else (a zero-filled
+    # gradient per parameter used to double it).
+    Model(ModelConfig.tiny(input_size=32), seed=0)  # first-call caches
+    path = str(tmp_path / "model.ckpt")
+    save(Model(ModelConfig(), seed=0), path)
+    for build in (lambda: Model(ModelConfig(), seed=0), lambda: load(path)):
+        model, held, _ = _traced(build)
+        weights = sum(p.value.data.nbytes for p in model.parameters())
+        assert held <= 1.25 * weights
+        assert all(p._grad is None for p in model.parameters())
+
+
+def test_default_predict_frees_activations_after_their_last_reader():
+    # Off the tape every forward drops an activation once its last reader
+    # has run, so a batch-2 224x224 predict peaks at about twice the
+    # sampler output of dec.up4, its largest array ([2, 32, 224, 224]).
+    model = Model(ModelConfig(), seed=0)
+    x = t32(np.random.default_rng(5).normal(size=(2, 3, 224, 224)))
+    _, _, peak = _traced(lambda: model.predict(x))
+    assert peak <= 2.25 * (2 * 32 * 224 * 224 * 4)
+
+
 # ---------------------------------------------------------------------------
 # Parameter accounting
 

@@ -2,6 +2,8 @@
 the loop oracles in oracles.py."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -456,6 +458,29 @@ def test_softmax_rows_sum_to_one_up_to_1e3():
     y = T.softmax(t64(x), axis=1).data
     assert np.all(y >= 0)
     np.testing.assert_allclose(y.sum(axis=1), np.ones(4), atol=1e-6)
+
+
+def test_softmax_is_the_float64_quotient_in_one_buffer():
+    # Bit for bit the quotient of the exponentials by their float64 row
+    # sums, rounded once to the input dtype. Of the arrays the size of the
+    # input, it allocates only its output (the finiteness check's boolean
+    # mask and the ufunc's cast buffers come on top).
+    rng = np.random.default_rng(4)
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(scale=4.0, size=(1, 784, 784)).astype(dtype)  # attention
+        for axis in (2, 1):
+            e = np.exp(x - x.max(axis=axis, keepdims=True))
+            s = e.sum(axis=axis, keepdims=True, dtype=np.float64)
+            xt = Tensor._wrap(x)
+            tracemalloc.start()
+            try:
+                y = T.softmax(xt, axis=axis).data
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert y.dtype == dtype and y.flags.c_contiguous
+            np.testing.assert_array_equal(y.view(np.uint8), (e / s).astype(dtype).view(np.uint8))
+            assert peak <= 1.5 * x.nbytes
 
 
 def test_softmax_bad_axis():
