@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation: the tape and every op.
 
-The element-wise ops (add, mul, scale, tanh, sigmoid, relu, sum_all,
-mean_all) and the layout ops (concat, narrow, split, reshape,
-transpose) are defined here whole: argument checks, forward and VJP.
+The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all)
+and the layout ops (concat, narrow, split, reshape, transpose) are
+defined here whole: argument checks, forward and VJP.
 The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
 
 A :class:`Tape` records every differentiable op executed inside its
@@ -79,9 +79,6 @@ class Parameter:
             )
         self.value = value
 
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
-
 
 class _Slot:
     """What the tape keeps of one node: its parents' slots (``None`` for
@@ -113,9 +110,6 @@ class Value:
     @_vjp.setter
     def _vjp(self, vjp: Callable) -> None:
         self._slot.vjp = vjp
-
-    def __repr__(self) -> str:
-        return f"Value(shape={self.tensor.shape}, dtype={self.tensor.dtype})"
 
 
 _ACTIVE: "Tape | None" = None
@@ -465,13 +459,6 @@ def transpose(x: Value, axes: tuple[int, ...]) -> Value:
     return _record(y, (x,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
-def sum_all(x: Value) -> Value:
-    xd = x.tensor.data
-    shape, dt = xd.shape, xd.dtype
-    y = Tensor._wrap(np.asarray([np.sum(xd, dtype=np.float64)], dtype=dt))
-    return _record(y, (x,), lambda g: (np.full(shape, g[0], dtype=dt),))
-
-
 def mean_all(x: Value) -> Value:
     xd = x.tensor.data
     shape, dt, n = xd.shape, xd.dtype, xd.size
@@ -483,6 +470,7 @@ def mean_all(x: Value) -> Value:
 # Finite-difference gradient checking
 
 _FD_EPS = 1e-5  # central-difference step; re-probes use twice and half of it
+_FD_TOL = 1e-4  # largest relative error an entry may show and pass
 
 
 @dataclass
@@ -492,11 +480,10 @@ class GradCheckReport:
     max_rel_err: float = 0.0
     checked: int = 0
     skipped: int = 0
-    tol: float = 1e-4
 
     @property
     def passed(self) -> bool:
-        return self.checked > 0 and self.max_rel_err <= self.tol
+        return self.checked > 0 and self.max_rel_err <= _FD_TOL
 
 
 def _rel_err(a: float, n: float) -> float:
@@ -506,12 +493,11 @@ def _rel_err(a: float, n: float) -> float:
 def grad_check(
     fn: Callable[[], Value],
     params: Sequence[Parameter],
-    tol: float = 1e-4,
     max_entries_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``fn()`` against central differences
-    of step ``_FD_EPS``.
+    of step ``_FD_EPS``, to relative error ``_FD_TOL``.
 
     ``fn`` must rebuild the scalar loss from the current parameter
     values on every call. All parameters must be float64. When
@@ -543,7 +529,7 @@ def grad_check(
     def fd(param: Parameter, idx: tuple, h: float) -> float:
         return (eval_at(param, idx, h) - eval_at(param, idx, -h)) / (2.0 * h)
 
-    report = GradCheckReport(tol=tol)
+    report = GradCheckReport()
     for p in trainables:
         size = p.value.size
         if max_entries_per_param is not None and size > max_entries_per_param:
@@ -557,7 +543,7 @@ def grad_check(
             a = float(analytic[p.name][idx])
             n = fd(p, idx, _FD_EPS)
             err = _rel_err(a, n)
-            if err > tol:
+            if err > _FD_TOL:
                 # Re-probe at other step sizes: a difference quotient
                 # that moves with the step is either a kink or pure
                 # rounding noise (a structurally zero gradient), and

@@ -83,7 +83,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         train_samples = _manifest_samples(args.data, "train", model_cfg.input_size)
         valid_samples = _manifest_samples(args.data, "valid", model_cfg.input_size)
-    aug = AugmentConfig(seed=train_cfg.seed) if args.augment else None
+    aug = AugmentConfig() if args.augment else None
     result = train(
         model, train_cfg, train_samples, valid_samples,
         out_dir=args.out, aug=aug, log=print,

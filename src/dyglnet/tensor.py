@@ -93,9 +93,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self._data.copy()
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
 
 def _validated(arr: np.ndarray) -> np.ndarray:
     if not 1 <= arr.ndim <= 4:

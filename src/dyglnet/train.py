@@ -261,7 +261,7 @@ def train(
                 continue
             batch = [train_samples[int(i)] for i in idx]
             if aug is not None:
-                batch = [augment(s, aug, aug_rng) for s in batch]
+                batch = [augment(s, aug_rng) for s in batch]
             x, y = _stack(batch)
             try:
                 with Tape() as tape:

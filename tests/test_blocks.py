@@ -474,7 +474,7 @@ def test_dyfusion_bilinear_mode_matches_dynamic_at_init():
         xp = ad.Parameter("x", t64(x))
         with ad.Tape() as tape:
             y = block.upsample(ad.watch(xp))
-            ad.backward(ad.sum_all(ad.mul(y, v64(gy))), tape)
+            ad.backward(ad.mean_all(ad.mul(y, v64(gy))), tape)
         outs.append(y.tensor.data)
         grads.append(xp.grad)
     np.testing.assert_array_equal(outs[0], outs[1])

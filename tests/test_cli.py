@@ -11,8 +11,9 @@ import pytest
 
 from dyglnet import cli, network
 from dyglnet.cli import _load_configs, main
-from dyglnet.data import read_pgm, write_pgm
+from dyglnet.data import load_image, read_pgm, write_pgm
 from dyglnet.network import Model, ModelConfig
+from dyglnet.tensor import Tensor, _sigmoid_forward
 
 _TINY_LINES = [
     "# compact configuration for fast runs",
@@ -194,6 +195,19 @@ def test_train_synthetic_smoke(tiny_config, tmp_path, capsys):
         assert (out / name).exists(), name
 
 
+def test_train_from_a_manifest(tiny_config, disk_dataset, tmp_path, capsys):
+    # Two train images at batch 4: one step per epoch; one valid image.
+    out = tmp_path / "run"
+    rc = main(["train", "--config", tiny_config, "--data", disk_dataset,
+               "--out", str(out)])
+    captured = capsys.readouterr().out
+    assert rc == 0
+    assert "done epochs=2 steps=2" in captured
+    for name in ("last.ckpt", "best.ckpt", "final.ckpt"):
+        assert (out / name).exists(), name
+    assert network.load(str(out / "final.ckpt")).cfg.input_size == 32
+
+
 def test_train_bad_synthetic_count_exits_2(tiny_config, tmp_path, capsys):
     rc = main(["train", "--config", tiny_config, "--synthetic", "0",
                "--out", str(tmp_path / "out")])
@@ -258,6 +272,26 @@ def test_eval_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+def _counts(out):
+    line = next(line for line in out.splitlines() if line.startswith("counts"))
+    return dict(field.split("=") for field in line.split()[1:])
+
+
+def test_eval_threshold_sets_the_foreground_cut(tiny_ckpt, disk_dataset, capsys):
+    # A pixel is foreground when its probability exceeds the threshold, so
+    # at 1 none is; at the default 0.5 this model marks some.
+    counts = {}
+    for value in ("1", "0.5"):
+        rc = main(["eval", "--ckpt", tiny_ckpt, "--data", disk_dataset,
+                   "--threshold", value])
+        assert rc == 0
+        line = next(x for x in capsys.readouterr().out.splitlines()
+                    if x.startswith("counts"))
+        counts[value] = dict(field.split("=") for field in line.split()[1:])
+    assert counts["1"]["tp"] == counts["1"]["fp"] == "0"
+    assert int(counts["0.5"]["tp"]) + int(counts["0.5"]["fp"]) > 0
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -288,6 +322,25 @@ def test_predict_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, tmp_path,
     assert exc.value.code == 2
     assert "threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_predict_threshold_sets_the_foreground_cut(tiny_ckpt, disk_dataset, tmp_path, capsys):
+    with open(disk_dataset) as f:
+        image_path = f.readline().split("\t")[0]
+    model = network.load(tiny_ckpt)
+    logits = model.predict(Tensor._wrap(load_image(image_path, 32).data[None]))
+    probs = _sigmoid_forward(logits.data[0, 0])
+    masks = []
+    for value in ("1", "0"):
+        out = str(tmp_path / f"pred_{value}.pgm")
+        rc = main(["predict", "--ckpt", tiny_ckpt, "--image", image_path,
+                   "--out", out, "--threshold", value])
+        assert rc == 0
+        masks.append(read_pgm(out))
+    capsys.readouterr()
+    assert not masks[0].any()
+    np.testing.assert_array_equal(masks[1], np.where(probs > 0.0, 255, 0))
+    assert masks[1].any()
 
 
 def test_predict_then_eval_is_self_consistent(tiny_ckpt, disk_dataset, tmp_path, capsys):

@@ -6,10 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dyglnet import data
 from dyglnet.data import (
     NORM_MEAN,
     NORM_STD,
-    AugmentConfig,
     SegmentationSample,
     augment,
     decode_pgm,
@@ -22,7 +22,6 @@ from dyglnet.data import (
     write_pgm,
 )
 from dyglnet.errors import (
-    ConfigurationError,
     ContractError,
     DimensionError,
     FormatError,
@@ -191,91 +190,82 @@ def test_netpbm_sample_round_trip(tmp_path):
 # Augmentation
 
 
-def test_augment_disabled_is_bit_identical():
+def _stages(monkeypatch, crop=(1.0, 1.0), **probs):
+    """Fix the crop scale and set each stage's probability: the ones named
+    in ``probs`` (e.g. ``P_HFLIP=1.0``), and 0 for the rest."""
+    monkeypatch.setattr(data, "CROP_SCALE", crop)
+    for name in ("P_HFLIP", "P_VFLIP", "P_ROT", "P_ELASTIC", "P_PHOTOMETRIC"):
+        monkeypatch.setattr(data, name, probs.pop(name, 0.0))
+    assert not probs, probs
+
+
+def test_augment_disabled_is_bit_identical(monkeypatch):
+    _stages(monkeypatch)
     sample = synth_dataset(1, seed=5, size=32)[0]
-    rng = np.random.default_rng(0)
-    off = AugmentConfig(crop_scale=(1.0, 1.0), p_hflip=0.0, p_vflip=0.0, p_rot=0.0,
-                        p_elastic=0.0, p_photometric=0.0)
-    out = augment(sample, off, rng)
+    out = augment(sample, np.random.default_rng(0))
     np.testing.assert_array_equal(out.image.data, sample.image.data)
     np.testing.assert_array_equal(out.mask.data, sample.mask.data)
 
 
 def test_augment_deterministic_under_fixed_rng():
     sample = synth_dataset(1, seed=7, size=32)[0]
-    cfg = AugmentConfig()
-    a = augment(sample, cfg, np.random.default_rng(123))
-    b = augment(sample, cfg, np.random.default_rng(123))
+    a = augment(sample, np.random.default_rng(123))
+    b = augment(sample, np.random.default_rng(123))
     np.testing.assert_array_equal(a.image.data, b.image.data)
     np.testing.assert_array_equal(a.mask.data, b.mask.data)
 
 
-def test_augment_hflip_is_involution():
+def test_augment_hflip_is_involution(monkeypatch):
+    _stages(monkeypatch, P_HFLIP=1.0)
     sample = synth_dataset(1, seed=11, size=32)[0]
-    cfg = AugmentConfig(crop_scale=(1.0, 1.0), p_hflip=1.0, p_vflip=0.0,
-                        p_rot=0.0, p_elastic=0.0, p_photometric=0.0)
-    once = augment(sample, cfg, np.random.default_rng(1))
-    twice = augment(once, cfg, np.random.default_rng(2))
+    once = augment(sample, np.random.default_rng(1))
+    twice = augment(once, np.random.default_rng(2))
     np.testing.assert_array_equal(twice.image.data, sample.image.data)
     np.testing.assert_array_equal(twice.mask.data, sample.mask.data)
 
 
-def test_augment_vflip_is_involution():
+def test_augment_vflip_is_involution(monkeypatch):
+    _stages(monkeypatch, P_VFLIP=1.0)
     sample = synth_dataset(1, seed=13, size=32)[0]
-    cfg = AugmentConfig(crop_scale=(1.0, 1.0), p_hflip=0.0, p_vflip=1.0,
-                        p_rot=0.0, p_elastic=0.0, p_photometric=0.0)
-    once = augment(sample, cfg, np.random.default_rng(1))
-    twice = augment(once, cfg, np.random.default_rng(2))
+    once = augment(sample, np.random.default_rng(1))
+    twice = augment(once, np.random.default_rng(2))
     np.testing.assert_array_equal(twice.image.data, sample.image.data)
     np.testing.assert_array_equal(twice.mask.data, sample.mask.data)
 
 
-def test_augment_flip_geometry_consistent():
+def test_augment_flip_geometry_consistent(monkeypatch):
     # Flipping image and mask together: flip(mask(x)) == mask(flip(x)).
+    _stages(monkeypatch, P_HFLIP=1.0)
     sample = synth_dataset(1, seed=17, size=32)[0]
-    cfg = AugmentConfig(crop_scale=(1.0, 1.0), p_hflip=1.0, p_vflip=0.0,
-                        p_rot=0.0, p_elastic=0.0, p_photometric=0.0)
-    out = augment(sample, cfg, np.random.default_rng(3))
+    out = augment(sample, np.random.default_rng(3))
     np.testing.assert_array_equal(out.image.data, sample.image.data[:, :, ::-1])
     np.testing.assert_array_equal(out.mask.data, sample.mask.data[:, :, ::-1])
 
 
-def test_augment_photometric_leaves_mask_alone():
+def test_augment_photometric_leaves_mask_alone(monkeypatch):
+    _stages(monkeypatch, P_PHOTOMETRIC=1.0)
     sample = synth_dataset(1, seed=19, size=32)[0]
-    cfg = AugmentConfig(crop_scale=(1.0, 1.0), p_hflip=0.0, p_vflip=0.0,
-                        p_rot=0.0, p_elastic=0.0, p_photometric=1.0)
-    out = augment(sample, cfg, np.random.default_rng(5))
+    out = augment(sample, np.random.default_rng(5))
     np.testing.assert_array_equal(out.mask.data, sample.mask.data)
     assert not np.array_equal(out.image.data, sample.image.data)
 
 
 def test_augment_preserves_size_and_mask_binarity():
     sample = synth_dataset(1, seed=23, size=32)[0]
-    cfg = AugmentConfig()
     for seed in range(6):
-        out = augment(sample, cfg, np.random.default_rng(seed))
+        out = augment(sample, np.random.default_rng(seed))
         assert out.image.shape == (3, 32, 32)
         assert out.mask.shape == (1, 32, 32)
         md = out.mask.data
         assert np.all((md == 0.0) | (md == 1.0))
 
 
-def test_augment_crop_changes_content():
+def test_augment_crop_changes_content(monkeypatch):
+    _stages(monkeypatch, crop=(0.5, 0.5))
     sample = synth_dataset(1, seed=29, size=32)[0]
-    cfg = AugmentConfig(crop_scale=(0.5, 0.5), p_hflip=0.0, p_vflip=0.0,
-                        p_rot=0.0, p_elastic=0.0, p_photometric=0.0)
-    out = augment(sample, cfg, np.random.default_rng(7))
+    out = augment(sample, np.random.default_rng(7))
     assert out.image.shape == (3, 32, 32)
     assert not np.array_equal(out.image.data, sample.image.data)
-
-
-def test_augment_config_validation():
-    with pytest.raises(ConfigurationError):
-        AugmentConfig(crop_scale=(0.0, 1.0))
-    with pytest.raises(ConfigurationError):
-        AugmentConfig(crop_scale=(0.9, 0.4))
-    with pytest.raises(ConfigurationError):
-        AugmentConfig(p_rot=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +327,14 @@ def test_synth_shapes_and_types():
 def test_synth_rejects_bad_count():
     with pytest.raises(ContractError):
         synth_dataset(0, seed=0)
+
+
+def test_synth_rejects_a_negative_seed():
+    # A negative seed would otherwise alias its absolute value: the same
+    # images and masks under other ids.
+    with pytest.raises(ContractError, match="seed"):
+        synth_dataset(3, seed=-5, size=32)
+    synth_dataset(1, seed=0, size=32)
 
 
 # ---------------------------------------------------------------------------

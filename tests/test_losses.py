@@ -202,8 +202,8 @@ def test_hybrid_gradient_matches_fd():
     def fn():
         return hybrid_loss(ad.watch(w), target, 0.5)
 
-    report = ad.grad_check(fn, [w], tol=1e-5)
-    assert report.passed, report.max_rel_err
+    report = ad.grad_check(fn, [w])
+    assert report.passed and report.max_rel_err < 1e-5, report.max_rel_err
 
 
 # ---------------------------------------------------------------------------

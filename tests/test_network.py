@@ -11,12 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dyglnet import autodiff as ad, configtext, gradsuite, network
+from dyglnet import autodiff as ad, cli, configtext, gradsuite
 from dyglnet.autodiff import Parameter
 from dyglnet.blocks import BatchNorm2d, Conv2d, SingleHeadAttention, he_normal
 from dyglnet.checkpoint import read_checkpoint, write_checkpoint
 from dyglnet.errors import (
     ConfigurationError,
+    ContractError,
     DimensionError,
     FormatError,
     VersionError,
@@ -565,6 +566,69 @@ def test_checkpoint_rejects_oversized_dims_with_offset(tmp_path):
         read_checkpoint(path)
     assert err.value.offset == len(head)
     assert "payload" in str(err.value)
+
+
+def _record(name, dims, code=0):
+    """One tensor record of the checkpoint layout, with a zero payload."""
+    payload = bytes(math.prod(dims) * {0: 4, 1: 8}.get(code, 0))
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<B", code) + payload)
+
+
+_GOOD = _record(b"w", (2,))
+
+
+@pytest.mark.parametrize(
+    "records, config, offset, match",
+    [
+        ([_GOOD, _GOOD], b"", 12 + len(_GOOD), "duplicate tensor name"),
+        ([_record(b"w", ())], b"", 15, "rank 0 outside"),
+        ([_record(b"w", (1,) * 5)], b"", 15, "rank 5 outside"),
+        ([_record(b"w", (2, 0))], b"", 16, "zero extent"),
+        ([_record(b"w", (2,), code=2)], b"", 20, "unknown dtype code 2"),
+        ([_record(b"\xff", (2,))], b"", 12, "name is not UTF-8"),
+        ([_GOOD], b"\xff", 12 + len(_GOOD), "config snapshot is not UTF-8"),
+    ],
+    ids=["duplicate-name", "rank-0", "rank-5", "zero-extent", "dtype-code",
+         "name-not-utf8", "config-not-utf8"],
+)
+def test_checkpoint_header_faults_name_their_offset(tmp_path, capsys, records, config,
+                                                    offset, match):
+    # Each file is well-formed up to one fault, which the reader names
+    # with the byte offset where it starts; `info` exits 2 on it.
+    path = str(tmp_path / "forged.ckpt")
+    with open(path, "wb") as f:
+        f.write(b"DYGL" + struct.pack("<II", 1, len(records)) + b"".join(records)
+                + struct.pack("<I", len(config)) + config)
+    with pytest.raises(FormatError, match=match) as err:
+        read_checkpoint(path)
+    assert err.value.offset == offset
+    assert cli.main(["info", "--ckpt", path]) == 2
+    assert f"(byte offset {offset})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fault, error", [("no-tensors", FormatError), ("shape", DimensionError),
+                     ("dtype", ContractError)]
+)
+def test_load_rejects_tensors_the_config_cannot_take(tmp_path, capsys, fault, error):
+    # A file that reads cleanly but holds no tensors, or one tensor of
+    # another shape or dtype than its parameter, loads no model.
+    model = _tiny_model()
+    tensors = [(p.name, p.value) for p in model.parameters()]
+    name, value = tensors[1]
+    if fault == "no-tensors":
+        tensors = []
+    elif fault == "shape":
+        tensors[1] = (name, Tensor(np.ones(value.size + 1, np.float32), dtype="f32"))
+    else:
+        tensors[1] = (name, value.astype("f64"))
+    path = str(tmp_path / "m.ckpt")
+    write_checkpoint(path, tensors, model.cfg.to_text())
+    with pytest.raises(error, match="no tensors" if not tensors else name):
+        load(path)
+    assert cli.main(["info", "--ckpt", path]) == 2
+    capsys.readouterr()
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):

@@ -58,6 +58,19 @@ def test_tensor_dtype_and_item():
         Tensor(np.array([1.0, 2.0]), dtype="f64").item()
 
 
+def test_tensor_astype_round_trips_and_rejects_unknown_dtypes():
+    x = np.random.default_rng(2).normal(size=(2, 3)).astype(np.float32)
+    t = Tensor(x, dtype="f32")
+    wide = t.astype("f64")
+    assert wide.dtype == "f64" and wide.data.dtype == np.float64
+    np.testing.assert_array_equal(wide.data, x.astype(np.float64))
+    back = wide.astype("f32")
+    assert back.dtype == "f32"
+    assert back.data.tobytes() == x.tobytes()
+    with pytest.raises(ContractError, match="f16"):
+        t.astype("f16")
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 

@@ -297,6 +297,17 @@ def test_train_loss_depends_on_lambda():
     assert losses[0] != losses[1]
 
 
+@pytest.mark.parametrize("n, steps", [(5, 2), (1, 1)])
+def test_train_drops_a_trailing_one_sample_batch(n, steps):
+    # Batches of 2, 2 and 1: the last is dropped. A set of one sample
+    # trains on it, since nothing else would.
+    train_set = synth_dataset(n, seed=7, size=32)
+    cfg = TrainConfig(total_epochs=2, warmup_epochs=1, batch_size=2, seed=1)
+    result = train(Model(_MODEL_CFG, seed=0), cfg, train_set, _datasets()[1])
+    assert result.epochs_run == 2
+    assert result.steps_run == len(result.step_losses) == 2 * steps
+
+
 def test_train_log_line_format():
     train_set, valid_set = _datasets()
     model = Model(_MODEL_CFG, seed=0)
