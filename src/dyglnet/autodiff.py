@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation: the tape and every op.
 
-The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all)
-and the layout ops (concat, narrow, split, reshape, transpose) are
-defined here whole: argument checks, forward and VJP.
+The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all,
+sum_groups) and the layout ops (concat, narrow, split, reshape,
+transpose) are defined here whole: argument checks, forward and VJP.
 The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
 
 A :class:`Tape` records every differentiable op executed inside its
@@ -457,6 +457,16 @@ def transpose(x: Value, axes: tuple[int, ...]) -> Value:
     y = Tensor._wrap(np.ascontiguousarray(x.tensor.data.transpose(axes)))
     inv = tuple(np.argsort(axes))
     return _record(y, (x,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
+
+
+def sum_groups(x: Value, groups: int) -> Value:
+    """[N, G*C, H, W] -> [N, C, H, W], the sum of the G channel groups;
+    the VJP tiles the gradient into one array, not G zero-padded ones."""
+    n, gc, h, w = x.tensor.shape
+    if gc % groups:
+        raise DimensionError(f"{gc} channels do not split into {groups} groups")
+    y = Tensor._wrap(x.tensor.data.reshape(n, groups, gc // groups, h, w).sum(axis=1))
+    return _record(y, (x,), lambda g: (np.tile(g, (1, groups, 1, 1)),))
 
 
 def mean_all(x: Value) -> Value:

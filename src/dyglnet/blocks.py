@@ -302,8 +302,11 @@ class DyFusionUp(Module):
     The offsets are added to the sampling coordinates of a 2x bilinear
     resize, so with zero offsets the sampling stage equals static 2x
     bilinear upsampling exactly. ``cfg.upsample_mode`` "dynamic" learns
-    offsets, and "bilinear" samples the 2x resize lattice itself; the G
-    groups are ``cfg.sampler_groups``.
+    offsets for each of the G = ``cfg.sampler_groups`` groups, and
+    "bilinear" samples the 2x resize lattice itself, so the sampler reads
+    G' coordinate sets: G in "dynamic" mode, one in "bilinear" mode. Where
+    G'·skip < in_channels the block aligns before it samples
+    (``aligned_upsample``).
     """
 
     def __init__(
@@ -316,6 +319,8 @@ class DyFusionUp(Module):
         dtype: str,
     ):
         self.cfg = cfg
+        self.groups = cfg.sampler_groups if cfg.upsample_mode == "dynamic" else 1
+        self.projects_first = self.groups * skip_channels < in_channels
         if cfg.upsample_mode == "dynamic":
             # Offset conv output channel (2g + coord)*s*s + a*s + b holds
             # sub-pixel (a, b) of group g's x (coord 0) or y (coord 1) field.
@@ -341,24 +346,40 @@ class DyFusionUp(Module):
         planes = ad.depth_to_space(raw, s)  # [n, 2g, s*h, s*w]
         return ad.reshape(ad.scale(planes, _OFFSET_RANGE), (n * g, 2, s * h * s * w))
 
-    def upsample(self, x_low: Value) -> Value:
-        """The sampling stage alone: [N,C',h,w] -> [N,C',2h,2w], as one
-        ``pixel_sample`` of [N*G, C'/G, h, w], the G groups folded into
-        the batch, at [N*G, 2, 4hw] coordinates: the 2x resize lattice,
-        plus the offset field in "dynamic" mode."""
-        n, c, h, w = x_low.tensor.shape
-        g = self.cfg.sampler_groups
+    def upsample(self, x_low: Value, x: Value | None = None) -> Value:
+        """The sampling stage alone: x ([N, G'·k, h, w], x_low by default)
+        -> [N, G'·k, 2h, 2w], one ``pixel_sample`` of [N*G', k, h, w] (the
+        groups folded into the batch) at x_low's [N*G', 2, 4hw] coordinates:
+        the 2x resize lattice, plus the offset field in "dynamic" mode."""
+        x = x_low if x is None else x
+        n, c, h, w = x.tensor.shape
+        g = self.groups
         h2, w2 = _SCALE * h, _SCALE * w
-        base = T._resize_coords(n * g, h, w, h2, w2, x_low.tensor.data.dtype)
+        base = T._resize_coords(n * g, h, w, h2, w2, x.tensor.data.dtype)
         u = ad.constant(Tensor._wrap(base))
         del base
         if self.cfg.upsample_mode == "dynamic":
             u = ad.add(self.offset_field(x_low), u)
-        folded = ad.reshape(x_low, (n * g, c // g, h, w))
+        folded = ad.reshape(x, (n * g, c // g, h, w))
         return ad.reshape(ad.pixel_sample(folded, u), (n, c, h2, w2))
 
+    def aligned_upsample(self, x_low: Value) -> Value:
+        """align(upsample(x_low)). Sampling is linear, so where G'·skip <
+        in_channels it runs as sum_g sample_g(W_g x_g) + b: W_g, align's
+        columns for group g, is row block g of a grouped 1x1 conv at the
+        low resolution, and one sampler call reads G'·skip channels."""
+        if not self.projects_first:
+            return self.align(self.upsample(x_low))
+        (k, c, _, _), g = self.align.weight.value.shape, self.groups
+        w = ad.reshape(ad.watch(self.align.weight), (k, g, c // g, 1))
+        w = ad.reshape(ad.transpose(w, (1, 0, 2, 3)), (g * k, c // g, 1, 1))
+        zero = ad.constant(Tensor._wrap(np.zeros(g * k, x_low.tensor.data.dtype)))
+        proj = ad.conv2d(x_low, w, zero, ConvSpec(groups=g))
+        summed = ad.sum_groups(self.upsample(x_low, proj), g)
+        return ad.add(summed, ad.watch(self.align.bias))
+
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
-        aligned = self.align(self.upsample(x_low))
+        aligned = self.aligned_upsample(x_low)
         cat = ad.concat([x_skip, aligned], 1)
         del x_skip, aligned
         fused = self.fuse(cat, training)

@@ -499,6 +499,66 @@ def test_dyfusion_dynamic_upsample_records_eight_nodes_without_narrow(monkeypatc
     assert calls == []
 
 
+def _projecting_block(rng, mode, offset_scale):
+    # G'·skip < in_channels: 2·3 < 8 in dynamic mode and 1·3 < 8 in
+    # bilinear mode, so the block projects before it samples.
+    block = _up_block(rng, in_ch=8, skip_ch=3, groups=2, mode=mode)
+    assert block.projects_first
+    if mode == "dynamic":
+        ow = block.offset.weight
+        assign64(ow, rng.uniform(-offset_scale, offset_scale, size=ow.value.shape))
+    assign64(block.align.bias, rng.normal(size=3))
+    return block
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "bilinear"])
+def test_dyfusion_projected_path_matches_sample_then_align_oracle(mode):
+    # Reference: every channel read by the scalar oracle at its group's
+    # coordinates (the 2x resize lattice plus the offset field), then the
+    # six-loop 1x1 conv. Offset channel (2g + coord)*4 + 2a + b holds
+    # sub-pixel (row a, column b) of group g's x or y field.
+    rng = np.random.default_rng(97)
+    n, c, h, w, groups = 2, 8, 3, 4, 2
+    block = _projecting_block(rng, mode, 0.8)
+    x = rng.normal(size=(n, c, h, w))
+    got = block.aligned_upsample(v64(x)).tensor.data
+    raw = np.zeros((n, 8 * groups, h, w))
+    if mode == "dynamic":
+        raw = np.einsum("oi,nihw->nohw", block.offset.weight.value.data[:, :, 0, 0], x)
+        assert np.abs(raw).max() * _OFFSET_RANGE > 0.5
+    sampled = np.empty((n, c, 2 * h, 2 * w))
+    for i, ci, oy, ox in np.ndindex(sampled.shape):
+        g = ci // (c // groups) if mode == "dynamic" else 0
+        sub = (oy % 2) * 2 + ox % 2
+        ux = (ox + 0.5) / 2.0 - 0.5 + raw[i, 8 * g + sub, oy // 2, ox // 2] * _OFFSET_RANGE
+        uy = (oy + 0.5) / 2.0 - 0.5 + raw[i, 8 * g + 4 + sub, oy // 2, ox // 2] * _OFFSET_RANGE
+        sampled[i, ci, oy, ox] = oracles.sample_pixel_naive(x[i, ci], ux, uy)
+    want = oracles.conv2d_naive(
+        sampled, block.align.weight.value.data, block.align.bias.value.data
+    )
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    own = block.align(block.upsample(v64(x))).tensor.data
+    np.testing.assert_allclose(got, own, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "bilinear"])
+def test_dyfusion_projected_path_gradients(mode):
+    # Small offsets keep the coordinates off the sampler's lattice kinks.
+    rng = np.random.default_rng(101)
+    block = _projecting_block(rng, mode, 0.02)
+    x = ad.Parameter("x_low", t64(rng.normal(size=(2, 8, 3, 4))))
+    weight = v64(rng.normal(size=(2, 3, 6, 8)))
+    params = [x, block.align.weight, block.align.bias]
+    if mode == "dynamic":
+        params.append(block.offset.weight)
+    report = ad.grad_check(
+        lambda: ad.mean_all(ad.mul(block.aligned_upsample(ad.watch(x)), weight)),
+        params, max_entries_per_param=24, rng=np.random.default_rng(103),
+    )
+    assert report.passed, f"max_rel_err={report.max_rel_err:g}"
+    assert report.checked == sum(min(p.value.size, 24) for p in params)
+
+
 @pytest.mark.parametrize("mode", ["dynamic", "bilinear"])
 @pytest.mark.parametrize(
     "low, skip",

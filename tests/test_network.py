@@ -3,6 +3,7 @@ shape-arithmetic oracle for the trainable-parameter count, and the
 checkpoint round-trip / corruption contracts."""
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -323,11 +324,10 @@ def test_training_mode_advances_bn_stats_only():
     assert changed  # training mode moved at least one running statistic
 
 
-def test_default_train_step_backward_peaks_near_what_the_tape_holds():
-    # Each VJP on the memory peak holds only the arrays it still reads
-    # (dec.up4.align, a 1x1 conv at 224x224, used to hold three input-sized
-    # arrays at once), so a default batch-2 backward peaks at most 6 MiB
-    # above what the tape holds after the forward.
+@pytest.fixture(scope="module")
+def default_step_memory():
+    """Traced bytes a default batch-2 train step's tape holds after the
+    forward, and the peak its backward reaches."""
     model = Model(ModelConfig(), seed=0)
     rng = np.random.default_rng(9)
     x = t32(rng.normal(size=(2, 3, 224, 224)))
@@ -342,7 +342,67 @@ def test_default_train_step_backward_peaks_near_what_the_tape_holds():
             peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return held, peak
+
+
+def test_default_train_step_backward_peaks_near_what_the_tape_holds(
+    default_step_memory,
+):
+    # Each VJP on the memory peak holds only the arrays it still reads,
+    # and dec.up4's 12 sampled channels get one gradient array from
+    # sum_groups (summing zero-padded group slices instead read 6.1 MiB
+    # here), so a default batch-2 backward peaks at most 6 MiB above what
+    # the tape holds after the forward.
+    held, peak = default_step_memory
     assert peak - held <= 6 * 2**20
+
+
+def test_default_train_forward_holds_no_full_width_sampled_map(default_step_memory):
+    # dec.up4 projects 32 channels to 4 groups x 3 before it samples, so
+    # the tape keeps no 32-channel 224x224 map for align's weight
+    # gradient (12.25 MiB at batch 2): it holds about 98 MiB, 109 before.
+    held, _ = default_step_memory
+    assert held <= 103 * 2**20
+
+
+def test_projected_path_runs_where_it_samples_fewer_channels(monkeypatch):
+    # An upsampler projects first when G'·skip < in_channels, G' being
+    # sampler_groups in dynamic mode and 1 in bilinear mode; the channels
+    # its one sampler call reads (batch 1) show which order ran.
+    sampled = []
+    sample = ad.pixel_sample
+    monkeypatch.setattr(
+        ad, "pixel_sample",
+        lambda x, u: sampled.append(x.tensor.shape[0] * x.tensor.shape[1]) or sample(x, u),
+    )
+    x = t32(np.zeros((1, 3, 32, 32)))
+    for cfg, projects, channels in (
+        (ModelConfig(), [False, False, False, True], [256, 128, 64, 12]),
+        (ModelConfig.tiny(), [False] * 4, [64, 32, 16, 8]),
+        (ModelConfig(upsample_mode="bilinear"), [True] * 4, [128, 64, 32, 3]),
+    ):
+        model = Model(cfg, seed=0)
+        assert [up.projects_first for up in model.ups] == projects
+        sampled.clear()
+        model.predict(x)
+        assert sampled == channels
+
+
+def test_projecting_first_changes_no_parameter():
+    # align keeps its [skip, in, 1, 1] weight, so names, their order, the
+    # count and checkpoints are those of the sample-then-align order: the
+    # digest is of the default model's names in order as that order had them.
+    model = Model(ModelConfig(), seed=0)
+    names = [p.name for p in model.parameters()]
+    assert len(names) == 110
+    assert [p.name for p in model.ups[3].parameters()][:4] == [
+        "dec.up4.offset.weight", "dec.up4.offset.bias",
+        "dec.up4.align.weight", "dec.up4.align.bias",
+    ]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == "e4a1afad967a1c9f93eec1b7255252475b6034684ee02efe5978350b281dfc60"
+    assert model.ups[3].align.weight.value.shape == (3, 32, 1, 1)
+    assert param_count(model) == 1_702_236 == expected_param_count(ModelConfig())
 
 
 def _traced(fn):
