@@ -3,7 +3,8 @@
 The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all,
 sum_groups) and the layout ops (concat, narrow, split, reshape,
 transpose) are defined here whole: argument checks, forward and VJP.
-The other ops wrap a ``tensor`` kernel and the VJP defined next to it.
+The other ops wrap a ``tensor`` kernel and the VJP defined next to it;
+``attention`` chains the matmul, softmax and scale kernels in one node.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
@@ -13,7 +14,7 @@ no parents; its VJP adds the gradient that reaches it into the
 parameter's ``grad`` buffer. Only the :class:`Value` an op returns holds
 its tensor, so the tape keeps an output alive only through a VJP that
 reads it; every closure here keeps only what it reads. ``conv2d`` and
-``depthwise_residual`` hand their input to the VJP in a one-item box,
+``depthwise_residual`` hand each input to the VJP in a one-item box,
 and the VJP releases it once read, so it runs once: a second call
 raises ``StateError``. :func:`backward` replays the slots in reverse
 creation order and releases each one as soon as its VJP has run. Each
@@ -29,6 +30,7 @@ sizes so genuine failures are separated from kink-straddling ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -289,6 +291,28 @@ def softmax(x: Value, axis: int = -1) -> Value:
     return _record(y, (x,), lambda g: (T._softmax_vjp(yd, g, axis),))
 
 
+def attention(q_tok: Value, k_map: Value, v_tok: Value) -> Value:
+    """softmax(q_tok @ k_map / sqrt(c), axis=2) @ v_tok, q_tok and v_tok
+    [n, p, c] and k_map [n, c, p], as one node that keeps q, k and v: the
+    VJP rebuilds the [n, p, p] weights with the forward's calls, then runs
+    the matmul, softmax, scale and matmul VJPs in the tape's order."""
+    q, k, v = q_tok.tensor, k_map.tensor, v_tok.tensor
+    c = q.data.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+
+    def weights() -> Tensor:
+        return T.softmax(Tensor._wrap(T.matmul(q, k).data * c), axis=2)
+
+    def vjp(g):
+        a = weights().data
+        ga, gv = T._matmul_vjp(a, v.data, g)
+        gs = T._softmax_vjp(a, ga, 2)
+        del a, ga
+        gs *= c
+        return (*T._matmul_vjp(q.data, k.data, gs), gv)
+
+    return _record(T.matmul(weights(), v), (q_tok, k_map, v_tok), vjp)
+
+
 def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
     y = T.conv2d(x.tensor, weight.tensor, bias.tensor, spec)
     xs, wd = [x.tensor.data], weight.tensor.data  # the VJP takes x out of its box
@@ -299,28 +323,30 @@ def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
 
 
 def depthwise_residual(
-    x: Value,
+    parts: Sequence[Value],
     weights: Sequence[Value],
     dilations: Sequence[int],
     bias: Value | None = None,
 ) -> Value:
     """x + sum_k dwconv3x3(x, weights[k]; dilation = padding = dilations[k])
-    (+ bias), as one op and one tape node. Each weight is [C, 1, 3, 3];
-    the bias is per-channel or None."""
-    dilations = tuple(dilations)
+    (+ bias) as one op and one tape node, x being the channel concatenation
+    of ``parts``, never formed. Each weight is [C, 1, 3, 3]; the bias is
+    per-channel or None. A part off the tape gets no input gradient."""
+    parts, dilations = tuple(parts), tuple(dilations)
     with_bias = bias is not None
     b = bias.tensor if with_bias else None
-    T._check_dw_residual_args(x.tensor, [w.tensor for w in weights], dilations, b)
-    xs = [x.tensor.data]  # the VJP takes x out of its box
+    T._check_dw_residual_args([p.tensor for p in parts], [w.tensor for w in weights], dilations, b)
     wds = [w.tensor.data for w in weights]
-    y = Tensor._wrap(
-        T._dw_residual_forward(xs[0], wds, dilations, b.data if with_bias else None)
-    )
-    parents = (x, *weights, bias) if with_bias else (x, *weights)
+    y = Tensor._wrap(T._dw_residual_forward(
+        [p.tensor.data for p in parts], wds, dilations, b.data if with_bias else None
+    ))
+    xs = [[p.tensor.data] for p in parts]  # the VJP takes each part out of its box
+    with_gx = [p._slot is not None for p in parts]
+    parents = (*parts, *weights, bias) if with_bias else (*parts, *weights)
 
     def vjp(g):
-        gx, gws, gb = T._dw_residual_vjp(xs, wds, dilations, g, with_bias)
-        return (gx, *gws, gb) if with_bias else (gx, *gws)
+        gxs, gws, gb = T._dw_residual_vjp(xs, wds, dilations, g, with_gx, with_bias)
+        return (*gxs, *gws, gb) if with_bias else (*gxs, *gws)
 
     return _record(y, parents, vjp)
 

@@ -146,7 +146,9 @@ class SingleHeadAttention(Module):
 
     A norm layer feeds one shared 1x1 conv producing Q, K, V of the
     input width C per token; scores are softmax(Q K^T / sqrt(C)) over
-    keys, and the attended values are the output.
+    keys, and the attended values are the output. The scores and the
+    product are one ``attention`` op, so a tape keeps Q, K and V but not
+    the [N, HW, HW] weights.
     """
 
     def __init__(
@@ -169,14 +171,10 @@ class SingleHeadAttention(Module):
         p = h * w
         q, k, v = ad.split(self.qkv(self.norm(x, training)), 1, [c, c, c])
         q_tok = ad.transpose(ad.reshape(q, (n, c, p)), (0, 2, 1))  # [n,p,c]
-        k_map = ad.reshape(k, (n, c, p))  # [n,c,p]
-        del q, k
-        scores = ad.scale(ad.matmul(q_tok, k_map), 1.0 / math.sqrt(c))
-        del q_tok, k_map
-        attn = ad.softmax(scores, axis=2)
-        del scores
-        out = ad.matmul(attn, ad.transpose(ad.reshape(v, (n, c, p)), (0, 2, 1)))  # [n,p,c]
-        del attn, v
+        v_tok = ad.transpose(ad.reshape(v, (n, c, p)), (0, 2, 1))  # [n,p,c]
+        del q, v
+        out = ad.attention(q_tok, ad.reshape(k, (n, c, p)), v_tok)  # [n,p,c]
+        del q_tok, k, v_tok
         return ad.reshape(ad.transpose(out, (0, 2, 1)), (n, c, h, w))
 
 
@@ -185,7 +183,8 @@ class MultiScaleDilatedConv(Module):
     then one shared batchnorm. Padding equals each branch's dilation so
     the spatial extents are preserved. The sum is one fused
     ``depthwise_residual`` op over one [C, 1, 3, 3] weight per rate of
-    ``cfg.dilation_rates``."""
+    ``cfg.dilation_rates``. The input may come as several channel parts,
+    whose concatenation the op reads without forming it."""
 
     def __init__(
         self,
@@ -205,8 +204,8 @@ class MultiScaleDilatedConv(Module):
         ]
         self.bn = BatchNorm2d(f"{name}.bn", channels, dtype)
 
-    def __call__(self, x: Value, training: bool = False) -> Value:
-        s = ad.depthwise_residual(x, [ad.watch(w) for w in self.weights], self.rates)
+    def __call__(self, *parts: Value, training: bool = False) -> Value:
+        s = ad.depthwise_residual(parts, [ad.watch(w) for w in self.weights], self.rates)
         return self.bn(s, training)
 
 
@@ -267,14 +266,14 @@ class ShdcBlock(Module):
 
     def __call__(self, x: Value, training: bool = False) -> Value:
         h = ad.depthwise_residual(
-            x, [ad.watch(self.pre_weight)], [1], ad.watch(self.pre_bias)
+            [x], [ad.watch(self.pre_weight)], [1], ad.watch(self.pre_bias)
         )
         if self.fusion:
             cg = self.cfg.global_channels(self.channels)
             g_in, l_in = ad.split(h, 1, [cg, self.channels - cg])
             g_out = self.attn(g_in, training)
             del g_in
-            cat = ad.concat([g_out, self.local(l_in, training)], 1)
+            cat = ad.concat([g_out, self.local(l_in, training=training)], 1)
             del g_out, l_in
             fused = self.fuse(cat)
             del cat
@@ -295,8 +294,9 @@ class DyFusionUp(Module):
     the doubled lattice and scaled by ``_OFFSET_RANGE``); each channel
     group is bilinearly sampled at quarter-pixel-plus-offset positions,
     all groups in one sampler call with the groups folded into the batch;
-    a 1x1 conv aligns the result to the skip width; the skip is
-    concatenated in front; a multi-scale dilated stage plus a 3x3 conv
+    a 1x1 conv aligns the result to the skip width; a multi-scale dilated
+    stage reads the skip and the aligned map as the two channel parts of
+    one input, skip first, without joining them, and it plus a 3x3 conv
     fuse the pair down to ``skip_channels``.
 
     The offsets are added to the sampling coordinates of a 2x bilinear
@@ -380,8 +380,6 @@ class DyFusionUp(Module):
 
     def __call__(self, x_low: Value, x_skip: Value, training: bool = False) -> Value:
         aligned = self.aligned_upsample(x_low)
-        cat = ad.concat([x_skip, aligned], 1)
+        fused = self.fuse(x_skip, aligned, training=training)
         del x_skip, aligned
-        fused = self.fuse(cat, training)
-        del cat
         return self.out(fused)

@@ -293,91 +293,117 @@ def _dw_blocks(n: int, c: int, run: int, dtype: np.dtype) -> list[slice]:
     return [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
 
+def _dw_laid(x: np.ndarray, pad: int, blocks: list[slice]):
+    """Yield each channel block of x [n, c, h, w] on one reused zeroed
+    lattice [n, cb, rows·wq], padded by pad plus a zero row. Only the
+    unpadded window is written, so the pad stays zero."""
+    n, _, h, w = x.shape
+    slab = np.zeros((n, blocks[0].stop, h + 2 * pad + 1, w + 2 * pad), dtype=x.dtype)
+    for blk in blocks:
+        slab[:, : blk.stop - blk.start, pad : pad + h, pad : pad + w] = x[:, blk]
+        yield slab.reshape(n, blocks[0].stop, -1)[:, : blk.stop - blk.start]
+
+
 def _dw_residual_forward(
-    x: np.ndarray,
+    xs: list[np.ndarray],
     ws: list[np.ndarray],
     dilations: tuple[int, ...],
     b: np.ndarray | None,
 ) -> np.ndarray:
     """x + sum_k dwconv3x3(x, ws[k]; dilation = padding = dilations[k])
-    (+ b), on one lattice padded by the largest dilation."""
-    xl, wq = _lattice(x, 1, max(dilations), True)
-    return _dw_residual_taps(xl, wq, x.shape, ws, dilations, b)
-
-
-def _dw_residual_taps(xl: np.ndarray, wq: int, shape: tuple, ws: list, dilations: tuple, b):
-    """``_dw_residual_forward`` of an x of ``shape`` laid on lattice xl:
-    each channel block's output starts as its run of x, then takes every tap."""
-    n, c, h, w = shape
+    (+ b) for x the channel concatenation of the parts xs, never formed:
+    each channel block of each part is laid on a lattice padded by the
+    largest dilation, and its output starts as its run, then takes every tap."""
+    n, _, h, w = xs[0].shape
     pad = max(dilations)
+    wq = w + 2 * pad
     run, mid = h * wq, pad * (wq + 1)
-    y = np.empty(shape, dtype=xl.dtype)
-    blocks = _dw_blocks(n, c, run, xl.dtype)
-    tmp, acc = np.empty((2, n, blocks[0].stop, run), dtype=xl.dtype)
-    for blk in blocks:
-        cb = blk.stop - blk.start
-        ab, t = acc[:, :cb], tmp[:, :cb]
-        if b is None:
-            ab[...] = xl[:, blk, mid : mid + run]
-        else:
-            np.add(xl[:, blk, mid : mid + run], b[blk].reshape(cb, 1), out=ab)
-        for wk, d in zip(ws, dilations):
-            view = xl[:, blk, (pad - d) * (wq + 1) :]  # the lattice as if padded by d
-            for i, j, _, at in _runs(3, 3, d, 1, wq):
-                np.multiply(view[:, :, at : at + run], wk[blk, 0, i, j].reshape(cb, 1), out=t)
-                ab += t
-        y[:, blk] = ab.reshape(n, cb, h, wq)[..., :w]
+    y = np.empty((n, sum(x.shape[1] for x in xs), h, w), dtype=xs[0].dtype)
+    c0 = 0
+    for x in xs:
+        blocks = _dw_blocks(n, x.shape[1], run, x.dtype)
+        tmp, acc = np.empty((2, n, blocks[0].stop, run), dtype=x.dtype)
+        for blk, xl in zip(blocks, _dw_laid(x, pad, blocks)):
+            cb, out = blk.stop - blk.start, slice(c0 + blk.start, c0 + blk.stop)
+            ab, t = acc[:, :cb], tmp[:, :cb]
+            if b is None:
+                ab[...] = xl[:, :, mid : mid + run]
+            else:
+                np.add(xl[:, :, mid : mid + run], b[out].reshape(cb, 1), out=ab)
+            for wk, d in zip(ws, dilations):
+                view = xl[:, :, (pad - d) * (wq + 1) :]  # the lattice as if padded by d
+                for i, j, _, at in _runs(3, 3, d, 1, wq):
+                    np.multiply(view[:, :, at : at + run], wk[out, 0, i, j].reshape(cb, 1), out=t)
+                    ab += t
+            y[:, out] = ab.reshape(n, cb, h, wq)[..., :w]
+        c0 += x.shape[1]
     return y
 
 
 def _dw_residual_vjp(
-    x: np.ndarray | list[np.ndarray],
+    xs: list[list[np.ndarray]],
     ws: list[np.ndarray],
     dilations: tuple[int, ...],
     gy: np.ndarray,
+    with_gx: list[bool],
     with_bias: bool,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
-    """(gx, [gw_k], gb) of ``_dw_residual_forward``; x is an array or a box
-    (``_take``). It lays x and gy on lattices itself and drops x's after
-    the gw taps. gx is the forward of gy with every kernel mirrored (the
-    transpose), run on the same gy lattice."""
-    n, c, h, w = gy.shape
+) -> tuple[list[np.ndarray | None], list[np.ndarray], np.ndarray | None]:
+    """([gx per part], [gw_k], gb) of ``_dw_residual_forward``. Each part
+    comes in a box (``_take``) and is dropped after its gw taps, which
+    read its blocks and gy's on lattices; the branches' centre taps read
+    one run, so their gw is one einsum. A part's gx (None unless its
+    ``with_gx``) is the forward of its gy with every kernel mirrored."""
+    n, _, h, w = gy.shape
     pad = max(dilations)
-    xl, wq = _lattice(_take(x), 1, pad, True)
-    gyl, _ = _lattice(gy, 1, pad, True)
+    wq = w + 2 * pad
     run, mid = h * wq, pad * (wq + 1)
-    gws = [np.empty_like(w) for w in ws]
-    for blk in _dw_blocks(n, c, run, xl.dtype):
-        gyb = gyl[:, blk, mid : mid + run]  # gy, zero in the pad columns
-        for gw, d in zip(gws, dilations):
-            view = xl[:, blk, (pad - d) * (wq + 1) :]
-            for i, j, _, at in _runs(3, 3, d, 1, wq):
-                gw[blk, 0, i, j] = np.einsum("ncp,ncp->c", view[:, :, at : at + run], gyb)
-    del xl, view
-    gx = _dw_residual_taps(gyl, wq, gy.shape, [wk[:, :, ::-1, ::-1] for wk in ws], dilations, None)
+    gws = [np.empty_like(wk) for wk in ws]
+    gxs, c0 = [], 0
+    for box, want_gx in zip(xs, with_gx):
+        x = _take(box)
+        part = slice(c0, c0 + x.shape[1])
+        blocks = _dw_blocks(n, x.shape[1], run, x.dtype)
+        laid = zip(blocks, _dw_laid(x, pad, blocks), _dw_laid(gy[:, part], pad, blocks))
+        for blk, xl, gyl in laid:
+            out = slice(c0 + blk.start, c0 + blk.stop)
+            gyb = gyl[:, :, mid : mid + run]  # gy, zero in the pad columns
+            centre = np.einsum("ncp,ncp->c", xl[:, :, mid : mid + run], gyb)
+            for gw, d in zip(gws, dilations):
+                view = xl[:, :, (pad - d) * (wq + 1) :]
+                for i, j, _, at in _runs(3, 3, d, 1, wq):
+                    gw[out, 0, i, j] = centre if i == j == 1 else np.einsum(
+                        "ncp,ncp->c", view[:, :, at : at + run], gyb
+                    )
+        del x, laid  # the suspended generators hold x too
+        mirrored = [wk[part, :, ::-1, ::-1] for wk in ws]
+        gx = _dw_residual_forward([gy[:, part]], mirrored, dilations, None) if want_gx else None
+        gxs.append(gx)
+        c0 = part.stop
     gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
-    return gx, gws, gb
+    return gxs, gws, gb
 
 
 def _check_dw_residual_args(
-    x: Tensor,
+    xs: list[Tensor],
     weights: list[Tensor],
     dilations: tuple[int, ...],
     bias: Tensor | None,
 ) -> None:
-    if x.rank != 4:
-        raise DimensionError(f"depthwise_residual input must be rank 4, got {x.shape}")
+    for x in xs:  # an empty xs fails the weight shape check below
+        if x.rank != 4 or x.shape[:1] + x.shape[2:] != xs[0].shape[:1] + xs[0].shape[2:]:
+            raise DimensionError(f"depthwise_residual parts {xs[0].shape} and {x.shape} "
+                                 "are not rank-4 maps differing only in channels")
     if not weights or len(weights) != len(dilations):
         raise ContractError(
             f"{len(weights)} weights for dilations {tuple(dilations)}; need one each"
         )
     if any(d < 1 for d in dilations):
         raise ContractError(f"dilations must be >= 1, got {tuple(dilations)}")
-    c = x.shape[1]
+    c = sum(x.shape[1] for x in xs)
     for w in weights:
         if w.shape != (c, 1, 3, 3):
             raise DimensionError(f"depthwise weight shape {w.shape} != ({c}, 1, 3, 3)")
-    arrays = [x.data] + [w.data for w in weights]
+    arrays = [x.data for x in xs] + [w.data for w in weights]
     if bias is not None:
         if bias.shape != (c,):
             raise DimensionError(f"bias shape {bias.shape} != ({c},)")
@@ -608,7 +634,9 @@ def _sample_pixel_vjp(
 
     gx is scattered by ``bincount``: each corner is summed in float64 and
     the four sums are added in the input precision, in the fixed order
-    00, 01, 10, 11. Out-of-range coordinates get zero gradient."""
+    00, 01, 10, 11. Out-of-range coordinates get zero gradient. A chunk's
+    buffers serve every channel; its float64 weights are input-precision
+    products, cast once as ``bincount`` would cast them."""
     n, c, h, w = x.shape
     hw = h * w
     xf = x.reshape(-1)
@@ -620,8 +648,10 @@ def _sample_pixel_vjp(
         g = gy[rows]
         if with_gu:
             gux, guy = gu[rows, 0], gu[rows, 1]
+            v00, v01, v10, v11 = v = np.empty((4, *at.shape), dtype=x.dtype)
             for ci in range(c):
-                v00, v01, v10, v11 = (np.take(xf[ci * hw + s :], at) for s in steps)
+                for vk, s in zip(v, steps):  # "clip" writes to out unbuffered;
+                    np.take(xf[ci * hw + s :], at, out=vk, mode="clip")  # no index clips
                 du = (v01 - v00) * gfy
                 du += (v11 - v10) * fy
                 du *= g[:, ci]
@@ -630,20 +660,24 @@ def _sample_pixel_vjp(
                 dv += (v11 - v01) * fx
                 dv *= g[:, ci]
                 guy += dv
+            del v, v00, v01, v10, v11, du, dv
             ux, uy = u[rows, 0], u[rows, 1]
             gux *= ((ux >= 0.0) & (ux <= w - 1.0)).astype(x.dtype)
             guy *= ((uy >= 0.0) & (uy <= h - 1.0)).astype(x.dtype)
         gxr = gx[rows]
-        for k, (s, wx, wy) in enumerate(zip(steps, (gfx, fx, gfx, fx), (gfy, gfy, fy, fy))):
-            b = (bins + s).ravel()
-            wk = wx * wy
+        wk, w64 = np.empty_like(fx), np.empty(fx.shape, dtype=np.float64)
+        moves = np.diff(steps, prepend=0)  # bins steps to each corner in place
+        for k, (ds, wx, wy) in enumerate(zip(moves, (gfx, fx, gfx, fx), (gfy, gfy, fy, fy))):
+            bins += ds
+            np.multiply(wx, wy, out=wk)
             for ci in range(c):
-                a = np.bincount(b, (g[:, ci] * wk).ravel(), gxr.shape[0] * hw)
-                a = a.astype(gy.dtype).reshape(-1, hw)
+                np.multiply(g[:, ci], wk, out=w64)
+                a = np.bincount(bins.ravel(), w64.ravel(), gxr.shape[0] * hw).reshape(-1, hw)
                 if k == 0:
                     gxr[:, ci] = a
                 else:
-                    gxr[:, ci] += a
+                    gxr[:, ci] += a.astype(gy.dtype)
+        del at, bins, fx, fy, gfx, gfy, wk, w64  # before the next chunk's are built
     return gx.reshape(n, c, h, w), gu
 
 

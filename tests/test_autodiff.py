@@ -383,7 +383,7 @@ def test_a_vjp_that_released_its_input_refuses_a_second_run(op):
         if op == "conv2d":
             ad.conv2d(xv, wv, const64(np.zeros(2)), ConvSpec(padding=1, groups=2))
         else:
-            ad.depthwise_residual(xv, [wv], (1,))
+            ad.depthwise_residual([xv], [wv], (1,))
         vjp = tape._nodes[-1].vjp
     gx = vjp(gy)[0]
     assert gx.shape == x.value.shape
@@ -565,7 +565,7 @@ def test_fd_depthwise_residual(with_bias):
 
     def fn():
         bias = ad.watch(b) if with_bias else None
-        y = ad.depthwise_residual(ad.watch(x), [ad.watch(w) for w in ws], dilations, bias)
+        y = ad.depthwise_residual([ad.watch(x)], [ad.watch(w) for w in ws], dilations, bias)
         return ad.mean_all(ad.tanh(y))
 
     _fd_ok(fn, [x, *ws, b] if with_bias else [x, *ws])
@@ -576,18 +576,151 @@ def test_depthwise_residual_rejects_bad_arguments():
     w = const64(np.zeros((3, 1, 3, 3)))
     for bad in [(3, 1, 5, 5), (2, 1, 3, 3), (3, 2, 3, 3)]:
         with pytest.raises(DimensionError):
-            ad.depthwise_residual(x, [w, const64(np.zeros(bad))], (1, 2))
+            ad.depthwise_residual([x], [w, const64(np.zeros(bad))], (1, 2))
     with pytest.raises(DimensionError):
-        ad.depthwise_residual(x, [w], (1,), const64(np.zeros(2)))
+        ad.depthwise_residual([x], [w], (1,), const64(np.zeros(2)))
     w32 = ad.constant(Tensor(np.zeros((3, 1, 3, 3)), dtype="f32"))
     with pytest.raises(ContractError):
-        ad.depthwise_residual(x, [w, w32], (1, 2))
+        ad.depthwise_residual([x], [w, w32], (1, 2))
     with pytest.raises(ContractError):
-        ad.depthwise_residual(x, [w], (1,), ad.constant(Tensor(np.zeros(3), dtype="f32")))
+        ad.depthwise_residual([x], [w], (1,), ad.constant(Tensor(np.zeros(3), dtype="f32")))
     with pytest.raises(ContractError):
-        ad.depthwise_residual(x, [w, w], (1,))
+        ad.depthwise_residual([x], [w, w], (1,))
     with pytest.raises(ContractError):
-        ad.depthwise_residual(x, [w], (0,))
+        ad.depthwise_residual([x], [w], (0,))
+
+
+def _dw_grads(dtype, parts, ws, b, dilations, gy, joined):
+    """y, each input's gradient, every gw and gb of one depthwise residual
+    over ``parts``, fed either as parts or as their ad.concat."""
+    ps = [Parameter(f"x{k}", Tensor(x, dtype=dtype)) for k, x in enumerate(parts)]
+    wp = [Parameter(f"w{k}", Tensor(w, dtype=dtype)) for k, w in enumerate(ws)]
+    bp = Parameter("b", Tensor(b, dtype=dtype))
+    readout = ad.constant(Tensor(gy, dtype=dtype))
+    with Tape() as tape:
+        xs = [ad.watch(p) for p in ps]
+        y = ad.depthwise_residual(
+            [ad.concat(xs, 1)] if joined else xs, [ad.watch(w) for w in wp], dilations,
+            ad.watch(bp),
+        )
+        ad.backward(sum_all(ad.mul(y, readout)), tape)
+    return [y.tensor.data] + [p.grad for p in ps + wp + [bp]]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("block_channels", [None, 2])
+def test_depthwise_residual_of_two_parts_matches_their_concatenation(
+    dtype, block_channels, monkeypatch
+):
+    # Per channel the parts run the joined input's arithmetic, so y, each
+    # part's gx, every gw and gb are the same bits; blocks of 2 channels
+    # end each part (3 and 4 wide) on a partial block.
+    rng = np.random.default_rng(37)
+    dilations = (1, 2, 3)
+    n, h, w = 2, 6, 5
+    if block_channels is not None:
+        run = h * (w + 2 * max(dilations))
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block_channels * n * run * 8)
+    parts = [rng.normal(size=(n, 3, h, w)), rng.normal(size=(n, 4, h, w))]
+    ws = [rng.normal(size=(7, 1, 3, 3)) for _ in dilations]
+    b, gy = rng.normal(size=7), rng.normal(size=(n, 7, h, w))
+    split = _dw_grads(dtype, parts, ws, b, dilations, gy, joined=False)
+    joined = _dw_grads(dtype, parts, ws, b, dilations, gy, joined=True)
+    for got, want in zip(split, joined):
+        np.testing.assert_array_equal(got, want)
+    if dtype == "f64":
+        x = np.concatenate(parts, 1)
+        want = x + b.reshape(1, -1, 1, 1) + sum(
+            oracles.conv2d_naive(x, wk, None, padding=d, dilation=d, groups=7)
+            for wk, d in zip(ws, dilations)
+        )
+        assert np.max(np.abs(split[0] - want)) <= 1e-6
+
+
+def test_fd_depthwise_residual_of_two_parts():
+    rng = np.random.default_rng(41)
+    x1, x2 = param("x1", rng.normal(size=(2, 2, 4, 5))), param("x2", rng.normal(size=(2, 3, 4, 5)))
+    ws = [param(f"w{k}", rng.normal(size=(5, 1, 3, 3)) * 0.5) for k in range(2)]
+
+    def fn():
+        parts = [ad.watch(x1), ad.watch(x2)]
+        y = ad.depthwise_residual(parts, [ad.watch(w) for w in ws], (1, 2))
+        return ad.mean_all(ad.tanh(y))
+
+    _fd_ok(fn, [x1, x2, *ws])
+
+
+def test_depthwise_residual_part_off_the_tape_gets_no_gradient_and_runs_once():
+    rng = np.random.default_rng(43)
+    x = param("x", rng.normal(size=(1, 2, 5, 5)))
+    w = param("w", rng.normal(size=(5, 1, 3, 3)))
+    gy = rng.normal(size=(1, 5, 5, 5))
+    with Tape() as tape:
+        ad.depthwise_residual([const64(rng.normal(size=(1, 3, 5, 5))), ad.watch(x)], [ad.watch(w)], (1,))
+        vjp = tape._nodes[-1].vjp
+    g_image, gx, gw = vjp(gy)
+    assert g_image is None and gx.shape == x.value.shape and gw.shape == w.value.shape
+    with pytest.raises(StateError, match="already ran"):
+        vjp(gy)
+
+
+@pytest.mark.parametrize(
+    "second, channels, err",
+    [
+        ((2, 3, 64, 64), 6, DimensionError),  # batch
+        ((1, 3, 64, 63), 6, DimensionError),  # extent
+        ((1, 3, 64, 64), 5, DimensionError),  # widths sum to 6, not 5
+        ((1, 3, 64, 64), 6, ContractError),  # f32 part, f64 first part
+    ],
+    ids=["batch", "extent", "width", "dtype"],
+)
+def test_depthwise_residual_rejects_mismatched_parts_before_allocating(second, channels, err):
+    first = const64(np.zeros((1, 3, 64, 64)))
+    other = (const32 if err is ContractError else const64)(np.zeros(second))
+    w = const64(np.zeros((channels, 1, 3, 3)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(err):
+            ad.depthwise_residual([first, other], [w], (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 64 * 8  # less than one channel plane of the output
+    with pytest.raises(DimensionError):  # no channels for the weights' 6
+        ad.depthwise_residual([], [w], (1,))
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_attention_matches_the_composed_graph_bit_for_bit(dtype):
+    # the fused op rebuilds the weights with the same calls and runs the
+    # same VJPs, so y, gq, gk and gv are the bits of the four-node graph
+    rng = np.random.default_rng(47)
+    n, p, c = 2, 9, 4
+    arrays = [rng.normal(size=(n, p, c)), rng.normal(size=(n, c, p)), rng.normal(size=(n, p, c))]
+    readout = ad.constant(Tensor(rng.normal(size=(n, p, c)), dtype=dtype))
+    results = []
+    for fused in (True, False):
+        qkv = [Parameter(name, Tensor(a, dtype=dtype)) for name, a in zip("qkv", arrays)]
+        with Tape() as tape:
+            q, k, v = (ad.watch(t) for t in qkv)
+            if fused:
+                y = ad.attention(q, k, v)
+            else:
+                scores = ad.scale(ad.matmul(q, k), 1.0 / np.sqrt(c))
+                y = ad.matmul(ad.softmax(scores, axis=2), v)
+            ad.backward(sum_all(ad.mul(y, readout)), tape)
+        results.append([y.tensor.data] + [t.grad for t in qkv])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fd_attention():
+    rng = np.random.default_rng(53)
+    q = param("q", rng.normal(size=(2, 5, 3)))
+    k = param("k", rng.normal(size=(2, 3, 5)))
+    v = param("v", rng.normal(size=(2, 5, 3)))
+    wgt = const64(rng.normal(size=(2, 5, 3)))
+    _fd_ok(lambda: sum_all(ad.mul(ad.attention(ad.watch(q), ad.watch(k), ad.watch(v)), wgt)), [q, k, v])
 
 
 def const32(arr):

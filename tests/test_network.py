@@ -360,9 +360,21 @@ def test_default_train_step_backward_peaks_near_what_the_tape_holds(
 def test_default_train_forward_holds_no_full_width_sampled_map(default_step_memory):
     # dec.up4 projects 32 channels to 4 groups x 3 before it samples, so
     # the tape keeps no 32-channel 224x224 map for align's weight
-    # gradient (12.25 MiB at batch 2): it holds about 98 MiB, 109 before.
+    # gradient (12.25 MiB at batch 2): it holds about 86.5 MiB, 109 when
+    # it sampled the full width.
     held, _ = default_step_memory
     assert held <= 103 * 2**20
+
+
+def test_default_train_forward_holds_no_skip_concatenation_or_attention_weights(
+    default_step_memory,
+):
+    # Each DyFusionUp's fuse stage reads [skip, aligned] as two parts, so
+    # the tape holds no joined copy of the skip (6.5 MiB at batch 2), and
+    # the attention op rebuilds its [n, hw, hw] weights in the backward
+    # instead of keeping them (5.0 MiB): about 86.5 MiB, 98 with both.
+    held, _ = default_step_memory
+    assert held <= 90 * 2**20
 
 
 def test_projected_path_runs_where_it_samples_fewer_channels(monkeypatch):

@@ -354,7 +354,7 @@ def test_dw_residual_vs_oracle(n, c, h, w, dilations, bias, block_channels, monk
     if block_channels is not None or c * n * run * 8 > _DW_BLOCK_BYTES:
         # spans several channel blocks and ends on a partial one
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
-    got = T._dw_residual_forward(x, ws, dilations, b)
+    got = T._dw_residual_forward([x], ws, dilations, b)
     want = _dw_residual_oracle(x, ws, dilations, b)
     assert got.shape == x.shape
     assert np.max(np.abs(got - want)) <= 1e-6
@@ -378,7 +378,7 @@ def test_dw_residual_vjp_adjoint_vs_oracle(monkeypatch):
         with_bias = rng.random() < 0.5
         branches = [_dw_branch(x, wk, d) for wk, d in zip(ws, dilations)]
         gy = rng.normal(size=x.shape)
-        gx, gws, gb = T._dw_residual_vjp(x, ws, dilations, gy, with_bias)
+        (gx,), gws, gb = T._dw_residual_vjp([[x]], ws, dilations, gy, [True], with_bias)
         assert gx.shape == x.shape and [g.shape for g in gws] == [wk.shape for wk in ws]
         y_lin = x + sum(branches)
         terms = [(np.vdot(x, gx), np.vdot(y_lin, gy))]
