@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation: the tape and every op.
 
 The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all,
-sum_groups) and the layout ops (concat, narrow, split, reshape,
-transpose) are defined here whole: argument checks, forward and VJP.
-The other ops wrap a ``tensor`` kernel and the VJP defined next to it;
-``attention`` chains the matmul, softmax and scale kernels in one node.
+sum_groups) and the layout ops (concat and narrow on the channel axis,
+reshape, transpose) are defined here whole: argument checks, forward and
+VJP. The other ops wrap a ``tensor`` kernel and the VJP defined next to
+it; ``attention`` chains the matmul, softmax and scale kernels in one
+node, and ``pixel_sample`` folds channel groups into the sampler's batch.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
@@ -291,26 +292,41 @@ def softmax(x: Value, axis: int = -1) -> Value:
     return _record(y, (x,), lambda g: (T._softmax_vjp(yd, g, axis),))
 
 
-def attention(q_tok: Value, k_map: Value, v_tok: Value) -> Value:
-    """softmax(q_tok @ k_map / sqrt(c), axis=2) @ v_tok, q_tok and v_tok
-    [n, p, c] and k_map [n, c, p], as one node that keeps q, k and v: the
-    VJP rebuilds the [n, p, p] weights with the forward's calls, then runs
-    the matmul, softmax, scale and matmul VJPs in the tape's order."""
-    q, k, v = q_tok.tensor, k_map.tensor, v_tok.tensor
-    c = q.data.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+def attention(qkv: Value) -> Value:
+    """Single-head attention over the h*w tokens of qkv [n, 3c, h, w],
+    whose channel thirds are q, k and v: softmax(q^T k / sqrt(c)) v over
+    the keys, as [n, c, h, w]. One node that keeps qkv: the VJP rebuilds
+    the operands and the [n, hw, hw] weights with the forward's calls,
+    runs the matmul, softmax, scale and matmul VJPs and returns one
+    [n, 3c, h, w] gradient."""
+    d = qkv.tensor.data
+    if d.ndim != 4 or d.shape[1] % 3:
+        raise DimensionError(f"attention needs a [n, 3c, h, w] qkv map, got {d.shape}")
+    n, c3, h, w = d.shape
+    c, p = c3 // 3, h * w
+    s, rows = d.dtype.type(1.0 / math.sqrt(c)), d.reshape(n, 3, c, p)
 
-    def weights() -> Tensor:
-        return T.softmax(Tensor._wrap(T.matmul(q, k).data * c), axis=2)
+    def operands() -> tuple[Tensor, ...]:
+        """q and v as contiguous [n, p, c] tokens, k as [n, c, p] rows,
+        and the weights: (q, k, softmax(q @ k * s), v)."""
+        q, k = Tensor._wrap(rows[:, 0].transpose(0, 2, 1)), Tensor._wrap(rows[:, 1])
+        a = T.softmax(Tensor._wrap(T.matmul(q, k).data * s), axis=2)
+        return q, k, a, Tensor._wrap(rows[:, 2].transpose(0, 2, 1))
 
     def vjp(g):
-        a = weights().data
-        ga, gv = T._matmul_vjp(a, v.data, g)
-        gs = T._softmax_vjp(a, ga, 2)
-        del a, ga
-        gs *= c
-        return (*T._matmul_vjp(q.data, k.data, gs), gv)
+        q, k, a, v = operands()
+        g = np.ascontiguousarray(g.reshape(n, c, p).transpose(0, 2, 1))
+        ga, gv = T._matmul_vjp(a.data, v.data, g)
+        gs = T._softmax_vjp(a.data, ga, 2)
+        del a, ga, v
+        gs *= s
+        gq, gk = T._matmul_vjp(q.data, k.data, gs)
+        gd = np.empty((n, 3, c, p), dtype=g.dtype)
+        gd[:, 0], gd[:, 1], gd[:, 2] = gq.transpose(0, 2, 1), gk, gv.transpose(0, 2, 1)
+        return (gd.reshape(d.shape),)
 
-    return _record(T.matmul(weights(), v), (q_tok, k_map, v_tok), vjp)
+    y = T.matmul(*operands()[2:]).data.transpose(0, 2, 1)  # [n, c, p]
+    return _record(Tensor._wrap(y.reshape(n, c, h, w)), (qkv,), vjp)
 
 
 def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
@@ -335,12 +351,11 @@ def depthwise_residual(
     parts, dilations = tuple(parts), tuple(dilations)
     with_bias = bias is not None
     b = bias.tensor if with_bias else None
-    T._check_dw_residual_args([p.tensor for p in parts], [w.tensor for w in weights], dilations, b)
+    xds = [p.tensor.data for p in parts]
+    T._check_dw_residual_args(xds, [w.tensor for w in weights], dilations, b)
     wds = [w.tensor.data for w in weights]
-    y = Tensor._wrap(T._dw_residual_forward(
-        [p.tensor.data for p in parts], wds, dilations, b.data if with_bias else None
-    ))
-    xs = [[p.tensor.data] for p in parts]  # the VJP takes each part out of its box
+    y = Tensor._wrap(T._dw_residual_forward(xds, wds, dilations, b.data if with_bias else None))
+    xs = [[xd] for xd in xds]  # the VJP takes each part out of its box
     with_gx = [p._slot is not None for p in parts]
     parents = (*parts, *weights, bias) if with_bias else (*parts, *weights)
 
@@ -373,20 +388,30 @@ def batchnorm2d(
 
 def pixel_sample(x: Value, u: Value) -> Value:
     """Bilinear gather at pixel coordinates; see tensor module for the
-    border convention. x: [N,C,H,W], u: [N,2,P] (x then y on axis 1)
-    -> [N,C,P]. G channel groups read at G coordinate sets are one call
-    with the groups folded into the batch ([N*G, C/G, H, W] at
-    [N*G, 2, P]). The tape keeps only x and u: the VJP rebuilds the
-    corners and fractions chunk by chunk, and computes no coordinate
-    gradient for constant coordinates."""
+    border convention. x [N, C, H, W] at u [N, 2G, H', W'] -> [N, C, H',
+    W']: channel group j of G reads coordinate pair (2j, 2j+1), x then y.
+    The op folds the groups into the sampler's batch as numpy views
+    ([N*G, C/G, H, W] at [N*G, 2, H'W']), so G groups are one call. The
+    tape keeps only x and u: the VJP rebuilds the corners and fractions
+    chunk by chunk, and computes no coordinate gradient for constant
+    coordinates."""
     xd, ud = x.tensor.data, u.tensor.data
-    if xd.ndim != 4 or ud.ndim != 3 or ud.shape[:2] != (xd.shape[0], 2):
+    if xd.ndim != 4 or ud.ndim != 4 or ud.shape[0] != xd.shape[0] or ud.shape[1] % 2:
         raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
+    (n, c, h, w), (_, g2, h2, w2) = xd.shape, ud.shape
+    g = g2 // 2
+    if c % g:
+        raise DimensionError(f"{c} channels do not split into {g} coordinate groups")
     T._check_same_dtype(xd, ud)
-    y = Tensor._wrap(T._sample_pixel_forward(xd, ud))
-
+    xf, uf = xd.reshape(n * g, c // g, h, w), ud.reshape(n * g, 2, h2 * w2)
+    y = Tensor._wrap(T._sample_pixel_forward(xf, uf).reshape(n, c, h2, w2))
     with_gu = u._slot is not None
-    return _record(y, (x, u), lambda g: T._sample_pixel_vjp(xd, ud, g, with_gu))
+
+    def vjp(gy):
+        gx, gu = T._sample_pixel_vjp(xf, uf, gy.reshape(n * g, c // g, h2 * w2), with_gu)
+        return gx.reshape(xd.shape), None if gu is None else gu.reshape(ud.shape)
+
+    return _record(y, (x, u), vjp)
 
 
 def depth_to_space(x: Value, s: int) -> Value:
@@ -398,73 +423,33 @@ def depth_to_space(x: Value, s: int) -> Value:
 # Structure ops
 
 
-def concat(parts: Sequence[Value], axis: int) -> Value:
+def concat(parts: Sequence[Value]) -> Value:
+    """The channel concatenation of rank-4 maps."""
     if not parts:
         raise ContractError("concat of zero tensors")
     arrays = [p.tensor.data for p in parts]
-    rank = arrays[0].ndim
-    if not -rank <= axis < rank:
-        raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    ax = axis % rank
-    for a in arrays[1:]:
-        if a.ndim != rank:
-            raise DimensionError("concat operands differ in rank")
-        if any(a.shape[i] != arrays[0].shape[i] for i in range(rank) if i != ax):
-            raise DimensionError(
-                f"concat shapes {arrays[0].shape} and {a.shape} differ off-axis"
-            )
-    T._check_same_dtype(*arrays)
-    y = Tensor._wrap(np.concatenate(arrays, axis=ax))
-    sizes = [a.shape[ax] for a in arrays]
-
-    def vjp(g):
-        out = []
-        start = 0
-        sl = [slice(None)] * rank
-        for s in sizes:
-            sl[ax] = slice(start, start + s)
-            out.append(np.ascontiguousarray(g[tuple(sl)]))
-            start += s
-        return tuple(out)
-
-    return _record(y, tuple(parts), vjp)
+    T._check_channel_parts(arrays)
+    y = Tensor._wrap(np.concatenate(arrays, axis=1))
+    ends = np.cumsum([0] + [a.shape[1] for a in arrays]).tolist()
+    return _record(y, tuple(parts), lambda g: tuple(
+        np.ascontiguousarray(g[:, a:b]) for a, b in zip(ends, ends[1:])
+    ))
 
 
-def narrow(x: Value, axis: int, start: int, size: int) -> Value:
-    """Contiguous slice of ``size`` entries from ``start`` along ``axis``."""
+def narrow(x: Value, start: int, size: int) -> Value:
+    """Channels [start, start + size) of a rank-4 map."""
     xd = x.tensor.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise DimensionError(f"axis {axis} out of range for shape {xd.shape}")
-    if start < 0 or size < 1 or start + size > xd.shape[axis]:
-        raise DimensionError(
-            f"slice [{start}:{start + size}) exceeds extent {xd.shape[axis]}"
-        )
-    sl = [slice(None)] * xd.ndim
-    sl[axis] = slice(start, start + size)
-    sl = tuple(sl)
-    y = Tensor._wrap(xd[sl].copy())
+    if xd.ndim != 4 or start < 0 or size < 1 or start + size > xd.shape[1]:
+        raise DimensionError(f"cannot narrow {xd.shape} to channels [{start}:{start + size})")
+    y = Tensor._wrap(xd[:, start : start + size].copy())
     xshape = xd.shape
 
     def vjp(g):
         gx = np.zeros(xshape, dtype=g.dtype)
-        gx[sl] = g
+        gx[:, start : start + size] = g
         return (gx,)
 
     return _record(y, (x,), vjp)
-
-
-def split(x: Value, axis: int, sizes: Sequence[int]) -> list[Value]:
-    if sum(sizes) != x.tensor.shape[axis % x.tensor.rank]:
-        raise DimensionError(
-            f"split sizes {list(sizes)} do not sum to extent "
-            f"{x.tensor.shape[axis % x.tensor.rank]}"
-        )
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(narrow(x, axis, start, s))
-        start += s
-    return out
 
 
 def reshape(x: Value, shape: tuple[int, ...]) -> Value:

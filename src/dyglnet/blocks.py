@@ -145,10 +145,11 @@ class SingleHeadAttention(Module):
     """Global self-attention over the H*W spatial tokens of a feature map.
 
     A norm layer feeds one shared 1x1 conv producing Q, K, V of the
-    input width C per token; scores are softmax(Q K^T / sqrt(C)) over
-    keys, and the attended values are the output. The scores and the
-    product are one ``attention`` op, so a tape keeps Q, K and V but not
-    the [N, HW, HW] weights.
+    input width C per token, as the three channel thirds of one map;
+    scores are softmax(Q K^T / sqrt(C)) over keys, and the attended
+    values are the output. The scores and the product are one
+    ``attention`` op on that map, so a tape keeps the map but not the
+    [N, HW, HW] weights.
     """
 
     def __init__(
@@ -167,15 +168,7 @@ class SingleHeadAttention(Module):
         self.qkv = Conv2d(f"{name}.qkv", channels, 3 * channels, 1, rng, dtype)
 
     def __call__(self, x: Value, training: bool = False) -> Value:
-        n, c, h, w = x.tensor.shape
-        p = h * w
-        q, k, v = ad.split(self.qkv(self.norm(x, training)), 1, [c, c, c])
-        q_tok = ad.transpose(ad.reshape(q, (n, c, p)), (0, 2, 1))  # [n,p,c]
-        v_tok = ad.transpose(ad.reshape(v, (n, c, p)), (0, 2, 1))  # [n,p,c]
-        del q, v
-        out = ad.attention(q_tok, ad.reshape(k, (n, c, p)), v_tok)  # [n,p,c]
-        del q_tok, k, v_tok
-        return ad.reshape(ad.transpose(out, (0, 2, 1)), (n, c, h, w))
+        return ad.attention(self.qkv(self.norm(x, training)))
 
 
 class MultiScaleDilatedConv(Module):
@@ -270,10 +263,9 @@ class ShdcBlock(Module):
         )
         if self.fusion:
             cg = self.cfg.global_channels(self.channels)
-            g_in, l_in = ad.split(h, 1, [cg, self.channels - cg])
-            g_out = self.attn(g_in, training)
-            del g_in
-            cat = ad.concat([g_out, self.local(l_in, training=training)], 1)
+            g_out = self.attn(ad.narrow(h, 0, cg), training)
+            l_in = ad.narrow(h, cg, self.channels - cg)
+            cat = ad.concat([g_out, self.local(l_in, training=training)])
             del g_out, l_in
             fused = self.fuse(cat)
             del cat
@@ -293,7 +285,8 @@ class DyFusionUp(Module):
     predicts per-group sub-pixel offsets (rearranged depth-to-space to
     the doubled lattice and scaled by ``_OFFSET_RANGE``); each channel
     group is bilinearly sampled at quarter-pixel-plus-offset positions,
-    all groups in one sampler call with the groups folded into the batch;
+    all groups in one ``pixel_sample`` call on a [N, 2G, 2h, 2w]
+    coordinate map whose channel pair (2j, 2j+1) serves group j;
     a 1x1 conv aligns the result to the skip width; a multi-scale dilated
     stage reads the skip and the aligned map as the two channel parts of
     one input, skip first, without joining them, and it plus a 3x3 conv
@@ -337,31 +330,26 @@ class DyFusionUp(Module):
         )
 
     def offset_field(self, x_low: Value) -> Value:
-        """The scaled offset field on the doubled lattice, groups folded
-        into the batch: [N*G, 2, 4hw], row i*G + j holding image i, group
-        j, with x then y on axis 1."""
-        n, _, h, w = x_low.tensor.shape
-        s, g = _SCALE, self.cfg.sampler_groups
-        raw = self.offset(x_low)  # [n, 2g*s*s, h, w]
-        planes = ad.depth_to_space(raw, s)  # [n, 2g, s*h, s*w]
-        return ad.reshape(ad.scale(planes, _OFFSET_RANGE), (n * g, 2, s * h * s * w))
+        """The scaled offset field on the doubled lattice, [N, 2G, 2h, 2w]:
+        channel 2j + coord holds group j's x (coord 0) or y (coord 1)
+        offsets, as ``pixel_sample`` reads its coordinate pairs."""
+        planes = ad.depth_to_space(self.offset(x_low), _SCALE)
+        return ad.scale(planes, _OFFSET_RANGE)
 
     def upsample(self, x_low: Value, x: Value | None = None) -> Value:
         """The sampling stage alone: x ([N, G'·k, h, w], x_low by default)
-        -> [N, G'·k, 2h, 2w], one ``pixel_sample`` of [N*G', k, h, w] (the
-        groups folded into the batch) at x_low's [N*G', 2, 4hw] coordinates:
-        the 2x resize lattice, plus the offset field in "dynamic" mode."""
+        -> [N, G'·k, 2h, 2w], one ``pixel_sample`` whose channel group j
+        reads coordinate pair j of x_low's [N, 2G', 2h, 2w] map: the 2x
+        resize lattice, plus the offset field in "dynamic" mode."""
         x = x_low if x is None else x
-        n, c, h, w = x.tensor.shape
-        g = self.groups
-        h2, w2 = _SCALE * h, _SCALE * w
+        n, _, h, w = x.tensor.shape
+        g, h2, w2 = self.groups, _SCALE * h, _SCALE * w
         base = T._resize_coords(n * g, h, w, h2, w2, x.tensor.data.dtype)
-        u = ad.constant(Tensor._wrap(base))
+        u = ad.constant(Tensor._wrap(base.reshape(n, 2 * g, h2, w2)))
         del base
         if self.cfg.upsample_mode == "dynamic":
             u = ad.add(self.offset_field(x_low), u)
-        folded = ad.reshape(x, (n * g, c // g, h, w))
-        return ad.reshape(ad.pixel_sample(folded, u), (n, c, h2, w2))
+        return ad.pixel_sample(x, u)
 
     def aligned_upsample(self, x_low: Value) -> Value:
         """align(upsample(x_low)). Sampling is linear, so where G'·skip <

@@ -108,10 +108,20 @@ def _validated(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_same_dtype(*arrays: np.ndarray) -> None:
-    first = arrays[0].dtype
     for a in arrays[1:]:
-        if a.dtype != first:
-            raise ContractError(f"mixed dtypes {first} and {a.dtype}")
+        if a.dtype != arrays[0].dtype:
+            raise ContractError(f"mixed dtypes {arrays[0].dtype} and {a.dtype}")
+
+
+def _check_channel_parts(parts: list[np.ndarray]) -> int:
+    """The channel count of rank-4 maps that differ only in channels and
+    share one dtype; 0 for no parts."""
+    for a in parts:
+        if a.ndim != 4 or a.shape[:1] + a.shape[2:] != parts[0].shape[:1] + parts[0].shape[2:]:
+            raise DimensionError(f"channel parts {parts[0].shape} and {a.shape} are "
+                                 "not rank-4 maps differing only in channels")
+    _check_same_dtype(*parts)
+    return sum(a.shape[1] for a in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -384,31 +394,27 @@ def _dw_residual_vjp(
 
 
 def _check_dw_residual_args(
-    xs: list[Tensor],
+    xs: list[np.ndarray],
     weights: list[Tensor],
     dilations: tuple[int, ...],
     bias: Tensor | None,
 ) -> None:
-    for x in xs:  # an empty xs fails the weight shape check below
-        if x.rank != 4 or x.shape[:1] + x.shape[2:] != xs[0].shape[:1] + xs[0].shape[2:]:
-            raise DimensionError(f"depthwise_residual parts {xs[0].shape} and {x.shape} "
-                                 "are not rank-4 maps differing only in channels")
+    c = _check_channel_parts(xs)  # no parts fail the weight shape check below
     if not weights or len(weights) != len(dilations):
         raise ContractError(
             f"{len(weights)} weights for dilations {tuple(dilations)}; need one each"
         )
     if any(d < 1 for d in dilations):
         raise ContractError(f"dilations must be >= 1, got {tuple(dilations)}")
-    c = sum(x.shape[1] for x in xs)
     for w in weights:
         if w.shape != (c, 1, 3, 3):
             raise DimensionError(f"depthwise weight shape {w.shape} != ({c}, 1, 3, 3)")
-    arrays = [x.data for x in xs] + [w.data for w in weights]
+    arrays = [w.data for w in weights]
     if bias is not None:
         if bias.shape != (c,):
             raise DimensionError(f"bias shape {bias.shape} != ({c},)")
         arrays.append(bias.data)
-    _check_same_dtype(*arrays)
+    _check_same_dtype(xs[0], *arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import recorded_ops
 from dyglnet import autodiff as ad
 from dyglnet import gradsuite
 from dyglnet import tensor as T
@@ -394,10 +395,11 @@ def test_dyfusion_unit_offset_prediction_scaled_to_quarter():
     # 2 coordinates x 2 groups x 4 sub-pixels
     assert block.offset.weight.value.shape == (16, 2, 1, 1)
     assign64(block.offset.bias, np.ones(16))
-    # Groups are folded into the batch: one (dx, dy) field of [n*g, 2, 4hw].
+    # One map on the doubled lattice: channel pair (2j, 2j+1) is group j's
+    # (dx, dy), as pixel_sample reads it.
     field = block.offset_field(v64(rng.normal(size=(1, 2, 3, 3))))
     assert _OFFSET_RANGE == 0.25
-    np.testing.assert_array_equal(field.tensor.data, np.full((2, 2, 36), _OFFSET_RANGE))
+    np.testing.assert_array_equal(field.tensor.data, np.full((1, 4, 6, 6), _OFFSET_RANGE))
 
 
 @pytest.mark.parametrize("groups", [2, 4])
@@ -481,22 +483,19 @@ def test_dyfusion_bilinear_mode_matches_dynamic_at_init():
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
-def test_dyfusion_dynamic_upsample_records_eight_nodes_without_narrow(monkeypatch):
-    # offset conv, depth_to_space, scale, reshape, add, fold reshape,
-    # pixel_sample, unfold reshape: the offset field stays one array.
+def test_dyfusion_dynamic_upsample_records_five_nodes(monkeypatch):
+    # offset conv, depth_to_space, scale, add and pixel_sample: the offset
+    # field stays one map, which the sampler reads in the groups' layout,
+    # so no reshape, transpose or narrow sits around the sampler.
     rng = np.random.default_rng(79)
     block = _up_block(rng, in_ch=4, groups=2)
-    calls = []
-    narrow = ad.narrow
-    monkeypatch.setattr(ad, "narrow", lambda *a: calls.append(a) or narrow(*a))
     watched = _watched(monkeypatch)
     with ad.Tape() as tape:
         block.upsample(v64(rng.normal(size=(2, 4, 3, 3))))
-    assert len([s for s in tape._nodes if s.parents]) == 8
+    assert recorded_ops(tape) == ["conv2d", "depth_to_space", "scale", "add", "pixel_sample"]
     _assert_leaves_are_watched(
         tape, watched, block.offset.parameters(trainable_only=True)
     )
-    assert calls == []
 
 
 def _projecting_block(rng, mode, offset_scale):

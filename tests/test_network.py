@@ -8,10 +8,12 @@ import math
 import os
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import recorded_ops
 from dyglnet import autodiff as ad, cli, configtext, gradsuite
 from dyglnet.autodiff import Parameter
 from dyglnet.blocks import BatchNorm2d, Conv2d, SingleHeadAttention, he_normal
@@ -322,6 +324,35 @@ def test_training_mode_advances_bn_stats_only():
     }
     changed = [n for n in before if not np.array_equal(before[n], after[n])]
     assert changed  # training mode moved at least one running statistic
+
+
+@pytest.mark.parametrize(
+    "cfg, nodes",
+    [(ModelConfig(), 96), (ModelConfig.tiny(), 91), (ModelConfig(upsample_mode="bilinear"), 95)],
+    ids=["default", "tiny", "bilinear"],
+)
+def test_train_step_tape_records_each_op_on_the_blocks_layouts(cfg, nodes):
+    # The attention op reads the qkv map and pixel_sample the grouped
+    # coordinate map, so no reshape, transpose or narrow sits around
+    # either. The layout ops that remain: each fused SHDC block splits
+    # its channels with two narrows, and an upsampler that projects first
+    # lays out its grouped align weight with two reshapes and a transpose.
+    model = Model(cfg, seed=0)
+    with ad.Tape() as tape:
+        logits = model(ad.constant(t32(np.zeros((2, 3, 32, 32)))), training=True)
+        hybrid_loss(logits, t32(np.zeros((2, 1, 32, 32))), 0.5)
+    ops = Counter(recorded_ops(tape))
+    projecting = sum(up.projects_first for up in model.ups)
+    assert sum(ops.values()) == nodes
+    assert ops["narrow"] == 2 * ops["attention"] == 4
+    assert ops["reshape"] == 2 * ops["transpose"] == 2 * projecting
+    if cfg == ModelConfig():
+        assert ops == {
+            "conv2d": 28, "add": 13, "depthwise_residual": 9, "_batchnorm2d_vjp": 6,
+            "scale": 6, "relu": 5, "mul": 4, "narrow": 4, "pixel_sample": 4,
+            "depth_to_space": 4, "attention": 2, "concat": 2, "reshape": 2, "tanh": 2,
+            "transpose": 1, "sum_groups": 1, "bce_loss": 1, "dice_loss": 1, "sigmoid": 1,
+        }
 
 
 @pytest.fixture(scope="module")

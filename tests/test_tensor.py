@@ -701,7 +701,7 @@ def test_elementwise_shape_mismatch():
 def test_concat_shapes():
     a = c64(np.zeros((1, 2, 2, 2)))
     b = c64(np.ones((1, 3, 2, 2)))
-    y = ad.concat([a, b], axis=1)
+    y = ad.concat([a, b])
     assert y.tensor.shape == (1, 5, 2, 2)
 
 
