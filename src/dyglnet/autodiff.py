@@ -9,20 +9,22 @@ node, and ``pixel_sample`` folds channel groups into the sampler's batch.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
-the op hands it (upstream gradient to one gradient per parent) and the
-gradient summed so far. A watched :class:`Parameter` is a node too, with
-no parents; its VJP adds the gradient that reaches it into the
-parameter's ``grad`` buffer. Only the :class:`Value` an op returns holds
-its tensor, so the tape keeps an output alive only through a VJP that
-reads it; every closure here keeps only what it reads. ``conv2d`` and
-``depthwise_residual`` hand each input to the VJP in a one-item box,
-and the VJP releases it once read, so it runs once: a second call
-raises ``StateError``. :func:`backward` replays the slots in reverse
-creation order and releases each one as soon as its VJP has run. Each
-slot names its tape until then, and an op whose input belongs to
-another tape, or to a released slot, raises ``ContractError``. With no
-active tape the ops run forward-only and record nothing, so evaluation
-keeps no closures and no slots.
+the op hands it (upstream gradient to one gradient per parent), the
+gradient summed so far and, from ``batchnorm2d`` and ``pixel_sample``, a
+remake that rebuilds the output bit for bit from arrays the VJP keeps. A
+watched :class:`Parameter` is a node too, with no parents; its VJP adds
+the gradient that reaches it into the parameter's ``grad`` buffer. Only
+the :class:`Value` an op returns holds its tensor: the tape keeps a
+VJP's arrays or a producer's remake, and every closure here keeps only
+what it reads. ``conv2d`` and ``depthwise_residual`` hand each input (to
+``conv2d``, its remake if it has one) to the VJP in a one-item box, and
+the VJP releases it once read, so it runs once: a second call raises
+``StateError``. :func:`backward` replays the slots in reverse creation
+order, so a remake runs before its producer's VJP, and releases each one
+as soon as its VJP has run. Each slot names its tape until then, and an
+op whose input belongs to another tape, or to a released slot, raises
+``ContractError``. With no active tape the ops run forward-only and
+record nothing, so evaluation keeps no closures and no slots.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences in float64, re-probing suspect entries at two extra step
@@ -85,13 +87,14 @@ class Parameter:
 
 class _Slot:
     """What the tape keeps of one node: its parents' slots (``None`` for
-    an input off the tape), its VJP, its summed upstream gradient and its
-    tape (``None`` once backward has released it)."""
+    an input off the tape), its VJP, its summed upstream gradient, its
+    tape (``None`` once backward has released it) and its remake or None."""
 
-    __slots__ = ("parents", "vjp", "grad", "tape")
+    __slots__ = ("parents", "vjp", "grad", "tape", "remake")
 
-    def __init__(self, parents: tuple, vjp: Callable, tape: "Tape"):
-        self.parents, self.vjp, self.grad, self.tape = parents, vjp, None, tape
+    def __init__(self, parents: tuple, vjp: Callable, tape: "Tape", remake: Callable | None):
+        self.parents, self.vjp, self.grad = parents, vjp, None
+        self.tape, self.remake = tape, remake
 
 
 class Value:
@@ -177,7 +180,7 @@ def backward(loss: Value, tape: Tape) -> None:
         # and gradients the rest of the walk no longer needs are freed.
         s = nodes.pop()
         gv, vjp, parents = s.grad, s.vjp, s.parents
-        s.grad, s.vjp, s.parents, s.tape = None, None, (), None
+        s.grad, s.vjp, s.parents, s.tape, s.remake = None, None, (), None, None
         if gv is None:
             continue
         grads = vjp(gv)
@@ -191,7 +194,7 @@ def backward(loss: Value, tape: Tape) -> None:
                 parent.grad = parent.grad + g
 
 
-def _record(y: Tensor, parents: tuple, vjp: Callable) -> Value:
+def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = None) -> Value:
     tape = _ACTIVE
     if tape is None:
         return Value(y)
@@ -201,7 +204,7 @@ def _record(y: Tensor, parents: tuple, vjp: Callable) -> Value:
             "an op input was recorded on another tape, or its tape already "
             "ran backward"
         )
-    tape._nodes.append(slot := _Slot(slots, vjp, tape))
+    tape._nodes.append(slot := _Slot(slots, vjp, tape, remake))
     return Value(y, slot)
 
 
@@ -331,7 +334,9 @@ def attention(qkv: Value) -> Value:
 
 def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
     y = T.conv2d(x.tensor, weight.tensor, bias.tensor, spec)
-    xs, wd = [x.tensor.data], weight.tensor.data  # the VJP takes x out of its box
+    remake = None if x._slot is None else x._slot.remake
+    xs = [x.tensor.data if remake is None else remake]  # the VJP takes x out of its box
+    wd = weight.tensor.data
     with_gx = x._slot is not None  # gx is None for a constant input
     return _record(
         y, (x, weight, bias), lambda g: T._conv2d_vjp(xs, wd, spec, g, with_gx)
@@ -374,12 +379,15 @@ def batchnorm2d(
     running_var: Tensor,
     training: bool,
 ) -> tuple[Value, Tensor, Tensor]:
-    """Differentiable batchnorm; running statistics flow outside the graph."""
+    """Differentiable batchnorm; running statistics flow outside the graph.
+    The output's remake normalizes the x the VJP keeps once more."""
     y, new_mean, new_var, mean, var = T.batchnorm2d(
         x.tensor, gamma.tensor, beta.tensor, running_mean, running_var, training
     )
-    vjp = T._batchnorm2d_vjp(x.tensor.data, gamma.tensor.data, mean, var, training)
-    return _record(y, (x, gamma, beta), vjp), new_mean, new_var
+    xd, gd, bd = x.tensor.data, gamma.tensor.data, beta.tensor.data
+    vjp = T._batchnorm2d_vjp(xd, gd, mean, var, training)
+    y = _record(y, (x, gamma, beta), vjp, lambda: T._bn_normalize(xd, mean, var, gd, bd))
+    return y, new_mean, new_var
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +402,7 @@ def pixel_sample(x: Value, u: Value) -> Value:
     ([N*G, C/G, H, W] at [N*G, 2, H'W']), so G groups are one call. The
     tape keeps only x and u: the VJP rebuilds the corners and fractions
     chunk by chunk, and computes no coordinate gradient for constant
-    coordinates."""
+    coordinates; the output's remake runs the forward's call again."""
     xd, ud = x.tensor.data, u.tensor.data
     if xd.ndim != 4 or ud.ndim != 4 or ud.shape[0] != xd.shape[0] or ud.shape[1] % 2:
         raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
@@ -404,14 +412,16 @@ def pixel_sample(x: Value, u: Value) -> Value:
         raise DimensionError(f"{c} channels do not split into {g} coordinate groups")
     T._check_same_dtype(xd, ud)
     xf, uf = xd.reshape(n * g, c // g, h, w), ud.reshape(n * g, 2, h2 * w2)
-    y = Tensor._wrap(T._sample_pixel_forward(xf, uf).reshape(n, c, h2, w2))
     with_gu = u._slot is not None
+
+    def remake():
+        return T._sample_pixel_forward(xf, uf).reshape(n, c, h2, w2)
 
     def vjp(gy):
         gx, gu = T._sample_pixel_vjp(xf, uf, gy.reshape(n * g, c // g, h2 * w2), with_gu)
         return gx.reshape(xd.shape), None if gu is None else gu.reshape(ud.shape)
 
-    return _record(y, (x, u), vjp)
+    return _record(Tensor._wrap(remake()), (x, u), vjp, remake)
 
 
 def depth_to_space(x: Value, s: int) -> Value:

@@ -174,12 +174,13 @@ def _lattice(x: np.ndarray, s: int, p: int, slack: bool) -> tuple[np.ndarray, in
     return _space_to_depth_forward(xp, s).reshape(n, c * s * s, -1), wq
 
 
-def _take(x: np.ndarray | list[np.ndarray]) -> np.ndarray:
-    """x, or the array a VJP's one-item box gives up so that the VJP can
-    free it once read; an empty box means the VJP already ran."""
+def _take(x: np.ndarray | list) -> np.ndarray:
+    """x, or the array (or the remake, called) that a VJP's one-item box
+    gives up so that the VJP can free it; an empty box means it ran."""
     if isinstance(x, list) and not x:
         raise StateError("this VJP already ran and released its saved input")
-    return x.pop() if isinstance(x, list) else x
+    x = x.pop() if isinstance(x, list) else x
+    return x() if callable(x) else x
 
 
 def _runs(kh: int, kw: int, d: int, s: int, wq: int):
@@ -214,7 +215,7 @@ def _conv2d_forward(
 
 
 def _conv2d_vjp(
-    x: np.ndarray | list[np.ndarray],
+    x: np.ndarray | list,
     w: np.ndarray,
     spec: ConvSpec,
     gy: np.ndarray,
@@ -520,12 +521,19 @@ def batchnorm2d(
     else:
         mean, var = running_mean.data, running_var.data
         new_mean, new_var = running_mean, running_var
-    # gamma * (x - mean) / sqrt(var + _BN_EPS) + beta, in one buffer
-    y = x.data - mean.reshape(1, c, 1, 1)
-    y /= np.sqrt(var.reshape(1, c, 1, 1) + x.data.dtype.type(_BN_EPS))
-    y *= gamma.data.reshape(1, c, 1, 1)
-    y += beta.data.reshape(1, c, 1, 1)
+    y = _bn_normalize(x.data, mean, var, gamma.data, beta.data)
     return Tensor._wrap(y), new_mean, new_var, mean, var
+
+
+def _bn_normalize(x, mean, var, gamma, beta) -> np.ndarray:
+    """gamma * (x - mean) / sqrt(var + _BN_EPS) + beta per channel of x
+    [n, c, h, w], in one buffer."""
+    c = x.shape[1]
+    y = x - mean.reshape(1, c, 1, 1)
+    y /= np.sqrt(var.reshape(1, c, 1, 1) + x.dtype.type(_BN_EPS))
+    y *= gamma.reshape(1, c, 1, 1)
+    y += beta.reshape(1, c, 1, 1)
+    return y
 
 
 def _batchnorm2d_vjp(
@@ -601,7 +609,9 @@ def _sample_chunks(u: np.ndarray, c: int, h: int, w: int):
         # Exact in the input precision: x0 <= fx <= x0 + 1 (Sterbenz).
         fx -= x0
         fy -= y0
-        bins = y0.astype(np.int64) * w + x0.astype(np.int64)
+        bins = y0.astype(np.int64)  # y0 * w + x0, in place
+        bins *= w
+        bins += x0.astype(np.int64)
         del x0, y0  # the generator's frame would keep them past the yield
         k = np.arange(rows.stop - r0)[:, None]
         at = bins + (r0 + k) * (c * hw)

@@ -372,15 +372,21 @@ def test_one_by_one_conv_vjp_frees_its_input_before_forming_gx():
     assert np.all(x.grad != 0.0)
 
 
-@pytest.mark.parametrize("op", ["conv2d", "depthwise_residual"])
+@pytest.mark.parametrize("op", ["conv2d", "conv2d-of-a-remake", "depthwise_residual"])
 def test_a_vjp_that_released_its_input_refuses_a_second_run(op):
+    # conv2d-of-a-remake reads a batchnorm output, so its box holds the
+    # batchnorm's remake instead of the array
     rng = np.random.default_rng(8)
     x = param("x", rng.normal(size=(1, 2, 5, 5)))
     w = param("w", rng.normal(size=(2, 1, 3, 3)))
     gy = rng.normal(size=(1, 2, 5, 5))
     with Tape() as tape:
         xv, wv = ad.watch(x), ad.watch(w)
-        if op == "conv2d":
+        if op == "conv2d-of-a-remake":
+            stats = Tensor(np.zeros(2), dtype="f64")
+            xv, _, _ = ad.batchnorm2d(xv, const64(np.ones(2)), const64(np.zeros(2)),
+                                      stats, stats, True)
+        if op.startswith("conv2d"):
             ad.conv2d(xv, wv, const64(np.zeros(2)), ConvSpec(padding=1, groups=2))
         else:
             ad.depthwise_residual([xv], [wv], (1,))
@@ -1043,6 +1049,128 @@ def test_pixel_sample_memory_is_bounded_by_the_chunk():
         assert retained - y.tensor.data.nbytes < 64 << 10, f"n={n}"
         extra[n] = peak - retained - gx.nbytes - gu.nbytes
     assert abs(extra[32] - extra[8]) <= 0.1 * extra[8], extra
+
+
+# ---------------------------------------------------------------------------
+# Remakes: a conv that reads a batchnorm or pixel_sample output boxes the
+# producer's remake, not the array
+
+
+def _remade_matches_kept(dtype, arrays, produce, spec, gy):
+    """Runs conv(produce(ps), ps["w"], ps["b"]) under the cotangent gy
+    twice, ps being ``arrays`` as parameters: the conv reads the
+    producer's output, and so boxes its remake, or reads it behind
+    ad.scale(·, 1.0), which leaves no remake, so the conv keeps that
+    array. The conv's input outlives its Value only when kept, and y and
+    every parameter's gradient are the same bits in both runs."""
+    runs = []
+    for kept in (False, True):
+        ps = {k: Parameter(k, Tensor(a, dtype=dtype)) for k, a in arrays.items()}
+        with Tape() as tape:
+            h = produce(ps)
+            assert h._slot.remake is not None
+            h = ad.scale(h, 1.0) if kept else h
+            y = ad.conv2d(h, ad.watch(ps["w"]), ad.watch(ps["b"]), spec)
+            ref = weakref.ref(h.tensor.data)
+            del h
+            assert (ref() is not None) == kept
+            ad.backward(sum_all(ad.mul(y, ad.constant(Tensor(gy, dtype=dtype)))), tape)
+        runs.append([y.tensor.data] + [p.grad for p in ps.values()])
+    for got, want in zip(*runs):
+        _same_bits(got, want)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+def test_conv_of_a_batchnorm_remake_matches_a_kept_input_bit_for_bit(dtype, training):
+    # The remake normalizes the input the batchnorm's VJP keeps with the
+    # forward's statistics and call. Eval mode runs on a tape here, as a
+    # taped eval forward (model(x, training=False) under a Tape) does.
+    rng = np.random.default_rng(71)
+    arrays = {"x": rng.normal(size=(2, 3, 5, 6)), "gamma": rng.normal(size=3) + 1.5,
+              "beta": rng.normal(size=3), "w": rng.normal(size=(4, 3, 3, 3)),
+              "b": rng.normal(size=4)}
+    rm = Tensor(rng.normal(size=3), dtype=dtype)
+    rv = Tensor(rng.uniform(0.5, 2.0, size=3), dtype=dtype)
+
+    def produce(ps):
+        y, _, _ = ad.batchnorm2d(ad.watch(ps["x"]), ad.watch(ps["gamma"]),
+                                 ad.watch(ps["beta"]), rm, rv, training)
+        return y
+
+    gy = rng.normal(size=(2, 4, 5, 6))
+    _remade_matches_kept(dtype, arrays, produce, ConvSpec(padding=1), gy)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("taped_u", [False, True], ids=["constant-u", "taped-u"])
+def test_conv_of_a_pixel_sample_remake_matches_a_kept_input_bit_for_bit(
+    dtype, groups, taped_u
+):
+    # The remake runs the sampler's forward again on the folded views of
+    # x and u that the VJP keeps; coordinates reach outside the image.
+    rng = np.random.default_rng(73 + groups)
+    arrays = {"x": rng.normal(size=(2, 2 * groups, 4, 5)),
+              "u": rng.uniform(-1.0, 5.5, size=(2, 2 * groups, 3, 6)),
+              "w": rng.normal(size=(3, 2 * groups, 1, 1)), "b": rng.normal(size=3)}
+
+    def produce(ps):
+        u = ad.watch(ps["u"]) if taped_u else ad.constant(ps["u"].value)
+        return ad.pixel_sample(ad.watch(ps["x"]), u)
+
+    gy = rng.normal(size=(2, 3, 3, 6))
+    _remade_matches_kept(dtype, arrays, produce, ConvSpec(), gy)
+
+
+def test_a_held_batchnorm_output_keeps_no_input_after_backward():
+    # The output's slot holds the remake, which reads the batchnorm's
+    # input; backward drops it with the VJP, so a Value the caller still
+    # holds keeps no input alive.
+    rng = np.random.default_rng(79)
+    x = param("x", rng.normal(size=(2, 3, 4, 4)))
+    w = param("w", rng.normal(size=(2, 3, 1, 1)))
+    with Tape() as tape:
+        xin = ad.scale(ad.watch(x), 0.5)
+        ref = weakref.ref(xin.tensor.data)
+        stats = Tensor(np.zeros(3), dtype="f64")
+        h, _, _ = ad.batchnorm2d(xin, const64(np.ones(3)), const64(np.zeros(3)),
+                                 stats, stats, True)
+        del xin
+        loss = sum_all(ad.conv2d(h, ad.watch(w), const64(np.zeros(2)), ConvSpec()))
+        assert ref() is not None
+        ad.backward(loss, tape)
+    assert h._slot.remake is None and ref() is None
+    assert np.all(x.grad != 0.0)
+
+
+def test_fd_conv_of_a_remake():
+    # batchnorm -> 3x3 conv and pixel_sample -> 1x1 conv, the chains whose
+    # conv weight and input gradients come from a remade input
+    rng = np.random.default_rng(83)
+    x = param("x", rng.normal(size=(2, 3, 4, 4)))
+    gamma = param("gamma", rng.normal(size=(3,)) + 1.5)
+    beta = param("beta", rng.normal(size=(3,)))
+    w3 = param("w3", rng.normal(size=(2, 3, 3, 3)) * 0.5)
+    b = param("b", rng.normal(size=(2,)))
+    stats = Tensor(np.zeros(3), dtype="f64")
+
+    def bn_conv():
+        h, _, _ = ad.batchnorm2d(ad.watch(x), ad.watch(gamma), ad.watch(beta),
+                                 stats, stats, True)
+        return ad.mean_all(ad.tanh(ad.conv2d(h, ad.watch(w3), ad.watch(b), ConvSpec(padding=1))))
+
+    _fd_ok(bn_conv, [x, gamma, beta, w3, b])
+    xs = param("xs", rng.normal(size=(2, 4, 4, 5)))
+    # away from the integer lattice kinks, as in the single-op sweeps
+    u = param("u", rng.uniform(0.3, 2.7, size=(2, 4, 2, 3)).round(1) + 0.05)
+    w1 = param("w1", rng.normal(size=(2, 4, 1, 1)))
+
+    def sample_conv():
+        h = ad.pixel_sample(ad.watch(xs), ad.watch(u))
+        return ad.mean_all(ad.tanh(ad.conv2d(h, ad.watch(w1), ad.watch(b), ConvSpec())))
+
+    _fd_ok(sample_conv, [xs, u, w1, b])
 
 
 def test_fd_resize_and_depth_to_space():
