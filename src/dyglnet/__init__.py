@@ -1,113 +1,1 @@
 """Dynamic global-local segmentation network on a from-scratch kernel stack."""
-
-from .autodiff import (
-    GradCheckReport,
-    Parameter,
-    Tape,
-    Value,
-    backward,
-    constant,
-    grad_check,
-    watch,
-)
-from .blocks import (
-    BatchNorm2d,
-    Conv2d,
-    DyFusionUp,
-    DyT,
-    FeedForward,
-    Module,
-    MultiScaleDilatedConv,
-    ShdcBlock,
-    SingleHeadAttention,
-)
-from .checkpoint import read_checkpoint, write_checkpoint
-from .data import (
-    AugmentConfig,
-    SegmentationSample,
-    augment,
-    load_manifest,
-    load_sample,
-    synth_dataset,
-)
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateStatisticsError,
-    DimensionError,
-    DyglError,
-    FormatError,
-    NumericError,
-    StateError,
-    UnsupportedFormatError,
-    VersionError,
-)
-from .losses import MetricsReport, bce_loss, dice_loss, evaluate, hybrid_loss
-from .network import (
-    REFERENCE_PARAM_BUDGET,
-    Model,
-    ModelConfig,
-    load,
-    param_count,
-    save,
-)
-from .tensor import ConvSpec, Tensor
-from .train import AdamW, TrainConfig, TrainResult, clip_grad_norm, lr_at
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdamW",
-    "AugmentConfig",
-    "BatchNorm2d",
-    "ConfigurationError",
-    "ContractError",
-    "Conv2d",
-    "ConvSpec",
-    "DegenerateStatisticsError",
-    "DimensionError",
-    "DyFusionUp",
-    "DyT",
-    "DyglError",
-    "FeedForward",
-    "FormatError",
-    "GradCheckReport",
-    "MetricsReport",
-    "Model",
-    "ModelConfig",
-    "Module",
-    "MultiScaleDilatedConv",
-    "NumericError",
-    "Parameter",
-    "REFERENCE_PARAM_BUDGET",
-    "SegmentationSample",
-    "ShdcBlock",
-    "SingleHeadAttention",
-    "StateError",
-    "Tape",
-    "Tensor",
-    "TrainConfig",
-    "TrainResult",
-    "UnsupportedFormatError",
-    "Value",
-    "VersionError",
-    "augment",
-    "backward",
-    "bce_loss",
-    "clip_grad_norm",
-    "constant",
-    "dice_loss",
-    "evaluate",
-    "grad_check",
-    "hybrid_loss",
-    "load",
-    "load_manifest",
-    "load_sample",
-    "lr_at",
-    "param_count",
-    "read_checkpoint",
-    "save",
-    "synth_dataset",
-    "watch",
-    "write_checkpoint",
-]

@@ -2,10 +2,12 @@
 
 The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all,
 sum_groups) and the layout ops (concat and narrow on the channel axis,
-reshape, transpose) are defined here whole: argument checks, forward and
-VJP. The other ops wrap a ``tensor`` kernel and the VJP defined next to
-it; ``attention`` chains the matmul, softmax and scale kernels in one
-node, and ``pixel_sample`` folds channel groups into the sampler's batch.
+reshape, transpose, depth_to_space) are defined here whole: argument
+checks, forward and VJP. The other ops call a ``tensor`` kernel and the
+VJP defined next to it, and check the arguments of a kernel that takes
+arrays; ``attention`` chains the matmul, softmax and scale kernels in
+one node, and ``pixel_sample`` folds channel groups into the sampler's
+batch.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
@@ -290,9 +292,11 @@ def matmul(a: Value, b: Value) -> Value:
 
 
 def softmax(x: Value, axis: int = -1) -> Value:
-    y = T.softmax(x.tensor, axis)
-    yd = y.data
-    return _record(y, (x,), lambda g: (T._softmax_vjp(yd, g, axis),))
+    xd = x.tensor.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise DimensionError(f"axis {axis} out of range for shape {xd.shape}")
+    yd = T._softmax_forward(xd, axis)
+    return _record(Tensor._wrap(yd), (x,), lambda g: (T._softmax_vjp(yd, g, axis),))
 
 
 def attention(qkv: Value) -> Value:
@@ -309,26 +313,27 @@ def attention(qkv: Value) -> Value:
     c, p = c3 // 3, h * w
     s, rows = d.dtype.type(1.0 / math.sqrt(c)), d.reshape(n, 3, c, p)
 
-    def operands() -> tuple[Tensor, ...]:
-        """q and v as contiguous [n, p, c] tokens, k as [n, c, p] rows,
-        and the weights: (q, k, softmax(q @ k * s), v)."""
-        q, k = Tensor._wrap(rows[:, 0].transpose(0, 2, 1)), Tensor._wrap(rows[:, 1])
-        a = T.softmax(Tensor._wrap(T.matmul(q, k).data * s), axis=2)
-        return q, k, a, Tensor._wrap(rows[:, 2].transpose(0, 2, 1))
+    def operands() -> tuple[np.ndarray, ...]:
+        """q and v as contiguous [n, p, c] tokens, k as contiguous
+        [n, c, p] rows, and the weights: (q, k, softmax(q @ k * s), v)."""
+        q = np.ascontiguousarray(rows[:, 0].transpose(0, 2, 1))
+        k = np.ascontiguousarray(rows[:, 1])
+        a = np.matmul(q, k) * s
+        return q, k, T._softmax_forward(a, 2), np.ascontiguousarray(rows[:, 2].transpose(0, 2, 1))
 
     def vjp(g):
         q, k, a, v = operands()
         g = np.ascontiguousarray(g.reshape(n, c, p).transpose(0, 2, 1))
-        ga, gv = T._matmul_vjp(a.data, v.data, g)
-        gs = T._softmax_vjp(a.data, ga, 2)
+        ga, gv = T._matmul_vjp(a, v, g)
+        gs = T._softmax_vjp(a, ga, 2)
         del a, ga, v
         gs *= s
-        gq, gk = T._matmul_vjp(q.data, k.data, gs)
+        gq, gk = T._matmul_vjp(q, k, gs)
         gd = np.empty((n, 3, c, p), dtype=g.dtype)
         gd[:, 0], gd[:, 1], gd[:, 2] = gq.transpose(0, 2, 1), gk, gv.transpose(0, 2, 1)
         return (gd.reshape(d.shape),)
 
-    y = T.matmul(*operands()[2:]).data.transpose(0, 2, 1)  # [n, c, p]
+    y = np.matmul(*operands()[2:]).transpose(0, 2, 1)  # [n, c, p]
     return _record(Tensor._wrap(y.reshape(n, c, h, w)), (qkv,), vjp)
 
 
@@ -379,15 +384,31 @@ def batchnorm2d(
     running_var: Tensor,
     training: bool,
 ) -> tuple[Value, Tensor, Tensor]:
-    """Differentiable batchnorm; running statistics flow outside the graph.
-    The output's remake normalizes the x the VJP keeps once more."""
-    y, new_mean, new_var, mean, var = T.batchnorm2d(
-        x.tensor, gamma.tensor, beta.tensor, running_mean, running_var, training
-    )
+    """Per-channel batchnorm of an NCHW batch, as ``(y, new running mean,
+    new running var)``: the running statistics flow outside the graph,
+    and eval mode normalizes with them and returns them unchanged. The
+    output's remake normalizes the x the VJP keeps once more."""
     xd, gd, bd = x.tensor.data, gamma.tensor.data, beta.tensor.data
+    if xd.ndim != 4:
+        raise DimensionError(f"batchnorm2d input must be rank 4, got {xd.shape}")
+    per_channel = {"gamma": gd, "beta": bd, "running_mean": running_mean.data,
+                   "running_var": running_var.data}
+    for name, a in per_channel.items():
+        if a.shape != (xd.shape[1],):
+            raise DimensionError(f"{name} shape {a.shape} != ({xd.shape[1]},)")
+    T._check_same_dtype(xd, *per_channel.values())
+    if training:
+        mean, var, new_mean, new_var = T._bn_train_stats(xd, running_mean.data, running_var.data)
+        new_mean, new_var = Tensor._wrap(new_mean), Tensor._wrap(new_var)
+    else:
+        mean, var = running_mean.data, running_var.data
+        new_mean, new_var = running_mean, running_var
+
+    def remake():
+        return T._bn_normalize(xd, mean, var, gd, bd)
+
     vjp = T._batchnorm2d_vjp(xd, gd, mean, var, training)
-    y = _record(y, (x, gamma, beta), vjp, lambda: T._bn_normalize(xd, mean, var, gd, bd))
-    return y, new_mean, new_var
+    return _record(Tensor._wrap(remake()), (x, gamma, beta), vjp, remake), new_mean, new_var
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +446,12 @@ def pixel_sample(x: Value, u: Value) -> Value:
 
 
 def depth_to_space(x: Value, s: int) -> Value:
-    y = T.depth_to_space(x.tensor, s)
+    """[N, C*s*s, H, W] -> [N, C, s*H, s*W]: output pixel (s*i + a, s*j + b)
+    of channel c reads input channel c*s*s + a*s + b at (i, j)."""
+    xd = x.tensor.data
+    if xd.ndim != 4 or s < 1 or xd.shape[1] % (s * s):
+        raise DimensionError(f"depth_to_space by {s} needs a [N, C*s*s, H, W] map, got {xd.shape}")
+    y = Tensor._wrap(T._depth_to_space_forward(xd, s))
     return _record(y, (x,), lambda g: (T._space_to_depth_forward(g, s),))
 
 

@@ -65,10 +65,6 @@ class ModelConfig:
             raise ConfigurationError(
                 f"stage channels must strictly increase, got {self.stage_channels}"
             )
-        if any(c % 2 for c in self.stage_channels):
-            raise ConfigurationError(
-                f"stage channels must be even, got {self.stage_channels}"
-            )
         if any(b < 1 for b in self.blocks_per_stage):
             raise ConfigurationError(
                 f"blocks per stage must be >= 1, got {self.blocks_per_stage}"

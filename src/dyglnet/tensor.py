@@ -4,6 +4,9 @@ Tensors are immutable rank-1..4 float arrays; feature maps use NCHW
 layout. The kernels are convolution, the fused depthwise residual,
 matmul, softmax, batchnorm, bilinear sampling and resize, and
 depth-to-space; the element-wise and layout ops live in ``autodiff``.
+Only ``conv2d``, ``matmul``, ``bilinear_sample`` and ``resize_bilinear``
+take tensors; the others take arrays, and their ``autodiff`` ops check
+their arguments.
 Kernels are vectorized with numpy but keep a shape discipline
 that mirrors the obvious loop nest: convolution walks kernel taps over
 runs of a flat padded lattice, bilinear sampling gathers four neighbours
@@ -174,12 +177,12 @@ def _lattice(x: np.ndarray, s: int, p: int, slack: bool) -> tuple[np.ndarray, in
     return _space_to_depth_forward(xp, s).reshape(n, c * s * s, -1), wq
 
 
-def _take(x: np.ndarray | list) -> np.ndarray:
-    """x, or the array (or the remake, called) that a VJP's one-item box
-    gives up so that the VJP can free it; an empty box means it ran."""
-    if isinstance(x, list) and not x:
+def _take(box: list) -> np.ndarray:
+    """The array (or the remake, called) that a VJP's one-item box gives
+    up so that the VJP can free it; an empty box means it ran."""
+    if not box:
         raise StateError("this VJP already ran and released its saved input")
-    x = x.pop() if isinstance(x, list) else x
+    x = box.pop()
     return x() if callable(x) else x
 
 
@@ -215,7 +218,7 @@ def _conv2d_forward(
 
 
 def _conv2d_vjp(
-    x: np.ndarray | list,
+    x: list,
     w: np.ndarray,
     spec: ConvSpec,
     gy: np.ndarray,
@@ -223,8 +226,8 @@ def _conv2d_vjp(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(gx, gw, gb); gx is None unless ``with_gx``. gy goes on the output
     lattice with zeros in its pad columns, so every tap is two GEMMs. x
-    (an array or a ``_take`` box) and its lattice are dropped before the
-    gx taps; a stride-1, unpadded 1x1 conv's gx is its one GEMM."""
+    (in a ``_take`` box) and its lattice are dropped before the gx taps;
+    a stride-1, unpadded 1x1 conv's gx is its one GEMM."""
     x = _take(x)
     n, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
@@ -443,15 +446,13 @@ def _matmul_vjp(
     return np.matmul(g, np.swapaxes(b, -1, -2)), np.matmul(np.swapaxes(a, -1, -2), g)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
     """Numerically stable softmax along one axis (max-subtracted), in one
     buffer: the float64 quotient is rounded once into the exponentials."""
-    if not -x.rank <= axis < x.rank:
-        raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
-    e = x.data - np.max(x.data, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
     np.exp(e, out=e)
     s = np.sum(e, axis=axis, keepdims=True, dtype=np.float64)
-    return Tensor._wrap(np.divide(e, s, out=e, casting="unsafe"))
+    return np.divide(e, s, out=e, casting="unsafe")
 
 
 def _softmax_vjp(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -468,61 +469,23 @@ _BN_MOMENTUM = 0.1  # weight of the batch statistics in the running update
 _BN_EPS = 1e-5  # added to the variance before its square root
 
 
-def _bn_batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _bn_train_stats(x, running_mean, running_var) -> tuple[np.ndarray, ...]:
+    """(mean, var, new running mean, new running var) of a training-mode
+    batchnorm of x [n, c, h, w]: the biased batch statistics, and the
+    running ones advanced by ``(1-m)*old + m*new``, m = ``_BN_MOMENTUM``
+    (the running variance takes the unbiased estimate)."""
     m = x.shape[0] * x.shape[2] * x.shape[3]
+    if m == 1:
+        raise DegenerateStatisticsError("batch statistics over a single element (N*H*W == 1)")
     mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     # the float64 squared deviations, one image at a time, in one buffer
     dev, mc = np.empty(x.shape[1:], dtype=np.float64), mean.reshape(-1, 1, 1)
     ss = sum(np.square(np.subtract(xi, mc, out=dev), out=dev).sum(axis=(1, 2)) for xi in x)
-    return mean.astype(x.dtype), (ss / m).astype(x.dtype), m
-
-
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: Tensor,
-    running_var: Tensor,
-    training: bool,
-) -> tuple[Tensor, Tensor, Tensor, np.ndarray, np.ndarray]:
-    """Per-channel batch normalization over an NCHW batch.
-
-    Returns ``(y, new_running_mean, new_running_var, mean, var)``, where
-    ``mean`` and ``var`` are the statistics ``y`` was normalized with;
-    the VJP reuses them instead of computing them again. Training mode
-    normalizes with biased batch statistics and returns running
-    statistics advanced by ``(1-m)*old + m*new``, m = ``_BN_MOMENTUM``
-    (the running variance uses the unbiased estimate). Eval mode
-    normalizes with the running statistics and returns them unchanged.
-    """
-    if x.rank != 4:
-        raise DimensionError(f"batchnorm2d input must be rank 4, got {x.shape}")
-    c = x.shape[1]
-    for name, t in (
-        ("gamma", gamma),
-        ("beta", beta),
-        ("running_mean", running_mean),
-        ("running_var", running_var),
-    ):
-        if t.shape != (c,):
-            raise DimensionError(f"{name} shape {t.shape} != ({c},)")
-    _check_same_dtype(x.data, gamma.data, beta.data, running_mean.data, running_var.data)
-    if training:
-        mean, var, m = _bn_batch_stats(x.data)
-        if m == 1:
-            raise DegenerateStatisticsError(
-                "batch statistics over a single element (N*H*W == 1)"
-            )
-        unbiased = var * (m / (m - 1))
-        new_mean = (1.0 - _BN_MOMENTUM) * running_mean.data + _BN_MOMENTUM * mean
-        new_var = (1.0 - _BN_MOMENTUM) * running_var.data + _BN_MOMENTUM * unbiased
-        new_mean = Tensor._wrap(new_mean.astype(x.data.dtype))
-        new_var = Tensor._wrap(new_var.astype(x.data.dtype))
-    else:
-        mean, var = running_mean.data, running_var.data
-        new_mean, new_var = running_mean, running_var
-    y = _bn_normalize(x.data, mean, var, gamma.data, beta.data)
-    return Tensor._wrap(y), new_mean, new_var, mean, var
+    mean, var = mean.astype(x.dtype), (ss / m).astype(x.dtype)
+    unbiased = var * (m / (m - 1))
+    new_mean = (1.0 - _BN_MOMENTUM) * running_mean + _BN_MOMENTUM * mean
+    new_var = (1.0 - _BN_MOMENTUM) * running_var + _BN_MOMENTUM * unbiased
+    return mean, var, new_mean.astype(x.dtype), new_var.astype(x.dtype)
 
 
 def _bn_normalize(x, mean, var, gamma, beta) -> np.ndarray:
@@ -543,7 +506,7 @@ def _batchnorm2d_vjp(
     var: np.ndarray,
     training: bool,
 ):
-    """The VJP of ``batchnorm2d`` normalized with ``mean`` and ``var``: a
+    """The VJP of a batchnorm normalized with ``mean`` and ``var``: a
     closure g -> (gx, ggamma, gbeta). It keeps ``x`` and forms the
     normalized input only when it runs. Training mode differentiates
     through the batch statistics too."""
@@ -622,14 +585,16 @@ def _sample_chunks(u: np.ndarray, c: int, h: int, w: int):
 def _sample_pixel_forward(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Bilinear gather. x: [n,c,h,w] at pixel coords u [n,2,p] -> [n,c,p].
 
-    One chunk and one channel at a time, read from x's flat view, so
-    temporaries stay at one chunk of one channel."""
+    One chunk and one channel at a time, read from x's flat view into
+    one corner buffer per chunk, so temporaries stay at one chunk."""
     n, c, h, w = x.shape
     out = np.empty((n, c, u.shape[2]), dtype=x.dtype)
     xf = x.reshape(-1)
     for rows, at, _, steps, fx, fy in _sample_chunks(u, c, h, w):
+        top, v01, bot, v11 = v = np.empty((4, *at.shape), dtype=x.dtype)
         for ci in range(c):
-            top, v01, bot, v11 = (np.take(xf[ci * h * w + s :], at) for s in steps)
+            for vk, s in zip(v, steps):  # "clip" writes to out unbuffered;
+                np.take(xf[ci * h * w + s :], at, out=vk, mode="clip")  # no index clips
             v01 -= top
             v01 *= fx
             top += v01
@@ -770,21 +735,6 @@ def _space_to_depth_forward(y: np.ndarray, s: int) -> np.ndarray:
         .transpose(0, 1, 3, 5, 2, 4)
         .reshape(n, c * s * s, h, w)
     )
-
-
-def depth_to_space(x: Tensor, s: int) -> Tensor:
-    """Rearrange [N, C*s*s, H, W] to [N, C, s*H, s*W].
-
-    Output pixel (s*i + a, s*j + b) of channel c reads input channel
-    c*s*s + a*s + b at (i, j).
-    """
-    if x.rank != 4:
-        raise DimensionError(f"depth_to_space input must be rank 4, got {x.shape}")
-    if s < 1 or x.shape[1] % (s * s):
-        raise DimensionError(
-            f"channel count {x.shape[1]} not divisible by {s}*{s}"
-        )
-    return Tensor._wrap(_depth_to_space_forward(x.data, s))
 
 
 # ---------------------------------------------------------------------------

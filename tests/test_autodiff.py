@@ -340,7 +340,7 @@ def test_constant_input_conv_gets_no_input_gradient():
         ad.backward(sum_all(ad.mul(y, const64(gy))), tape)
     assert x._slot is None
     # the same weight and bias gradients as the VJP that forms gx too
-    _, gw, gb = T._conv2d_vjp(xd, w.value.data, spec, gy, True)
+    _, gw, gb = T._conv2d_vjp([xd], w.value.data, spec, gy, True)
     np.testing.assert_array_equal(w.grad, gw)
     np.testing.assert_array_equal(b.grad, gb)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,23 +416,24 @@ def test_info_reports_count_and_ratio(tiny_ckpt, capsys):
 # installed entry point
 
 
-def test_package_exports_resolve():
-    import dyglnet
-
-    missing = [name for name in dyglnet.__all__ if not hasattr(dyglnet, name)]
-    assert missing == []
-    assert len(set(dyglnet.__all__)) == len(dyglnet.__all__)
-    # no re-exported name shadows a submodule
-    import dyglnet.train as t
-
-    assert t.TrainConfig is dyglnet.TrainConfig
+def test_each_module_imports_alone_and_the_root_exports_nothing():
+    # Callers import the modules; the package root defines no names, so
+    # after any one import its only public attributes are submodules.
+    src = Path(network.__file__).parent
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    assert {"autodiff", "cli", "network", "tensor"} <= set(modules)
+    for module in modules:
+        code = (f"import types, dyglnet, dyglnet.{module}; print([n for n, v in "
+                "vars(dyglnet).items() if not (n.startswith('_') or isinstance(v, types.ModuleType))])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_console_script_help_runs():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import dyglnet.cli, sys; sys.exit(dyglnet.cli.main(['--help']))"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "train" in proc.stdout and "gradcheck" in proc.stdout
+    # the console script's entry point, and ``python -m dyglnet``
+    for argv in (["-c", "import dyglnet.cli, sys; sys.exit(dyglnet.cli.main(['--help']))"],
+                 ["-m", "dyglnet", "--help"]):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "train" in proc.stdout and "gradcheck" in proc.stdout, argv

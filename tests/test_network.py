@@ -160,6 +160,24 @@ def test_config_validation():
         ModelConfig(upsample_mode="nearest")
 
 
+def test_odd_stage_widths_are_accepted_and_pass_grad_check():
+    # No block needs an even width: odd widths with three sampler groups
+    # build, round-trip through their text and differentiate correctly.
+    cfg = ModelConfig.tiny(stage_channels=(3, 9, 15, 21), sampler_groups=3, input_size=32)
+    assert ModelConfig.from_text(cfg.to_text()) == cfg
+    model = Model(cfg, seed=0, dtype="f64")
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((1, 3, 32, 32)), dtype="f64")
+    target = Tensor(rng.uniform(size=(1, 1, 32, 32)) < 0.5, dtype="f64")
+    report = ad.grad_check(
+        lambda: hybrid_loss(model(ad.constant(x), training=True), target, 0.5),
+        model.parameters(trainable_only=True),
+        max_entries_per_param=1,
+        rng=np.random.default_rng(0),
+    )
+    assert report.passed and report.checked > 0, report.max_rel_err
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_ffn_ratio_must_be_finite_and_positive(value):
     # Checked by the config, before a block turns it into a hidden width.

@@ -24,6 +24,10 @@ def t64(a):
     return Tensor(np.asarray(a, dtype=np.float64), dtype="f64")
 
 
+def c64(a):
+    return ad.constant(t64(a))
+
+
 # ---------------------------------------------------------------------------
 # Tensor container invariants
 
@@ -184,7 +188,7 @@ def test_conv2d_vjp_adjoint_vs_oracle():
         spec = ConvSpec(stride=stride, padding=pad, dilation=dilation, groups=groups)
         y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
         gy = rng.normal(size=y.shape)
-        gx, gw, gb = T._conv2d_vjp(x, wt, spec, gy, True)
+        gx, gw, gb = T._conv2d_vjp([x], wt, spec, gy, True)
         assert gx.shape == x.shape and gw.shape == wt.shape
         terms = [
             (np.vdot(x, gx), np.vdot(y, gy)),
@@ -232,7 +236,7 @@ def test_conv2d_vjp_entrywise_vs_dense_jacobian(
     y = oracles.conv2d_naive(x, wt, None, stride, pad, dilation, groups)
     gy = rng.normal(size=y.shape)
     jx, jw = _conv_jacobians(x, wt, stride, pad, dilation, groups)
-    gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True)
+    gx, gw, _ = T._conv2d_vjp([x], wt, spec, gy, True)
     np.testing.assert_allclose(gx, (jx.T @ gy.ravel()).reshape(x.shape), rtol=0, atol=1e-9)
     np.testing.assert_allclose(gw, (jw.T @ gy.ravel()).reshape(wt.shape), rtol=0, atol=1e-9)
     if stride == 2 and pad == 0:
@@ -272,7 +276,7 @@ def test_conv2d_vjp_adjoint_on_default_model_geometries(monkeypatch):
         wt = rng.normal(size=(cout, cin_g, kh, kw))
         y = T.conv2d(t64(x), t64(wt), t64(np.zeros(cout)), spec).data
         gy = rng.normal(size=y.shape)
-        gx, gw, _ = T._conv2d_vjp(x, wt, spec, gy, True)
+        gx, gw, _ = T._conv2d_vjp([x], wt, spec, gy, True)
         want = np.vdot(y, gy)
         for got in (np.vdot(x, gx), np.vdot(wt, gw)):
             assert abs(got - want) <= 1e-9 * abs(want), (cout, cin_g, kh, spec)
@@ -287,8 +291,8 @@ def test_conv2d_vjp_non_contiguous_cotangent_bit_identical():
     # reversed channels, every other row, transposed spatial axes
     gy = rng.normal(size=(2, 4, wo, 2 * ho))[:, ::-1, :, ::2].transpose(0, 1, 3, 2)
     assert gy.shape == (2, 4, ho, wo) and not gy.flags.c_contiguous
-    got = T._conv2d_vjp(x, wt, spec, gy, True)
-    want = T._conv2d_vjp(x, wt, spec, np.ascontiguousarray(gy), True)
+    got = T._conv2d_vjp([x], wt, spec, gy, True)
+    want = T._conv2d_vjp([x], wt, spec, np.ascontiguousarray(gy), True)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -449,26 +453,30 @@ def test_matmul_batched_and_errors():
 # softmax
 
 
+def softmax64(a, axis):
+    return ad.softmax(c64(a), axis=axis).tensor.data
+
+
 def test_softmax_symmetry():
-    y = T.softmax(t64([[0.0, 0.0]]), axis=1).data
+    y = softmax64([[0.0, 0.0]], axis=1)
     np.testing.assert_allclose(y, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_softmax_large_logit_stable():
-    y = T.softmax(t64([[1000.0, 0.0]]), axis=1).data
+    y = softmax64([[1000.0, 0.0]], axis=1)
     assert np.all(np.isfinite(y))
     np.testing.assert_allclose(y, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_softmax_pinned_values():
-    y = T.softmax(t64([[1.0, 2.0, 3.0]]), axis=1).data[0]
+    y = softmax64([[1.0, 2.0, 3.0]], axis=1)[0]
     np.testing.assert_allclose(y, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
 
 def test_softmax_rows_sum_to_one_up_to_1e3():
     rng = np.random.default_rng(9)
     x = rng.uniform(-1e3, 1e3, size=(4, 7))
-    y = T.softmax(t64(x), axis=1).data
+    y = softmax64(x, axis=1)
     assert np.all(y >= 0)
     np.testing.assert_allclose(y.sum(axis=1), np.ones(4), atol=1e-6)
 
@@ -476,18 +484,17 @@ def test_softmax_rows_sum_to_one_up_to_1e3():
 def test_softmax_is_the_float64_quotient_in_one_buffer():
     # Bit for bit the quotient of the exponentials by their float64 row
     # sums, rounded once to the input dtype. Of the arrays the size of the
-    # input, it allocates only its output (the finiteness check's boolean
-    # mask and the ufunc's cast buffers come on top).
+    # input, the kernel allocates only its output (the ufunc's cast
+    # buffers come on top).
     rng = np.random.default_rng(4)
     for dtype in (np.float32, np.float64):
         x = rng.normal(scale=4.0, size=(1, 784, 784)).astype(dtype)  # attention
         for axis in (2, 1):
             e = np.exp(x - x.max(axis=axis, keepdims=True))
             s = e.sum(axis=axis, keepdims=True, dtype=np.float64)
-            xt = Tensor._wrap(x)
             tracemalloc.start()
             try:
-                y = T.softmax(xt, axis=axis).data
+                y = T._softmax_forward(x, axis)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -498,36 +505,41 @@ def test_softmax_is_the_float64_quotient_in_one_buffer():
 
 def test_softmax_bad_axis():
     with pytest.raises(DimensionError):
-        T.softmax(t64([[1.0, 2.0]]), axis=2)
+        softmax64([[1.0, 2.0]], axis=2)
 
 
 # ---------------------------------------------------------------------------
 # batchnorm2d
 
 
-def _bn_params(c, dtype="f64"):
-    one = Tensor(np.ones(c), dtype=dtype)
-    zero = Tensor(np.zeros(c), dtype=dtype)
-    return one, zero
+def _bn_params(c):
+    return c64(np.ones(c)), c64(np.zeros(c))
+
+
+def batchnorm64(x, gamma, beta, rm, rv, training):
+    """(y, new running mean, new running var) of the batchnorm op on a
+    constant f64 input, y as an array."""
+    y, new_m, new_v = ad.batchnorm2d(c64(x), gamma, beta, rm, rv, training)
+    return y.tensor.data, new_m, new_v
 
 
 def test_batchnorm_eval_affine_pinned():
-    x = t64(np.ones((1, 1, 2, 2)))
-    gamma = t64([2.0])
-    beta = t64([3.0])
+    x = np.ones((1, 1, 2, 2))
+    gamma = c64([2.0])
+    beta = c64([3.0])
     rm = t64([0.0])
     rv = t64([1.0])
-    y, *_ = T.batchnorm2d(x, gamma, beta, rm, rv, training=False)
-    np.testing.assert_allclose(y.data, 5.0, atol=1e-5)
+    y, *_ = batchnorm64(x, gamma, beta, rm, rv, training=False)
+    np.testing.assert_allclose(y, 5.0, atol=1e-5)
 
 
 def test_batchnorm_training_plus_minus_one():
     x = np.zeros((1, 1, 2, 2))
     x[0, 0] = [[-1.0, 1.0], [-1.0, 1.0]]
-    gamma, beta = t64([1.0]), t64([0.0])
+    gamma, beta = c64([1.0]), c64([0.0])
     rm, rv = t64([0.0]), t64([1.0])
-    y, *_ = T.batchnorm2d(t64(x), gamma, beta, rm, rv, training=True)
-    np.testing.assert_allclose(y.data, x, atol=1e-3)
+    y, *_ = batchnorm64(x, gamma, beta, rm, rv, training=True)
+    np.testing.assert_allclose(y, x, atol=1e-3)
 
 
 def test_batchnorm_training_statistics_recomputed():
@@ -536,9 +548,9 @@ def test_batchnorm_training_statistics_recomputed():
     gamma, beta = _bn_params(3)
     rm = t64(np.zeros(3))
     rv = t64(np.ones(3))
-    y, new_m, new_v, _, _ = T.batchnorm2d(t64(x), gamma, beta, rm, rv, training=True)
-    out_mean = y.data.mean(axis=(0, 2, 3))
-    out_var = y.data.var(axis=(0, 2, 3))
+    y, new_m, new_v = batchnorm64(x, gamma, beta, rm, rv, training=True)
+    out_mean = y.mean(axis=(0, 2, 3))
+    out_var = y.var(axis=(0, 2, 3))
     np.testing.assert_allclose(out_mean, 0.0, atol=1e-4)
     np.testing.assert_allclose(out_var, 1.0, atol=1e-4)
     m = 2 * 4 * 4
@@ -549,10 +561,10 @@ def test_batchnorm_training_statistics_recomputed():
 
 
 def test_batchnorm_single_element_degenerate():
-    x = t64(np.ones((1, 2, 1, 1)))
+    x = np.ones((1, 2, 1, 1))
     gamma, beta = _bn_params(2)
     with pytest.raises(DegenerateStatisticsError):
-        T.batchnorm2d(x, gamma, beta, t64(np.zeros(2)), t64(np.ones(2)), training=True)
+        batchnorm64(x, gamma, beta, t64(np.zeros(2)), t64(np.ones(2)), training=True)
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +674,6 @@ def test_resize_random_vs_oracle():
 # elementwise / concat / depth_to_space
 
 
-def c64(a):
-    return ad.constant(t64(a))
-
-
 def test_elementwise_pinned():
     assert ad.sigmoid(c64([0.0])).tensor.item() == pytest.approx(0.5, abs=1e-12)
     assert ad.tanh(c64([0.0])).tensor.item() == 0.0
@@ -709,7 +717,7 @@ def test_depth_to_space_reference_layout():
     # Output pixel (s*i + a, s*j + b) of channel c reads input channel
     # c*s*s + a*s + b at (i, j).
     x = np.arange(1 * 4 * 2 * 2, dtype=np.float64).reshape(1, 4, 2, 2)
-    y = T.depth_to_space(t64(x), 2).data
+    y = ad.depth_to_space(c64(x), 2).tensor.data
     assert y.shape == (1, 1, 4, 4)
     for i in range(2):
         for j in range(2):
@@ -720,7 +728,7 @@ def test_depth_to_space_reference_layout():
 
 def test_depth_to_space_bad_channels():
     with pytest.raises(DimensionError):
-        T.depth_to_space(t64(np.zeros((1, 3, 2, 2))), 2)
+        ad.depth_to_space(c64(np.zeros((1, 3, 2, 2))), 2)
 
 
 # ---------------------------------------------------------------------------
