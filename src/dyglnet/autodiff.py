@@ -2,31 +2,41 @@
 
 The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all,
 sum_groups) and the layout ops (concat and narrow on the channel axis,
-reshape, transpose, depth_to_space) are defined here whole: argument
-checks, forward and VJP. The other ops call a ``tensor`` kernel and the
-VJP defined next to it, and check the arguments of a kernel that takes
-arrays; ``attention`` chains the matmul, softmax and scale kernels in
-one node, and ``pixel_sample`` folds channel groups into the sampler's
-batch.
+reshape, transpose, depth_to_space, offset_coords) are defined here
+whole: argument checks, forward and VJP. The other ops call a ``tensor``
+kernel and the VJP defined next to it, and check the arguments of a
+kernel that takes arrays; ``attention`` chains the matmul, softmax and
+scale kernels in one node, and ``pixel_sample`` folds channel groups
+into the sampler's batch.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
 the op hands it (upstream gradient to one gradient per parent), the
-gradient summed so far and, from ``batchnorm2d`` and ``pixel_sample``, a
-remake that rebuilds the output bit for bit from arrays the VJP keeps. A
-watched :class:`Parameter` is a node too, with no parents; its VJP adds
-the gradient that reaches it into the parameter's ``grad`` buffer. Only
-the :class:`Value` an op returns holds its tensor: the tape keeps a
-VJP's arrays or a producer's remake, and every closure here keeps only
-what it reads. ``conv2d`` and ``depthwise_residual`` hand each input (to
-``conv2d``, its remake if it has one) to the VJP in a one-item box, and
-the VJP releases it once read, so it runs once: a second call raises
-``StateError``. :func:`backward` replays the slots in reverse creation
-order, so a remake runs before its producer's VJP, and releases each one
-as soon as its VJP has run. Each slot names its tape until then, and an
-op whose input belongs to another tape, or to a released slot, raises
-``ContractError``. With no active tape the ops run forward-only and
-record nothing, so evaluation keeps no closures and no slots.
+gradient summed so far and, where the op offers one, a remake that
+rebuilds the output bit for bit with the forward's calls from arrays
+the tape keeps anyway. A watched :class:`Parameter` is a node too, with
+no parents; its VJP adds the gradient that reaches it into the
+parameter's ``grad`` buffer. Only the :class:`Value` an op returns holds
+its tensor, and every closure here keeps only what it reads.
+
+Remakes follow one rule. A producer offers one where its output is
+cheap to rebuild: ``batchnorm2d`` and ``pixel_sample`` from the arrays
+their VJPs keep, a stride-1, unpadded 1x1 ``conv2d`` by its forward on
+the input it boxes, and ``relu`` (which then keeps only its mask) and
+``offset_coords`` from their input's remake. Nothing is offered on top
+of a remake that re-runs the sampler. A consumer that would keep its
+input, ``conv2d``, ``attention`` and ``pixel_sample`` (its coordinates),
+keeps the remake instead. ``conv2d``, ``depthwise_residual``,
+``attention`` and ``pixel_sample`` hand each kept input to the VJP in a
+one-item box, and the VJP releases it once read, so it runs once: a
+second call raises ``StateError``; a remake reads its producer's box
+without emptying it. :func:`backward` replays the slots in reverse
+creation order, so every remake runs before its producer's VJP, and
+releases each slot as soon as its VJP has run. Each slot names its tape
+until then, and an op whose input belongs to another tape, or to a
+released slot, raises ``ContractError``. With no active tape the ops run
+forward-only and record nothing, so evaluation keeps no closures and no
+slots.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences in float64, re-probing suspect entries at two extra step
@@ -90,13 +100,15 @@ class Parameter:
 class _Slot:
     """What the tape keeps of one node: its parents' slots (``None`` for
     an input off the tape), its VJP, its summed upstream gradient, its
-    tape (``None`` once backward has released it) and its remake or None."""
+    tape (``None`` once backward has released it), its remake or None,
+    and whether that remake re-runs the sampler."""
 
-    __slots__ = ("parents", "vjp", "grad", "tape", "remake")
+    __slots__ = ("parents", "vjp", "grad", "tape", "remake", "costly")
 
-    def __init__(self, parents: tuple, vjp: Callable, tape: "Tape", remake: Callable | None):
+    def __init__(self, parents: tuple, vjp: Callable, tape: "Tape",
+                 remake: Callable | None, costly: bool):
         self.parents, self.vjp, self.grad = parents, vjp, None
-        self.tape, self.remake = tape, remake
+        self.tape, self.remake, self.costly = tape, remake, costly
 
 
 class Value:
@@ -196,7 +208,8 @@ def backward(loss: Value, tape: Tape) -> None:
                 parent.grad = parent.grad + g
 
 
-def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = None) -> Value:
+def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = None,
+            costly: bool = False) -> Value:
     tape = _ACTIVE
     if tape is None:
         return Value(y)
@@ -206,7 +219,7 @@ def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = 
             "an op input was recorded on another tape, or its tape already "
             "ran backward"
         )
-    tape._nodes.append(slot := _Slot(slots, vjp, tape, remake))
+    tape._nodes.append(slot := _Slot(slots, vjp, tape, remake, costly))
     return Value(y, slot)
 
 
@@ -277,8 +290,11 @@ def sigmoid(x: Value) -> Value:
 
 
 def relu(x: Value) -> Value:
-    yd = np.maximum(x.tensor.data, 0)
-    return _record(Tensor._wrap(yd), (x,), lambda g: (g * (yd > 0),))
+    yd, s = np.maximum(x.tensor.data, 0), x._slot
+    if s is None or s.remake is None or s.costly:
+        return _record(Tensor._wrap(yd), (x,), lambda g: (g * (yd > 0),))
+    mask, src = yd > 0, s.remake  # keep the mask, remake the output
+    return _record(Tensor._wrap(yd), (x,), lambda g: (g * mask,), lambda: np.maximum(src(), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +318,29 @@ def softmax(x: Value, axis: int = -1) -> Value:
 def attention(qkv: Value) -> Value:
     """Single-head attention over the h*w tokens of qkv [n, 3c, h, w],
     whose channel thirds are q, k and v: softmax(q^T k / sqrt(c)) v over
-    the keys, as [n, c, h, w]. One node that keeps qkv: the VJP rebuilds
-    the operands and the [n, hw, hw] weights with the forward's calls,
-    runs the matmul, softmax, scale and matmul VJPs and returns one
-    [n, 3c, h, w] gradient."""
+    the keys, as [n, c, h, w]. One node that keeps qkv, or boxes its
+    remake: the VJP rebuilds the operands and the [n, hw, hw] weights
+    with the forward's calls, runs the matmul, softmax, scale and matmul
+    VJPs and returns one [n, 3c, h, w] gradient."""
     d = qkv.tensor.data
     if d.ndim != 4 or d.shape[1] % 3:
         raise DimensionError(f"attention needs a [n, 3c, h, w] qkv map, got {d.shape}")
-    n, c3, h, w = d.shape
+    n, c3, h, w = shape = d.shape
     c, p = c3 // 3, h * w
-    s, rows = d.dtype.type(1.0 / math.sqrt(c)), d.reshape(n, 3, c, p)
+    s, src = d.dtype.type(1.0 / math.sqrt(c)), None if qkv._slot is None else qkv._slot.remake
+    box = [d if src is None else src]  # the VJP takes qkv out of its box
 
-    def operands() -> tuple[np.ndarray, ...]:
+    def operands(d: np.ndarray) -> tuple[np.ndarray, ...]:
         """q and v as contiguous [n, p, c] tokens, k as contiguous
         [n, c, p] rows, and the weights: (q, k, softmax(q @ k * s), v)."""
+        rows = d.reshape(n, 3, c, p)
         q = np.ascontiguousarray(rows[:, 0].transpose(0, 2, 1))
         k = np.ascontiguousarray(rows[:, 1])
         a = np.matmul(q, k) * s
         return q, k, T._softmax_forward(a, 2), np.ascontiguousarray(rows[:, 2].transpose(0, 2, 1))
 
     def vjp(g):
-        q, k, a, v = operands()
+        q, k, a, v = operands(T._take(box))
         g = np.ascontiguousarray(g.reshape(n, c, p).transpose(0, 2, 1))
         ga, gv = T._matmul_vjp(a, v, g)
         gs = T._softmax_vjp(a, ga, 2)
@@ -331,20 +349,25 @@ def attention(qkv: Value) -> Value:
         gq, gk = T._matmul_vjp(q, k, gs)
         gd = np.empty((n, 3, c, p), dtype=g.dtype)
         gd[:, 0], gd[:, 1], gd[:, 2] = gq.transpose(0, 2, 1), gk, gv.transpose(0, 2, 1)
-        return (gd.reshape(d.shape),)
+        return (gd.reshape(shape),)
 
-    y = np.matmul(*operands()[2:]).transpose(0, 2, 1)  # [n, c, p]
+    y = np.matmul(*operands(d)[2:]).transpose(0, 2, 1)  # [n, c, p]
     return _record(Tensor._wrap(y.reshape(n, c, h, w)), (qkv,), vjp)
 
 
 def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
     y = T.conv2d(x.tensor, weight.tensor, bias.tensor, spec)
-    remake = None if x._slot is None else x._slot.remake
-    xs = [x.tensor.data if remake is None else remake]  # the VJP takes x out of its box
-    wd = weight.tensor.data
+    src = None if x._slot is None else x._slot.remake
+    xs = [x.tensor.data if src is None else src]  # the VJP takes x out of its box
+    wd, bd = weight.tensor.data, bias.tensor.data
     with_gx = x._slot is not None  # gx is None for a constant input
+    remake, cheap = None, src is None or not x._slot.costly
+    if cheap and wd.shape[2:] == (1, 1) and (spec.stride, spec.padding) == (1, 0):
+        def remake():  # a stride-1, unpadded 1x1 conv's forward on its boxed input
+            return T._conv2d_forward(T._peek(xs), wd, bd, spec)
+
     return _record(
-        y, (x, weight, bias), lambda g: T._conv2d_vjp(xs, wd, spec, g, with_gx)
+        y, (x, weight, bias), lambda g: T._conv2d_vjp(xs, wd, spec, g, with_gx), remake
     )
 
 
@@ -421,28 +444,56 @@ def pixel_sample(x: Value, u: Value) -> Value:
     W']: channel group j of G reads coordinate pair (2j, 2j+1), x then y.
     The op folds the groups into the sampler's batch as numpy views
     ([N*G, C/G, H, W] at [N*G, 2, H'W']), so G groups are one call. The
-    tape keeps only x and u: the VJP rebuilds the corners and fractions
-    chunk by chunk, and computes no coordinate gradient for constant
-    coordinates; the output's remake runs the forward's call again."""
+    tape keeps only x and u, or u's remake: the VJP rebuilds the corners
+    and fractions chunk by chunk, and computes no coordinate gradient for
+    constant coordinates. The output's remake runs the forward's call
+    again and hands the u it rebuilt to the VJP, so u is rebuilt once."""
     xd, ud = x.tensor.data, u.tensor.data
     if xd.ndim != 4 or ud.ndim != 4 or ud.shape[0] != xd.shape[0] or ud.shape[1] % 2:
         raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
-    (n, c, h, w), (_, g2, h2, w2) = xd.shape, ud.shape
+    (n, c, h, w), (_, g2, h2, w2) = xshape, ushape = xd.shape, ud.shape
     g = g2 // 2
     if c % g:
         raise DimensionError(f"{c} channels do not split into {g} coordinate groups")
     T._check_same_dtype(xd, ud)
-    xf, uf = xd.reshape(n * g, c // g, h, w), ud.reshape(n * g, 2, h2 * w2)
-    with_gu = u._slot is not None
+    xf, folded, with_gu = xd.reshape(n * g, c // g, h, w), (n * g, 2, h2 * w2), u._slot is not None
+    src = None if u._slot is None else u._slot.remake
+    ubox = [ud if src is None else src]  # the VJP takes u out of its box
 
     def remake():
-        return T._sample_pixel_forward(xf, uf).reshape(n, c, h2, w2)
+        ubox[0] = uu = T._peek(ubox)
+        return T._sample_pixel_forward(xf, uu.reshape(folded)).reshape(n, c, h2, w2)
 
     def vjp(gy):
+        uf = T._take(ubox).reshape(folded)
         gx, gu = T._sample_pixel_vjp(xf, uf, gy.reshape(n * g, c // g, h2 * w2), with_gu)
-        return gx.reshape(xd.shape), None if gu is None else gu.reshape(ud.shape)
+        return gx.reshape(xshape), None if gu is None else gu.reshape(ushape)
 
-    return _record(Tensor._wrap(remake()), (x, u), vjp, remake)
+    y = T._sample_pixel_forward(xf, ud.reshape(folded)).reshape(n, c, h2, w2)
+    return _record(Tensor._wrap(y), (x, u), vjp, remake, costly=True)
+
+
+def offset_coords(o: Value, lattice: np.ndarray, s: int, scale: float) -> Value:
+    """The sampler's coordinates depth_to_space(o, s) * scale + lattice,
+    [N, 2G, s*H, s*W], from offsets o [N, 2G*s*s, H, W] and the s x resize
+    lattice ``T._resize_coords`` gives the N*G groups, which the caller
+    builds (before o, if it likes) and the remake rebuilds."""
+    od = o.tensor.data
+    if od.ndim != 4 or s < 1 or od.shape[1] % (2 * s * s):
+        raise DimensionError(f"offset_coords by {s} needs a [N, 2G*s*s, H, W] map, got {od.shape}")
+    n, c, h, w = od.shape
+    g2 = c // (s * s)
+    if lattice.shape != (n, g2, s * h, s * w):
+        raise DimensionError(f"lattice shape {lattice.shape} != {(n, g2, s * h, s * w)}")
+    k, dt, src = od.dtype.type(scale), od.dtype, None if o._slot is None else o._slot.remake
+    box = [od if src is None else src]
+
+    def remake():
+        base = T._resize_coords(n * g2 // 2, h, w, s * h, s * w, dt).reshape(n, g2, s * h, s * w)
+        return T._depth_to_space_forward(T._peek(box), s) * k + base
+
+    y = Tensor._wrap(T._depth_to_space_forward(od, s) * k + lattice)
+    return _record(y, (o,), lambda g: (T._space_to_depth_forward(g * k, s),), remake)
 
 
 def depth_to_space(x: Value, s: int) -> Value:

@@ -329,26 +329,23 @@ class DyFusionUp(Module):
             f"{name}.out", 2 * skip_channels, skip_channels, 3, rng, dtype, padding=1
         )
 
-    def offset_field(self, x_low: Value) -> Value:
-        """The scaled offset field on the doubled lattice, [N, 2G, 2h, 2w]:
-        channel 2j + coord holds group j's x (coord 0) or y (coord 1)
-        offsets, as ``pixel_sample`` reads its coordinate pairs."""
-        planes = ad.depth_to_space(self.offset(x_low), _SCALE)
-        return ad.scale(planes, _OFFSET_RANGE)
-
     def upsample(self, x_low: Value, x: Value | None = None) -> Value:
         """The sampling stage alone: x ([N, G'·k, h, w], x_low by default)
         -> [N, G'·k, 2h, 2w], one ``pixel_sample`` whose channel group j
         reads coordinate pair j of x_low's [N, 2G', 2h, 2w] map: the 2x
-        resize lattice, plus the offset field in "dynamic" mode."""
+        resize lattice, to which ``offset_coords`` adds the offset conv's
+        field in "dynamic" mode. The lattice is built before the offset
+        conv runs, which keeps an eval forward's heap smaller."""
         x = x_low if x is None else x
         n, _, h, w = x.tensor.shape
         g, h2, w2 = self.groups, _SCALE * h, _SCALE * w
-        base = T._resize_coords(n * g, h, w, h2, w2, x.tensor.data.dtype)
-        u = ad.constant(Tensor._wrap(base.reshape(n, 2 * g, h2, w2)))
-        del base
+        lattice = T._resize_coords(n * g, h, w, h2, w2, x.tensor.data.dtype)
+        lattice = lattice.reshape(n, 2 * g, h2, w2)
         if self.cfg.upsample_mode == "dynamic":
-            u = ad.add(self.offset_field(x_low), u)
+            u = ad.offset_coords(self.offset(x_low), lattice, _SCALE, _OFFSET_RANGE)
+        else:
+            u = ad.constant(Tensor._wrap(lattice))
+        del lattice
         return ad.pixel_sample(x, u)
 
     def aligned_upsample(self, x_low: Value) -> Value:

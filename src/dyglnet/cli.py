@@ -20,6 +20,7 @@ from .data import (
     load_image,
     load_manifest,
     load_sample,
+    read_text,
     synth_dataset,
     write_pgm,
 )
@@ -50,8 +51,7 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
     """One flat key = value file feeds both config dataclasses."""
     raw: dict[str, str] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = parse_text(f.read())
+        raw = parse_text(read_text(path))
     model_kwargs, rest = coerce_fields(ModelConfig, raw)
     train_kwargs, rest = coerce_fields(TrainConfig, rest, aliases={"lambda": "lambda_"})
     if rest:

@@ -76,9 +76,9 @@ def _parse_netpbm(buf: bytes, magic: bytes, what: str) -> tuple[int, int, int]:
         start = pos
         while pos < len(buf) and buf[pos : pos + 1].isdigit():
             pos += 1
-        if pos == start:
+        if not 0 < pos - start <= 9:  # and int() reads at most 4300 digits
             raise FormatError(
-                f"expected a decimal header field in {what}", offset=start
+                f"expected a decimal header field of 1 to 9 digits in {what}", offset=start
             )
         values.append(int(buf[start:pos]))
     if pos >= len(buf) or not buf[pos : pos + 1].isspace():
@@ -365,28 +365,37 @@ def synth_dataset(n: int, seed: int, size: int = 64) -> list[SegmentationSample]
 _SPLITS = ("train", "valid", "test")
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 text file with universal newlines, as ``open`` reads it;
+    bytes that are not UTF-8 raise ``FormatError`` at their offset."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    try:
+        return buf.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text", offset=e.start) from e
+
+
 def load_manifest(path: str) -> dict[str, list[tuple[str, str]]]:
     """Read an ``image<TAB>mask<TAB>split`` manifest into
     ``{split: [(image, mask), ...]}`` for all three splits, in file
     order. Blank lines are skipped; every listed file must exist."""
     splits: dict[str, list[tuple[str, str]]] = {tag: [] for tag in _SPLITS}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected image<TAB>mask<TAB>split"
-                )
-            image, mask, split = parts
-            if split not in _SPLITS:
-                raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            for p in (image, mask):
-                if not os.path.exists(p):
-                    raise ContractError(f"{path}:{lineno}: missing file {p}")
-            splits[split].append((image, mask))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(
+                f"{path}:{lineno}: expected image<TAB>mask<TAB>split"
+            )
+        image, mask, split = parts
+        if split not in _SPLITS:
+            raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
+        for p in (image, mask):
+            if not os.path.exists(p):
+                raise ContractError(f"{path}:{lineno}: missing file {p}")
+        splits[split].append((image, mask))
     if not any(splits.values()):
         raise ContractError(f"manifest {path} is empty")
     return splits

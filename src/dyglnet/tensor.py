@@ -162,28 +162,53 @@ class ConvSpec:
         return out
 
 
+def _phases(h: int, w: int, s: int, p: int):
+    """Yield ``(at, of)`` per phase a·s + b of an h x w map x padded by p
+    and split by stride s: x[of] is what the phase holds, at lattice[at]
+    of a [..., s·s, rows, wq] lattice."""
+
+    def axis(k: int, size: int) -> tuple[slice, slice]:  # x's pixels, the phase's
+        i0 = (k - p) % s
+        r0 = (i0 + p - k) // s
+        return slice(i0, None, s), slice(r0, r0 + len(range(i0, size, s)))
+
+    for a in range(s):
+        for b in range(s):
+            (xr, lr), (xc, lc) = axis(a, h), axis(b, w)
+            yield (..., a * s + b, lr, lc), (..., xr, xc)
+
+
 def _lattice(x: np.ndarray, s: int, p: int, slack: bool) -> tuple[np.ndarray, int]:
     """x [n,c,h,w] zero-padded by p and split into s² phases, as
     ([n, c·s², rows·wq], wq): phase a·s + b of channel k holds padded
     pixel (r·s + a, q·s + b) at r·wq + q. ``slack`` adds a zero row, so a
     run of whole rows may start up to wq - 1 past a row's start. With
-    s = 1, p = 0 and no slack it is a view of x."""
+    s = 1, p = 0 and no slack it is a view of x; otherwise x is written
+    straight into its phases."""
     n, c, h, w = x.shape
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     if s == 1 and p == 0 and not slack:
         return x.reshape(n, c, h * w), wq
-    xp = np.zeros((n, c, (hq + slack) * s, wq * s), dtype=x.dtype)
-    xp[:, :, p : p + h, p : p + w] = x
-    return _space_to_depth_forward(xp, s).reshape(n, c * s * s, -1), wq
+    xl = np.zeros((n, c, s * s, hq + slack, wq), dtype=x.dtype)
+    for at, of in _phases(h, w, s, p):
+        xl[at] = x[of]
+    return xl.reshape(n, c * s * s, -1), wq
 
 
 def _take(box: list) -> np.ndarray:
     """The array (or the remake, called) that a VJP's one-item box gives
     up so that the VJP can free it; an empty box means it ran."""
+    x = _peek(box)
+    box.clear()
+    return x
+
+
+def _peek(box: list) -> np.ndarray:
+    """What ``_take`` gives, leaving the box as it is: a remake that reads
+    the array before the VJP frees it."""
     if not box:
         raise StateError("this VJP already ran and released its saved input")
-    x = box.pop()
-    return x() if callable(x) else x
+    return box[0]() if callable(box[0]) else box[0]
 
 
 def _runs(kh: int, kw: int, d: int, s: int, wq: int):
@@ -261,8 +286,10 @@ def _conv2d_vjp(
     gxl = np.zeros(lattice, dtype=gy.dtype)
     for i, j, ph, at in _runs(kh, kw, spec.dilation, s, wq):
         gxl[:, :, :, ph, at : at + run] += np.matmul(wt[..., i, j], gyl)
-    gxp = _depth_to_space_forward(gxl.reshape(n, cin * s * s, -1, wq), s)  # off the phases
-    return np.ascontiguousarray(gxp[:, :, p : p + h, p : p + wid]), gw, gb
+    gxl, gx = gxl.reshape(n, cin, s * s, -1, wq), np.empty((n, cin, h, wid), dtype=gy.dtype)
+    for at, of in _phases(h, wid, s, p):  # the unpadded pixels, off the phases
+        gx[of] = gxl[at]
+    return gx, gw, gb
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:

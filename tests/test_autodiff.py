@@ -1052,17 +1052,19 @@ def test_pixel_sample_memory_is_bounded_by_the_chunk():
 
 
 # ---------------------------------------------------------------------------
-# Remakes: a conv that reads a batchnorm or pixel_sample output boxes the
-# producer's remake, not the array
+# Remakes: a batchnorm, pixel_sample, 1x1 conv, relu-of-a-remake or
+# offset_coords output leaves a remake, and a conv, attention or
+# pixel_sample (its coordinates) that reads it boxes the remake, not the
+# array
 
 
-def _remade_matches_kept(dtype, arrays, produce, spec, gy):
-    """Runs conv(produce(ps), ps["w"], ps["b"]) under the cotangent gy
-    twice, ps being ``arrays`` as parameters: the conv reads the
-    producer's output, and so boxes its remake, or reads it behind
-    ad.scale(·, 1.0), which leaves no remake, so the conv keeps that
-    array. The conv's input outlives its Value only when kept, and y and
-    every parameter's gradient are the same bits in both runs."""
+def _remade_matches_kept(dtype, arrays, produce, consume, gy):
+    """Runs consume(produce(ps), ps) under the cotangent gy twice, ps
+    being ``arrays`` as parameters: the consumer reads the producer's
+    output, and so boxes its remake, or reads it behind ad.scale(·, 1.0),
+    which leaves no remake, so the consumer keeps that array. The
+    consumer's input outlives its Value only when kept, and y and every
+    parameter's gradient are the same bits in both runs."""
     runs = []
     for kept in (False, True):
         ps = {k: Parameter(k, Tensor(a, dtype=dtype)) for k, a in arrays.items()}
@@ -1070,7 +1072,7 @@ def _remade_matches_kept(dtype, arrays, produce, spec, gy):
             h = produce(ps)
             assert h._slot.remake is not None
             h = ad.scale(h, 1.0) if kept else h
-            y = ad.conv2d(h, ad.watch(ps["w"]), ad.watch(ps["b"]), spec)
+            y = consume(h, ps)
             ref = weakref.ref(h.tensor.data)
             del h
             assert (ref() is not None) == kept
@@ -1078,6 +1080,11 @@ def _remade_matches_kept(dtype, arrays, produce, spec, gy):
         runs.append([y.tensor.data] + [p.grad for p in ps.values()])
     for got, want in zip(*runs):
         _same_bits(got, want)
+
+
+def _conv_by(spec):
+    """A consumer for ``_remade_matches_kept``: conv(h, ps["w"], ps["b"])."""
+    return lambda h, ps: ad.conv2d(h, ad.watch(ps["w"]), ad.watch(ps["b"]), spec)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -1099,7 +1106,7 @@ def test_conv_of_a_batchnorm_remake_matches_a_kept_input_bit_for_bit(dtype, trai
         return y
 
     gy = rng.normal(size=(2, 4, 5, 6))
-    _remade_matches_kept(dtype, arrays, produce, ConvSpec(padding=1), gy)
+    _remade_matches_kept(dtype, arrays, produce, _conv_by(ConvSpec(padding=1)), gy)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -1120,7 +1127,7 @@ def test_conv_of_a_pixel_sample_remake_matches_a_kept_input_bit_for_bit(
         return ad.pixel_sample(ad.watch(ps["x"]), u)
 
     gy = rng.normal(size=(2, 3, 3, 6))
-    _remade_matches_kept(dtype, arrays, produce, ConvSpec(), gy)
+    _remade_matches_kept(dtype, arrays, produce, _conv_by(ConvSpec()), gy)
 
 
 def test_a_held_batchnorm_output_keeps_no_input_after_backward():
@@ -1171,6 +1178,162 @@ def test_fd_conv_of_a_remake():
         return ad.mean_all(ad.tanh(ad.conv2d(h, ad.watch(w1), ad.watch(b), ConvSpec())))
 
     _fd_ok(sample_conv, [xs, u, w1, b])
+
+
+# The model's 1x1-conv remake paths: the FFN's expand conv -> relu ->
+# project conv, the qkv conv -> attention (after a kept input, or after a
+# batchnorm when use_dyt is false), and the upsampler's offset conv ->
+# offset_coords -> pixel_sample, whose output an align conv may read.
+
+
+def _ffn_arrays(rng):
+    return {"x": rng.normal(size=(2, 3, 4, 5)), "we": rng.normal(size=(6, 3, 1, 1)),
+            "be": rng.normal(size=6), "w": rng.normal(size=(3, 6, 1, 1)),
+            "b": rng.normal(size=3)}
+
+
+def _ffn_hidden(ps):
+    e = ad.conv2d(ad.watch(ps["x"]), ad.watch(ps["we"]), ad.watch(ps["be"]), ConvSpec())
+    return ad.relu(e)
+
+
+def _qkv_arrays(rng, c=2):
+    return {"x": rng.normal(size=(2, c, 3, 4)), "gamma": rng.normal(size=c) + 1.5,
+            "beta": rng.normal(size=c), "wq": rng.normal(size=(3 * c, c, 1, 1)),
+            "bq": rng.normal(size=3 * c)}
+
+
+def _qkv(ps, use_bn):
+    h = ad.watch(ps["x"])
+    if use_bn:
+        stats = Tensor(np.zeros(ps["x"].value.shape[1]), dtype=ps["x"].value.dtype)
+        h, _, _ = ad.batchnorm2d(h, ad.watch(ps["gamma"]), ad.watch(ps["beta"]),
+                                 stats, stats, True)
+    return ad.conv2d(h, ad.watch(ps["wq"]), ad.watch(ps["bq"]), ConvSpec())
+
+
+def _coords_arrays(rng, groups=2):
+    # offsets of at most ~0.2 pixel keep the coordinates off the integer
+    # lattice, where the sampler's gradient has kinks
+    return {"xl": rng.normal(size=(2, 3, 3, 4)),
+            "wo": rng.uniform(-0.1, 0.1, size=(8 * groups, 3, 1, 1)),
+            "bo": rng.uniform(-0.3, 0.3, size=8 * groups),
+            "xs": rng.normal(size=(2, 2 * groups, 3, 4)),
+            "w": rng.normal(size=(3, 2 * groups, 1, 1)), "b": rng.normal(size=3)}
+
+
+def _coords(ps):
+    xl = ad.watch(ps["xl"])
+    n, c, h, w = xl.tensor.shape
+    g = ps["wo"].value.shape[0] // 8
+    lattice = T._resize_coords(n * g, h, w, 2 * h, 2 * w, xl.tensor.data.dtype)
+    o = ad.conv2d(xl, ad.watch(ps["wo"]), ad.watch(ps["bo"]), ConvSpec())
+    return ad.offset_coords(o, lattice.reshape(n, 2 * g, 2 * h, 2 * w), 2, 0.25)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_conv_of_an_ffn_hidden_remake_matches_a_kept_input_bit_for_bit(dtype):
+    # The relu keeps its mask and remakes its output from the expand
+    # conv's remake, which runs that conv's forward on the input it boxes.
+    rng = np.random.default_rng(89)
+    gy = rng.normal(size=(2, 3, 4, 5))
+    _remade_matches_kept(dtype, _ffn_arrays(rng), _ffn_hidden, _conv_by(ConvSpec()), gy)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("use_bn", [False, True], ids=["kept-input", "batchnorm-input"])
+def test_attention_of_a_qkv_remake_matches_a_kept_map_bit_for_bit(dtype, use_bn):
+    # With a batchnorm in front (use_dyt = false) the qkv conv's remake
+    # calls the batchnorm's remake in turn.
+    rng = np.random.default_rng(97)
+    gy = rng.normal(size=(2, 2, 3, 4))
+    _remade_matches_kept(dtype, _qkv_arrays(rng), lambda ps: _qkv(ps, use_bn),
+                         lambda h, ps: ad.attention(h), gy)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("aligned", [False, True], ids=["sampled", "aligned"])
+def test_pixel_sample_of_offset_coords_remake_matches_kept_coords_bit_for_bit(
+    dtype, aligned
+):
+    # offset_coords remakes the map from the offset conv's remake and a
+    # rebuilt lattice. With a 1x1 align conv after the sampler, the
+    # sampler's output remake rebuilds the map in align's VJP and hands
+    # it to the sampler's VJP.
+    rng = np.random.default_rng(101)
+    arrays = _coords_arrays(rng)
+
+    def consume(u, ps):
+        y = ad.pixel_sample(ad.watch(ps["xs"]), u)
+        return _conv_by(ConvSpec())(y, ps) if aligned else y
+
+    gy = rng.normal(size=(2, 3 if aligned else 4, 6, 8))
+    _remade_matches_kept(dtype, arrays, _coords, consume, gy)
+
+
+def test_an_aligned_sample_rebuilds_its_coordinates_once(monkeypatch):
+    # In align's VJP the sampler's output remake rebuilds u, running the
+    # offset conv's forward once; the sampler's VJP takes that u, and no
+    # remake is offered on top of the sampler's (align's output has none).
+    rng = np.random.default_rng(103)
+    ps = {k: param(k, a) for k, a in _coords_arrays(rng).items()}
+    calls = []
+    forward = T._conv2d_forward
+    monkeypatch.setattr(T, "_conv2d_forward", lambda *a: calls.append(a[1].shape) or forward(*a))
+    with Tape() as tape:
+        y = _conv_by(ConvSpec())(ad.pixel_sample(ad.watch(ps["xs"]), _coords(ps)), ps)
+        assert y._slot.remake is None
+        loss = sum_all(y)
+        calls.clear()
+        ad.backward(loss, tape)
+    assert calls == [ps["wo"].value.shape]
+    assert np.all(ps["wo"].grad != 0.0) and np.all(ps["xs"].grad != 0.0)
+
+
+def test_fd_the_1x1_conv_remake_paths():
+    rng = np.random.default_rng(107)
+    ps = {k: param(k, a) for k, a in _ffn_arrays(rng).items()}
+    _fd_ok(lambda: ad.mean_all(ad.tanh(_conv_by(ConvSpec())(_ffn_hidden(ps), ps))),
+           list(ps.values()))
+    for use_bn in (False, True):
+        ps = {k: param(k, a) for k, a in _qkv_arrays(rng).items()}
+        _fd_ok(lambda: ad.mean_all(ad.tanh(ad.attention(_qkv(ps, use_bn)))),
+               [p for k, p in ps.items() if use_bn or k not in ("gamma", "beta")])
+    ps = {k: param(k, a) for k, a in _coords_arrays(rng).items()}
+
+    def aligned_sample():
+        y = ad.pixel_sample(ad.watch(ps["xs"]), _coords(ps))
+        return ad.mean_all(ad.tanh(_conv_by(ConvSpec())(y, ps)))
+
+    _fd_ok(aligned_sample, list(ps.values()))
+
+
+@pytest.mark.parametrize("path", ["ffn", "qkv", "bn-qkv", "coords"])
+def test_a_consumer_of_a_1x1_conv_remake_refuses_a_second_vjp_run(path):
+    # The consumer takes the remake out of its box, so a second run finds
+    # it empty. The remakes read the 1x1 conv's box, so once the conv's
+    # VJP has released its input they find that box empty too.
+    rng = np.random.default_rng(109)
+    arrays = {"ffn": _ffn_arrays, "coords": _coords_arrays}.get(path, _qkv_arrays)(rng)
+    ps = {k: param(k, a) for k, a in arrays.items()}
+    with Tape() as tape:
+        if path == "ffn":
+            h = _ffn_hidden(ps)
+            y = _conv_by(ConvSpec())(h, ps)
+        elif path == "coords":
+            h = _coords(ps)
+            y = ad.pixel_sample(ad.watch(ps["xs"]), h)
+        else:
+            h = _qkv(ps, path == "bn-qkv")
+            y = ad.attention(h)
+    conv = next(s for s in tape._nodes if s.parents and s.vjp.__qualname__.startswith("conv2d"))
+    gy = np.ones(y.tensor.shape)
+    y._slot.vjp(gy)
+    with pytest.raises(StateError, match="already ran"):
+        y._slot.vjp(gy)
+    conv.vjp(np.ones_like(conv.remake()))
+    with pytest.raises(StateError, match="already ran"):
+        h._slot.remake()
 
 
 def test_fd_resize_and_depth_to_space():

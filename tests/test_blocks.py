@@ -396,10 +396,14 @@ def test_dyfusion_unit_offset_prediction_scaled_to_quarter():
     assert block.offset.weight.value.shape == (16, 2, 1, 1)
     assign64(block.offset.bias, np.ones(16))
     # One map on the doubled lattice: channel pair (2j, 2j+1) is group j's
-    # (dx, dy), as pixel_sample reads it.
-    field = block.offset_field(v64(rng.normal(size=(1, 2, 3, 3))))
+    # (x, y), as pixel_sample reads it: the 2x resize lattice plus (dx, dy).
+    lattice = T._resize_coords(2, 3, 3, 6, 6, np.dtype(np.float64)).reshape(1, 4, 6, 6)
+    offsets = block.offset(v64(rng.normal(size=(1, 2, 3, 3))))
+    u = ad.offset_coords(offsets, lattice, 2, _OFFSET_RANGE)
     assert _OFFSET_RANGE == 0.25
-    np.testing.assert_array_equal(field.tensor.data, np.full((1, 4, 6, 6), _OFFSET_RANGE))
+    np.testing.assert_array_equal(u.tensor.data - lattice, np.full((1, 4, 6, 6), _OFFSET_RANGE))
+    with pytest.raises(DimensionError):
+        ad.offset_coords(offsets, lattice[:, :2], 2, _OFFSET_RANGE)
 
 
 @pytest.mark.parametrize("groups", [2, 4])
@@ -483,16 +487,17 @@ def test_dyfusion_bilinear_mode_matches_dynamic_at_init():
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
-def test_dyfusion_dynamic_upsample_records_five_nodes(monkeypatch):
-    # offset conv, depth_to_space, scale, add and pixel_sample: the offset
-    # field stays one map, which the sampler reads in the groups' layout,
+def test_dyfusion_dynamic_upsample_records_three_nodes(monkeypatch):
+    # offset conv, offset_coords and pixel_sample: the coordinate map
+    # (the offsets' depth_to_space, scaled, plus the resize lattice) is
+    # one op and one map, which the sampler reads in the groups' layout,
     # so no reshape, transpose or narrow sits around the sampler.
     rng = np.random.default_rng(79)
     block = _up_block(rng, in_ch=4, groups=2)
     watched = _watched(monkeypatch)
     with ad.Tape() as tape:
         block.upsample(v64(rng.normal(size=(2, 4, 3, 3))))
-    assert recorded_ops(tape) == ["conv2d", "depth_to_space", "scale", "add", "pixel_sample"]
+    assert recorded_ops(tape) == ["conv2d", "offset_coords", "pixel_sample"]
     _assert_leaves_are_watched(
         tape, watched, block.offset.parameters(trainable_only=True)
     )

@@ -346,15 +346,17 @@ def test_training_mode_advances_bn_stats_only():
 
 @pytest.mark.parametrize(
     "cfg, nodes",
-    [(ModelConfig(), 96), (ModelConfig.tiny(), 91), (ModelConfig(upsample_mode="bilinear"), 95)],
+    [(ModelConfig(), 88), (ModelConfig.tiny(), 83), (ModelConfig(upsample_mode="bilinear"), 95)],
     ids=["default", "tiny", "bilinear"],
 )
 def test_train_step_tape_records_each_op_on_the_blocks_layouts(cfg, nodes):
     # The attention op reads the qkv map and pixel_sample the grouped
     # coordinate map, so no reshape, transpose or narrow sits around
-    # either. The layout ops that remain: each fused SHDC block splits
-    # its channels with two narrows, and an upsampler that projects first
-    # lays out its grouped align weight with two reshapes and a transpose.
+    # either, and a dynamic upsampler's coordinate map is one
+    # offset_coords node. The layout ops that remain: each fused SHDC
+    # block splits its channels with two narrows, and an upsampler that
+    # projects first lays out its grouped align weight with two reshapes
+    # and a transpose.
     model = Model(cfg, seed=0)
     with ad.Tape() as tape:
         logits = model(ad.constant(t32(np.zeros((2, 3, 32, 32)))), training=True)
@@ -366,9 +368,9 @@ def test_train_step_tape_records_each_op_on_the_blocks_layouts(cfg, nodes):
     assert ops["reshape"] == 2 * ops["transpose"] == 2 * projecting
     if cfg == ModelConfig():
         assert ops == {
-            "conv2d": 28, "add": 13, "depthwise_residual": 9, "_batchnorm2d_vjp": 6,
-            "scale": 6, "relu": 5, "mul": 4, "narrow": 4, "pixel_sample": 4,
-            "depth_to_space": 4, "attention": 2, "concat": 2, "reshape": 2, "tanh": 2,
+            "conv2d": 28, "add": 9, "depthwise_residual": 9, "_batchnorm2d_vjp": 6,
+            "relu": 5, "mul": 4, "narrow": 4, "pixel_sample": 4, "offset_coords": 4,
+            "attention": 2, "concat": 2, "reshape": 2, "scale": 2, "tanh": 2,
             "transpose": 1, "sum_groups": 1, "bce_loss": 1, "dice_loss": 1, "sigmoid": 1,
         }
 
@@ -398,23 +400,28 @@ def test_default_train_forward_keeps_no_input_its_producer_can_remake(
     default_step_memory,
 ):
     # Each DyFusionUp's align conv reads a pixel_sample output (up1-up3)
-    # and its out conv a batchnorm output (up1-up4): each boxes the
-    # producer's remake, which reads arrays the producer's VJP keeps, not
-    # the array (10.7 + 13.0 MiB at batch 2). The tape holds about 62.8
-    # MiB, 86.5 when the convs kept their inputs. The backward peaks at
-    # about 69.7 MiB (91.2): each VJP on the peak holds only the arrays it
-    # still reads plus at most one remade input, and dec.up4's 12 sampled
-    # channels get one gradient array from sum_groups.
+    # and its out conv a batchnorm output (up1-up4); each FFN's project
+    # conv reads a relu of its expand conv, each attention its qkv conv
+    # and each sampler its offset conv's coordinate map. Each boxes the
+    # producer's remake, which reads arrays the tape keeps anyway, not the
+    # array (at batch 2: 10.7 + 13.0 MiB, then 10.7 FFN hiddens, less
+    # their 2.7 MiB of relu masks, 4.2 of coordinate maps and 1.8 of qkv
+    # maps). The tape holds about 48.9 MiB: 62.8 when only the batchnorm
+    # and sampler outputs were remade, 86.5 when the convs kept their
+    # inputs. The backward peaks at about 59.0 MiB (69.7, 91.2): each VJP
+    # on the peak holds only the arrays it still reads plus at most one
+    # remade input, and dec.up4's 12 sampled channels get one gradient
+    # array from sum_groups.
     held, peak = default_step_memory
-    assert held <= 66 * 2**20
-    assert peak <= 73 * 2**20
+    assert held <= 52 * 2**20
+    assert peak <= 62 * 2**20
 
 
 def test_default_train_forward_holds_no_full_width_sampled_map(default_step_memory):
     # dec.up4 projects 32 channels to 4 groups x 3 before it samples, so
     # the tape keeps no 32-channel 224x224 map for align's weight
     # gradient (12.25 MiB at batch 2): it held about 86.5 MiB before the
-    # convs kept remakes (62.8 now), 109 when it sampled the full width.
+    # convs kept remakes (48.9 now), 109 when it sampled the full width.
     held, _ = default_step_memory
     assert held <= 103 * 2**20
 
@@ -426,7 +433,7 @@ def test_default_train_forward_holds_no_skip_concatenation_or_attention_weights(
     # the tape holds no joined copy of the skip (6.5 MiB at batch 2), and
     # the attention op rebuilds its [n, hw, hw] weights in the backward
     # instead of keeping them (5.0 MiB): it held about 86.5 MiB before
-    # the convs kept remakes (62.8 now), 98 with both.
+    # the convs kept remakes (48.9 now), 98 with both.
     held, _ = default_step_memory
     assert held <= 90 * 2**20
 

@@ -282,6 +282,26 @@ def test_conv2d_vjp_adjoint_on_default_model_geometries(monkeypatch):
             assert abs(got - want) <= 1e-9 * abs(want), (cout, cin_g, kh, spec)
 
 
+def test_a_strided_conv_vjp_holds_one_input_lattice_at_a_time():
+    # A stride-2 conv lays x straight into its four phases and crops gx
+    # straight off them: no padded copy of x beside its lattice, and no
+    # de-phased copy of the gx lattice beside the cropped gx.
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(2, 8, 64, 64))
+    wt = rng.normal(size=(8, 8, 3, 3))
+    spec = ConvSpec(stride=2, padding=1)
+    gy = rng.normal(size=(2, 8, 32, 32))
+    lattice = 2 * 8 * 4 * 34 * 33 * 8  # phases of 33 + 1 slack rows by 33
+    gy_lattice = 2 * 8 * 32 * 33 * 8  # gy with a zero pad column
+    tracemalloc.start()
+    try:
+        gx, _, _ = T._conv2d_vjp([x], wt, spec, gy, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= gy_lattice + lattice + x.nbytes + (64 << 10)
+
+
 def test_conv2d_vjp_non_contiguous_cotangent_bit_identical():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(2, 6, 11, 10))
