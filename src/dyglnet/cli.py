@@ -43,7 +43,6 @@ _USAGE_ERRORS = (
     DimensionError,
     FormatError,
     OSError,
-    ValueError,
 )
 
 

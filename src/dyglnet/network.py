@@ -33,6 +33,18 @@ TINY_STAGE_CHANNELS = (8, 16, 32, 64)
 # runs its blocks local only (stage 1 is the stem).
 _FUSED_STAGES = (3, 4)
 
+# Size bounds, checked before any weight is allocated: 2048 channels (a
+# stage, the image or the mask) is 8 times the default's widest stage,
+# 64 blocks is nearly twice the deepest ResNet-152 stage, 8192 FFN
+# channels are the default ratio 4 on a 2048-channel stage, and 4096
+# pixels is 18 times the paper's 224. A dilation rate is at most
+# input_size: beyond that, as at it, every off-centre tap reads only zero
+# padding.
+MAX_STAGE_CHANNELS = 2048
+MAX_BLOCKS_PER_STAGE = 64
+MAX_FFN_CHANNELS = 8192
+MAX_INPUT_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -65,9 +77,14 @@ class ModelConfig:
             raise ConfigurationError(
                 f"stage channels must strictly increase, got {self.stage_channels}"
             )
-        if any(b < 1 for b in self.blocks_per_stage):
+        if self.stage_channels[-1] > MAX_STAGE_CHANNELS:
             raise ConfigurationError(
-                f"blocks per stage must be >= 1, got {self.blocks_per_stage}"
+                f"stage channels must be <= {MAX_STAGE_CHANNELS}, got {self.stage_channels}"
+            )
+        if any(not 1 <= b <= MAX_BLOCKS_PER_STAGE for b in self.blocks_per_stage):
+            raise ConfigurationError(
+                f"blocks per stage must lie in [1, {MAX_BLOCKS_PER_STAGE}], "
+                f"got {self.blocks_per_stage}"
             )
         if self.sampler_groups < 1 or any(
             c % self.sampler_groups for c in self.stage_channels
@@ -91,11 +108,26 @@ class ModelConfig:
                 f"dilation_rates must be non-empty and >= 1, got {self.dilation_rates}"
             )
         configtext.check_positive(self, "ffn_ratio")
-        if self.input_channels < 1 or self.output_channels < 1:
-            raise ConfigurationError("channel counts must be >= 1")
-        if self.input_size < 16 or self.input_size % 16:
+        # the product is compared as a float: at ffn_ratio 1e308 it is inf
+        if self.ffn_ratio * self.stage_channels[-1] > MAX_FFN_CHANNELS:
             raise ConfigurationError(
-                f"input_size must be a positive multiple of 16, got {self.input_size}"
+                f"ffn_ratio {self.ffn_ratio} gives the widest stage more than "
+                f"{MAX_FFN_CHANNELS} FFN channels"
+            )
+        if not (1 <= self.input_channels <= MAX_STAGE_CHANNELS
+                and 1 <= self.output_channels <= MAX_STAGE_CHANNELS):
+            raise ConfigurationError(
+                f"input and output channels must lie in [1, {MAX_STAGE_CHANNELS}]"
+            )
+        if not 16 <= self.input_size <= MAX_INPUT_SIZE or self.input_size % 16:
+            raise ConfigurationError(
+                f"input_size must be a multiple of 16 in [16, {MAX_INPUT_SIZE}], "
+                f"got {self.input_size}"
+            )
+        if max(self.dilation_rates) > self.input_size:
+            raise ConfigurationError(
+                f"dilation_rates must be <= input_size {self.input_size}, "
+                f"got {self.dilation_rates}"
             )
         if self.upsample_mode not in _UPSAMPLE_MODES:
             raise ConfigurationError(

@@ -322,22 +322,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
 # ---------------------------------------------------------------------------
 # Depthwise residual: x + sum_k dwconv3x3(x, w_k; dilation = padding = d_k)
 
-# Bytes of one [n, channel block, lattice run] slab. A block's taps all
-# re-read the same slab, so it is sized to stay in a core's L2 cache.
+# Bytes of one channel block's lattice runs. A block's taps all re-read
+# the same slab, so it is sized to stay in a core's L2 cache. The forward
+# lays a block as [cb, rows, W]: each row holds the batch's images side
+# by side, so a channel is one run of h·W elements.
 _DW_BLOCK_BYTES = 1 << 18
 
 
-def _dw_blocks(n: int, c: int, run: int, dtype: np.dtype) -> list[slice]:
-    """The blocks of c channels whose [n, block, run] slab fits
+def _dw_blocks(c: int, run: int, dtype: np.dtype) -> list[slice]:
+    """The blocks of c channels whose [block, run] slab fits
     ``_DW_BLOCK_BYTES``: full ones, then what is left."""
-    cb = max(1, min(c, _DW_BLOCK_BYTES // (n * run * dtype.itemsize)))
+    cb = max(1, min(c, _DW_BLOCK_BYTES // (run * dtype.itemsize)))
     return [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
 
 def _dw_laid(x: np.ndarray, pad: int, blocks: list[slice]):
     """Yield each channel block of x [n, c, h, w] on one reused zeroed
-    lattice [n, cb, rows·wq], padded by pad plus a zero row. Only the
-    unpadded window is written, so the pad stays zero."""
+    lattice [n, cb, rows·wq], each image padded by pad plus a zero row.
+    Only the unpadded window is written, so the pad stays zero."""
     n, _, h, w = x.shape
     slab = np.zeros((n, blocks[0].stop, h + 2 * pad + 1, w + 2 * pad), dtype=x.dtype)
     for blk in blocks:
@@ -352,31 +354,40 @@ def _dw_residual_forward(
     b: np.ndarray | None,
 ) -> np.ndarray:
     """x + sum_k dwconv3x3(x, ws[k]; dilation = padding = dilations[k])
-    (+ b) for x the channel concatenation of the parts xs, never formed:
-    each channel block of each part is laid on a lattice padded by the
-    largest dilation, and its output starts as its run, then takes every tap."""
+    (+ b) for x the channel concatenation of the parts xs, never formed.
+    Each channel block of each part is laid on one zeroed slab [cb, h +
+    2·pad + 1, W], pad the largest dilation: its rows hold the n images
+    side by side, W = n·(w + pad) + pad, so neighbours share pad zero
+    columns and a tap never reaches another image. A channel's output
+    starts as its run of h·W (plus its bias), then takes every tap; at
+    n = 1 this is one image's lattice."""
     n, _, h, w = xs[0].shape
     pad = max(dilations)
-    wq = w + 2 * pad
-    run, mid = h * wq, pad * (wq + 1)
+    wr = n * (w + pad) + pad
+    run, mid = h * wr, pad * (wr + 1)
     y = np.empty((n, sum(x.shape[1] for x in xs), h, w), dtype=xs[0].dtype)
     c0 = 0
     for x in xs:
-        blocks = _dw_blocks(n, x.shape[1], run, x.dtype)
-        tmp, acc = np.empty((2, n, blocks[0].stop, run), dtype=x.dtype)
-        for blk, xl in zip(blocks, _dw_laid(x, pad, blocks)):
+        blocks = _dw_blocks(x.shape[1], run, x.dtype)
+        slab = np.zeros((blocks[0].stop, h + 2 * pad + 1, wr), dtype=x.dtype)
+        tmp, acc = np.empty((2, blocks[0].stop, run), dtype=x.dtype)
+        for blk in blocks:
             cb, out = blk.stop - blk.start, slice(c0 + blk.start, c0 + blk.stop)
-            ab, t = acc[:, :cb], tmp[:, :cb]
+            # both reshapes split a contiguous axis, so they are views
+            slab[:cb, pad : pad + h, pad:].reshape(cb, h, n, w + pad)[..., :w] = (
+                x[:, blk].transpose(1, 2, 0, 3))
+            xl, ab, t = slab[:cb].reshape(cb, -1), acc[:cb], tmp[:cb]
             if b is None:
-                ab[...] = xl[:, :, mid : mid + run]
+                ab[...] = xl[:, mid : mid + run]
             else:
-                np.add(xl[:, :, mid : mid + run], b[out].reshape(cb, 1), out=ab)
+                np.add(xl[:, mid : mid + run], b[out].reshape(cb, 1), out=ab)
             for wk, d in zip(ws, dilations):
-                view = xl[:, :, (pad - d) * (wq + 1) :]  # the lattice as if padded by d
-                for i, j, _, at in _runs(3, 3, d, 1, wq):
-                    np.multiply(view[:, :, at : at + run], wk[out, 0, i, j].reshape(cb, 1), out=t)
+                view = xl[:, (pad - d) * (wr + 1) :]  # the lattice as if padded by d
+                for i, j, _, at in _runs(3, 3, d, 1, wr):
+                    np.multiply(view[:, at : at + run], wk[out, 0, i, j].reshape(cb, 1), out=t)
                     ab += t
-            y[:, out] = ab.reshape(n, cb, h, wq)[..., :w]
+            y[:, out] = ab.reshape(cb, h, wr)[:, :, : wr - pad].reshape(cb, h, n, w + pad)[
+                ..., :w].transpose(2, 0, 1, 3)
         c0 += x.shape[1]
     return y
 
@@ -391,9 +402,11 @@ def _dw_residual_vjp(
 ) -> tuple[list[np.ndarray | None], list[np.ndarray], np.ndarray | None]:
     """([gx per part], [gw_k], gb) of ``_dw_residual_forward``. Each part
     comes in a box (``_take``) and is dropped after its gw taps, which
-    read its blocks and gy's on lattices; the branches' centre taps read
-    one run, so their gw is one einsum. A part's gx (None unless its
-    ``with_gx``) is the forward of its gy with every kernel mirrored."""
+    read its blocks and gy's on per-image lattices (``_dw_laid``: folding
+    the batch would change each einsum's summation order); the branches'
+    centre taps read one run, so their gw is one einsum. A part's gx
+    (None unless its ``with_gx``) is the forward of its gy with every
+    kernel mirrored, so it lays the batch side by side too."""
     n, _, h, w = gy.shape
     pad = max(dilations)
     wq = w + 2 * pad
@@ -403,7 +416,7 @@ def _dw_residual_vjp(
     for box, want_gx in zip(xs, with_gx):
         x = _take(box)
         part = slice(c0, c0 + x.shape[1])
-        blocks = _dw_blocks(n, x.shape[1], run, x.dtype)
+        blocks = _dw_blocks(x.shape[1], n * run, x.dtype)
         laid = zip(blocks, _dw_laid(x, pad, blocks), _dw_laid(gy[:, part], pad, blocks))
         for blk, xl, gyl in laid:
             out = slice(c0 + blk.start, c0 + blk.stop)

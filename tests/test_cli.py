@@ -168,6 +168,31 @@ def test_nan_split_ratio_exits_2_before_any_model_is_built(tmp_path, capsys, mon
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("blocks_per_stage = [2, 4, 6, 100000000]", "blocks per stage"),
+        ("stage_channels = [32, 64, 128, 1099511627776]", "stage channels"),
+        ("ffn_ratio = 1e308", "ffn_ratio"),
+        # numpy refused these later, with a ValueError ("array is too big")
+        ("input_size = 1099511627776", "input_size"),
+        ("dilation_rates = [1, 1000000000]", "dilation_rates"),
+    ],
+    ids=["depths", "widths", "ffn", "size", "rate"],
+)
+def test_a_model_too_large_exits_2_before_any_model_is_built(tmp_path, capsys, monkeypatch,
+                                                             line, field):
+    built = []
+    monkeypatch.setattr(cli, "Model", lambda *args, **kwargs: built.append(args))
+    path = tmp_path / "huge.cfg"
+    lines = [ln for ln in _TINY_LINES if not ln.startswith(line.split()[0])]
+    path.write_text("\n".join(lines + [line]) + "\n")
+    rc = main(["train", "--config", str(path), "--synthetic", "4", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert built == []
+
+
 def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys):
     # numpy's own ValueError for a negative seed ("expected
     # non-negative integer") names no config key.

@@ -27,6 +27,10 @@ from dyglnet.errors import (
 )
 from dyglnet.losses import hybrid_loss
 from dyglnet.network import (
+    MAX_BLOCKS_PER_STAGE,
+    MAX_FFN_CHANNELS,
+    MAX_INPUT_SIZE,
+    MAX_STAGE_CHANNELS,
     REFERENCE_PARAM_BUDGET,
     Model,
     ModelConfig,
@@ -183,6 +187,45 @@ def test_ffn_ratio_must_be_finite_and_positive(value):
     # Checked by the config, before a block turns it into a hidden width.
     with pytest.raises(ConfigurationError, match="ffn_ratio"):
         ModelConfig.tiny(ffn_ratio=value)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(stage_channels=(32, 64, 128, 2**40)), "stage channels"),
+        (dict(stage_channels=(8, 16, 32, MAX_STAGE_CHANNELS + 1)), "stage channels"),
+        (dict(blocks_per_stage=(2, 4, 6, 10**8)), "blocks per stage"),
+        (dict(blocks_per_stage=(MAX_BLOCKS_PER_STAGE + 1, 1, 1, 1)), "blocks per stage"),
+        # once turned into a hidden width this overflowed int()
+        (dict(ffn_ratio=1e308), "ffn_ratio"),
+        (dict(ffn_ratio=(MAX_FFN_CHANNELS + 1) / 64), "ffn_ratio"),
+        (dict(input_size=2**40), "input_size"),
+        (dict(input_size=MAX_INPUT_SIZE + 16), "input_size"),
+        (dict(dilation_rates=(1, 10**9)), "dilation_rates"),
+        (dict(dilation_rates=(65,)), "dilation_rates"),  # over the tiny input_size 64
+        (dict(input_channels=2**40), "channels"),
+        (dict(output_channels=MAX_STAGE_CHANNELS + 1), "channels"),
+    ],
+    ids=[
+        "widths-2**40", "widths-over", "depths-1e8", "depths-over", "ffn-1e308", "ffn-over",
+        "size-2**40", "size-over", "rate-1e9", "rate-over-size", "image-channels-2**40",
+        "mask-channels-over",
+    ],
+)
+def test_config_bounds_the_model_size_before_building(overrides, match):
+    with pytest.raises(ConfigurationError, match=match):
+        ModelConfig.tiny(**overrides)
+
+
+def test_config_accepts_the_size_bounds():
+    cfg = ModelConfig.tiny(
+        stage_channels=(8, 16, 32, MAX_STAGE_CHANNELS),
+        blocks_per_stage=(MAX_BLOCKS_PER_STAGE,) * 4,
+        ffn_ratio=MAX_FFN_CHANNELS / MAX_STAGE_CHANNELS, input_size=MAX_INPUT_SIZE,
+        dilation_rates=(1, MAX_INPUT_SIZE), input_channels=MAX_STAGE_CHANNELS,
+        output_channels=MAX_STAGE_CHANNELS,
+    )
+    assert ModelConfig.from_text(cfg.to_text()) == cfg
 
 
 @pytest.mark.parametrize(

@@ -343,14 +343,17 @@ def _dw_residual_oracle(x, ws, dilations, b):
     return want
 
 
-def _run(h, w, dilations):
-    # one channel's lattice run: h rows of pitch w + 2 * max(dilations)
-    return h * (w + 2 * max(dilations))
+def _run(n, h, w, dilations):
+    # one channel's run on the forward's slab: h rows holding the n images
+    # side by side, each followed by pad = max(dilations) shared zero
+    # columns, after a leading pad
+    pad = max(dilations)
+    return h * (n * (w + pad) + pad)
 
 
 def _channel_blocks(x, dilations):
     n, c, h, w = x.shape
-    return [(s.start, s.stop) for s in T._dw_blocks(n, c, _run(h, w, dilations), x.dtype)]
+    return [(s.start, s.stop) for s in T._dw_blocks(c, _run(n, h, w, dilations), x.dtype)]
 
 
 @pytest.mark.parametrize(
@@ -367,15 +370,15 @@ def _channel_blocks(x, dilations):
     ],
 )
 def test_dw_residual_vs_oracle(n, c, h, w, dilations, bias, block_channels, monkeypatch):
-    run = _run(h, w, dilations)
+    run = _run(n, h, w, dilations)
     if block_channels is not None:
-        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block_channels * n * run * 8)
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block_channels * run * 8)
     rng = np.random.default_rng(n * 1000 + c * 100 + h)
     x = rng.normal(size=(n, c, h, w))
     ws = [rng.normal(size=(c, 1, 3, 3)) for _ in dilations]
     b = rng.normal(size=(c,)) if bias else None
     blocks = _channel_blocks(x, dilations)
-    if block_channels is not None or c * n * run * 8 > _DW_BLOCK_BYTES:
+    if block_channels is not None or c * run * 8 > _DW_BLOCK_BYTES:
         # spans several channel blocks and ends on a partial one
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
     got = T._dw_residual_forward([x], ws, dilations, b)
@@ -387,14 +390,15 @@ def test_dw_residual_vs_oracle(n, c, h, w, dilations, bias, block_channels, monk
 def test_dw_residual_vjp_adjoint_vs_oracle(monkeypatch):
     # y = x + sum_k conv_k(x) + b is linear in x and in each w_k, so for
     # any cotangent gy: <x, gx> = <y - b, gy>, <w_k, gw_k> = <conv_k(x), gy>
-    # and <b, gb> = <b broadcast, gy>. Odd cases use blocks of 1-3 channels.
+    # and <b, gb> = <b broadcast, gy>. Odd cases use forward blocks of 1-3
+    # channels.
     rng = np.random.default_rng(23)
     for case in range(60):
         n = int(rng.integers(1, 3))
         c = int(rng.integers(1, 9))
         h, w = (int(v) for v in rng.integers(1, 7, 2))
         dilations = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 4))))
-        block = n * _run(h, w, dilations) * 8 * int(rng.integers(1, 4)) if case % 2 else _DW_BLOCK_BYTES
+        block = _run(n, h, w, dilations) * 8 * int(rng.integers(1, 4)) if case % 2 else _DW_BLOCK_BYTES
         monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block)
         x = rng.normal(size=(n, c, h, w))
         ws = [rng.normal(size=(c, 1, 3, 3)) for _ in dilations]
@@ -413,6 +417,59 @@ def test_dw_residual_vjp_adjoint_vs_oracle(monkeypatch):
             assert gb is None
         for got, want in terms:
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), f"case {case}"
+
+
+def _fold_cases(dilations, dtype, rng):
+    # planes 1x3, 2x2 (under the largest dilation when it is 3), 4x4 and
+    # 7x5 at batch 1, 3 and 16, in two parts of 3 and 2 channels; blocks
+    # of 2 channels on the batch's slab end each part on a partial block
+    for h, w in ((1, 3), (2, 2), (4, 4), (7, 5)):
+        for n in (1, 3, 16):
+            parts = [rng.normal(size=(n, c, h, w)).astype(dtype) for c in (3, 2)]
+            ws = [rng.normal(size=(5, 1, 3, 3)).astype(dtype) for _ in dilations]
+            yield parts, ws, 2 * _run(n, h, w, dilations) * np.dtype(dtype).itemsize
+
+
+def _per_image(parts, i):
+    return [p[i : i + 1] for p in parts]
+
+
+@pytest.mark.parametrize("dilations", [(1,), (1, 2, 3), (2, 2)])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dw_residual_forward_of_a_batch_is_its_images_stacked(dilations, bias, dtype, monkeypatch):
+    # The forward lays the batch side by side on one slab; each output
+    # element still starts as its input (plus bias) and takes the same taps
+    # in the same order, so it has the bits of the one-image lattice.
+    rng = np.random.default_rng(len(dilations) * 10 + bias)
+    for parts, ws, block in _fold_cases(dilations, dtype, rng):
+        b = rng.normal(size=5).astype(dtype) if bias else None
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block)
+        assert [hi - lo for lo, hi in _channel_blocks(parts[0], dilations)] == [2, 1]
+        got = T._dw_residual_forward(parts, ws, dilations, b)
+        want = np.concatenate([
+            T._dw_residual_forward(_per_image(parts, i), ws, dilations, b)
+            for i in range(parts[0].shape[0])
+        ])
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dilations", [(1,), (1, 2, 3), (2, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dw_residual_vjp_gx_of_a_batch_is_its_images_stacked(dilations, dtype, monkeypatch):
+    rng = np.random.default_rng(len(dilations))
+    for parts, ws, block in _fold_cases(dilations, dtype, rng):
+        monkeypatch.setattr(T, "_DW_BLOCK_BYTES", block)
+        n = parts[0].shape[0]
+        gy = rng.normal(size=(n, 5) + parts[0].shape[2:]).astype(dtype)
+        got, _, _ = T._dw_residual_vjp([[p] for p in parts], ws, dilations, gy, [True, True], False)
+        per_image = [
+            T._dw_residual_vjp([[p] for p in _per_image(parts, i)], ws, dilations, gy[i : i + 1],
+                               [True, True], False)[0]
+            for i in range(n)
+        ]
+        for k, gx in enumerate(got):
+            assert gx.tobytes() == np.concatenate([g[k] for g in per_image]).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 computes, compared name by name.
 
     python tools/fingerprint.py REV_A REV_B
+    python tools/fingerprint.py HEAD .    # HEAD against the working tree
 
 Each revision is exported with ``git archive`` into a temporary directory
 and hashed in a fresh interpreter that imports ``dyglnet`` from that
 export, so both sides run this file's digest code on their own sources.
+The revision ``.`` stands for the working tree: its ``src/`` is hashed
+where it is, uncommitted edits included.
 One digest per array covers:
 - taped logits, loss, every parameter and gradient, and then ``predict``
   logits, for the default config at 64x64 (batch 2) and the tiny config
@@ -111,9 +114,15 @@ def _emit(src: str) -> dict[str, str]:
 
 
 def _digests(rev: str, tree: Path) -> dict[str, str]:
-    """The digests of ``rev``, exported into the empty directory ``tree``."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=tar.stdout, check=True)
+    """The digests of ``rev``, exported into the empty directory ``tree``,
+    or of the working tree for ``.``."""
+    if rev == ".":
+        tree = ROOT
+    else:
+        tar = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True
+        )
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=tar.stdout, check=True)
     child = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--emit", str(tree / "src")],
         cwd=tree, capture_output=True, text=True,
@@ -128,7 +137,7 @@ def main(argv: list[str]) -> int:
         print(json.dumps(_emit(argv[1])))
         return 0
     if len(argv) != 2:
-        sys.exit("usage: python tools/fingerprint.py REV_A REV_B")
+        sys.exit("usage: python tools/fingerprint.py REV_A REV_B  (REV . is the working tree)")
     with tempfile.TemporaryDirectory() as scratch:
         a, b = (_digests(rev, Path(tempfile.mkdtemp(dir=scratch))) for rev in argv)
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
