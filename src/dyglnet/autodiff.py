@@ -2,12 +2,12 @@
 
 The element-wise ops (add, mul, scale, tanh, sigmoid, relu, mean_all,
 sum_groups) and the layout ops (concat and narrow on the channel axis,
-reshape, transpose, depth_to_space, offset_coords) are defined here
-whole: argument checks, forward and VJP. The other ops call a ``tensor``
-kernel and the VJP defined next to it, and check the arguments of a
-kernel that takes arrays; ``attention`` chains the matmul, softmax and
-scale kernels in one node, and ``pixel_sample`` folds channel groups
-into the sampler's batch.
+reshape, transpose) are defined here whole: argument checks, forward and
+VJP. The other ops call a ``tensor`` kernel and the VJP defined next to
+it, and check the arguments of a kernel that takes arrays; ``attention``
+chains the matmul, softmax and scale kernels in one node, and
+``pixel_sample`` builds its coordinates from the offsets and folds
+channel groups into the sampler's batch.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
@@ -22,11 +22,11 @@ its tensor, and every closure here keeps only what it reads.
 Remakes follow one rule. A producer offers one where its output is
 cheap to rebuild: ``batchnorm2d`` and ``pixel_sample`` from the arrays
 their VJPs keep, a stride-1, unpadded 1x1 ``conv2d`` by its forward on
-the input it boxes, and ``relu`` (which then keeps only its mask) and
-``offset_coords`` from their input's remake. Nothing is offered on top
-of a remake that re-runs the sampler. A consumer that would keep its
-input, ``conv2d``, ``attention`` and ``pixel_sample`` (its coordinates),
-keeps the remake instead. ``conv2d``, ``depthwise_residual``,
+the input it boxes, and ``relu`` (which then keeps only its mask) from
+its input's remake. Nothing is offered on top of a remake that re-runs
+the sampler. A consumer that would keep its input, ``conv2d``,
+``attention`` and ``pixel_sample`` (its offsets), keeps the remake
+instead. ``conv2d``, ``depthwise_residual``,
 ``attention`` and ``pixel_sample`` hand each kept input to the VJP in a
 one-item box, and the VJP releases it once read, so it runs once: a
 second call raises ``StateError``; a remake reads its producer's box
@@ -435,75 +435,63 @@ def batchnorm2d(
 
 
 # ---------------------------------------------------------------------------
-# Sampling and rearrangement
+# Sampling
 
 
-def pixel_sample(x: Value, u: Value) -> Value:
-    """Bilinear gather at pixel coordinates; see tensor module for the
-    border convention. x [N, C, H, W] at u [N, 2G, H', W'] -> [N, C, H',
-    W']: channel group j of G reads coordinate pair (2j, 2j+1), x then y.
-    The op folds the groups into the sampler's batch as numpy views
-    ([N*G, C/G, H, W] at [N*G, 2, H'W']), so G groups are one call. The
-    tape keeps only x and u, or u's remake: the VJP rebuilds the corners
-    and fractions chunk by chunk, and computes no coordinate gradient for
-    constant coordinates. The output's remake runs the forward's call
-    again and hands the u it rebuilt to the VJP, so u is rebuilt once."""
-    xd, ud = x.tensor.data, u.tensor.data
-    if xd.ndim != 4 or ud.ndim != 4 or ud.shape[0] != xd.shape[0] or ud.shape[1] % 2:
-        raise DimensionError(f"coordinate shape {ud.shape} for input {xd.shape}")
-    (n, c, h, w), (_, g2, h2, w2) = xshape, ushape = xd.shape, ud.shape
-    g = g2 // 2
+def pixel_sample(x: Value, o: Value | None, s: int, scale: float) -> Value:
+    """DySample's sampling stage: x [N, C, H, W] read bilinearly at the
+    s x resize lattice plus depth_to_space(o, s) * scale, giving [N, C,
+    s*H, s*W]; see tensor module for the border convention. Offset
+    channel (2j + coord)*s*s + a*s + b of o [N, 2G*s*s, H, W] shifts
+    sub-pixel (a, b) of channel group j's x (coord 0) or y (coord 1);
+    with o None, G = 1 and x is read at the lattice itself. The groups
+    fold into the sampler's batch as numpy views ([N*G, C/G, H, W] at
+    [N*G, 2, s*s*H*W] pixel coordinates), so G groups are one call. The
+    tape keeps only x and o, or o's remake: the VJP builds the
+    coordinates again, and the corners and fractions chunk by chunk, and
+    computes no offset gradient for constant offsets. The output's remake
+    builds the coordinates and hands them to the VJP, so a VJP after a
+    remake builds none."""
+    xd, od = x.tensor.data, None if o is None else o.tensor.data
+    if xd.ndim != 4 or s < 1:
+        raise DimensionError(f"pixel_sample by {s} needs a rank-4 input, got {xd.shape}")
+    xshape, oshape, g = xd.shape, None, 1
+    n, c, h, w = xshape
+    if od is not None:
+        oshape = od.shape
+        if od.ndim != 4 or (oshape[0], *oshape[2:]) != (n, h, w) or oshape[1] % (2 * s * s):
+            raise DimensionError(f"offsets {oshape} for input {xshape} sampled by {s}")
+        T._check_same_dtype(xd, od)
+        g = oshape[1] // (2 * s * s)
     if c % g:
-        raise DimensionError(f"{c} channels do not split into {g} coordinate groups")
-    T._check_same_dtype(xd, ud)
-    xf, folded, with_gu = xd.reshape(n * g, c // g, h, w), (n * g, 2, h2 * w2), u._slot is not None
-    src = None if u._slot is None else u._slot.remake
-    ubox = [ud if src is None else src]  # the VJP takes u out of its box
+        raise DimensionError(f"{c} channels do not split into {g} offset groups")
+    xf, folded, dt = xd.reshape(n * g, c // g, h, w), (n * g, 2, s * s * h * w), xd.dtype
+    k, with_go = dt.type(scale), o is not None and o._slot is not None
+
+    def coords(offsets):
+        u = T._resize_coords(n * g, h, w, s * h, s * w, dt)
+        if offsets is not None:  # depth_to_space(offsets, s), a view until it is scaled
+            d = offsets.reshape(n, 2 * g, s, s, h, w).transpose(0, 1, 4, 2, 5, 3)
+            u += np.multiply(d, k, order="C").reshape(folded)
+        return u
+
+    src = None if o is None or o._slot is None else o._slot.remake
+    obox = [od if src is None else src]
+    ubox = [lambda: coords(T._peek(obox))]  # the VJP takes u out of its box
 
     def remake():
-        ubox[0] = uu = T._peek(ubox)
-        return T._sample_pixel_forward(xf, uu.reshape(folded)).reshape(n, c, h2, w2)
+        ubox[0] = u = T._peek(ubox)
+        return T._sample_pixel_forward(xf, u).reshape(n, c, s * h, s * w)
 
     def vjp(gy):
-        uf = T._take(ubox).reshape(folded)
-        gx, gu = T._sample_pixel_vjp(xf, uf, gy.reshape(n * g, c // g, h2 * w2), with_gu)
-        return gx.reshape(xshape), None if gu is None else gu.reshape(ushape)
+        gx, gu = T._sample_pixel_vjp(xf, T._take(ubox), gy.reshape(n * g, c // g, -1), with_go)
+        if not with_go:
+            return gx.reshape(xshape), None
+        go = gu.reshape(n, 2 * g, h, s, w, s).transpose(0, 1, 3, 5, 2, 4)  # space_to_depth
+        return gx.reshape(xshape), np.multiply(go, k, order="C").reshape(oshape)
 
-    y = T._sample_pixel_forward(xf, ud.reshape(folded)).reshape(n, c, h2, w2)
-    return _record(Tensor._wrap(y), (x, u), vjp, remake, costly=True)
-
-
-def offset_coords(o: Value, lattice: np.ndarray, s: int, scale: float) -> Value:
-    """The sampler's coordinates depth_to_space(o, s) * scale + lattice,
-    [N, 2G, s*H, s*W], from offsets o [N, 2G*s*s, H, W] and the s x resize
-    lattice ``T._resize_coords`` gives the N*G groups, which the caller
-    builds (before o, if it likes) and the remake rebuilds."""
-    od = o.tensor.data
-    if od.ndim != 4 or s < 1 or od.shape[1] % (2 * s * s):
-        raise DimensionError(f"offset_coords by {s} needs a [N, 2G*s*s, H, W] map, got {od.shape}")
-    n, c, h, w = od.shape
-    g2 = c // (s * s)
-    if lattice.shape != (n, g2, s * h, s * w):
-        raise DimensionError(f"lattice shape {lattice.shape} != {(n, g2, s * h, s * w)}")
-    k, dt, src = od.dtype.type(scale), od.dtype, None if o._slot is None else o._slot.remake
-    box = [od if src is None else src]
-
-    def remake():
-        base = T._resize_coords(n * g2 // 2, h, w, s * h, s * w, dt).reshape(n, g2, s * h, s * w)
-        return T._depth_to_space_forward(T._peek(box), s) * k + base
-
-    y = Tensor._wrap(T._depth_to_space_forward(od, s) * k + lattice)
-    return _record(y, (o,), lambda g: (T._space_to_depth_forward(g * k, s),), remake)
-
-
-def depth_to_space(x: Value, s: int) -> Value:
-    """[N, C*s*s, H, W] -> [N, C, s*H, s*W]: output pixel (s*i + a, s*j + b)
-    of channel c reads input channel c*s*s + a*s + b at (i, j)."""
-    xd = x.tensor.data
-    if xd.ndim != 4 or s < 1 or xd.shape[1] % (s * s):
-        raise DimensionError(f"depth_to_space by {s} needs a [N, C*s*s, H, W] map, got {xd.shape}")
-    y = Tensor._wrap(T._depth_to_space_forward(xd, s))
-    return _record(y, (x,), lambda g: (T._space_to_depth_forward(g, s),))
+    y = T._sample_pixel_forward(xf, coords(od)).reshape(n, c, s * h, s * w)
+    return _record(Tensor._wrap(y), (x,) if o is None else (x, o), vjp, remake, costly=True)
 
 
 # ---------------------------------------------------------------------------

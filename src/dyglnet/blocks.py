@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-from . import tensor as T
 from .autodiff import Parameter, Value
 from .errors import DimensionError
 from .tensor import ConvSpec, Tensor
@@ -285,8 +284,7 @@ class DyFusionUp(Module):
     predicts per-group sub-pixel offsets (rearranged depth-to-space to
     the doubled lattice and scaled by ``_OFFSET_RANGE``); each channel
     group is bilinearly sampled at quarter-pixel-plus-offset positions,
-    all groups in one ``pixel_sample`` call on a [N, 2G, 2h, 2w]
-    coordinate map whose channel pair (2j, 2j+1) serves group j;
+    all groups in one ``pixel_sample`` call that reads the offsets;
     a 1x1 conv aligns the result to the skip width; a multi-scale dilated
     stage reads the skip and the aligned map as the two channel parts of
     one input, skip first, without joining them, and it plus a 3x3 conv
@@ -332,21 +330,10 @@ class DyFusionUp(Module):
     def upsample(self, x_low: Value, x: Value | None = None) -> Value:
         """The sampling stage alone: x ([N, G'·k, h, w], x_low by default)
         -> [N, G'·k, 2h, 2w], one ``pixel_sample`` whose channel group j
-        reads coordinate pair j of x_low's [N, 2G', 2h, 2w] map: the 2x
-        resize lattice, to which ``offset_coords`` adds the offset conv's
-        field in "dynamic" mode. The lattice is built before the offset
-        conv runs, which keeps an eval forward's heap smaller."""
-        x = x_low if x is None else x
-        n, _, h, w = x.tensor.shape
-        g, h2, w2 = self.groups, _SCALE * h, _SCALE * w
-        lattice = T._resize_coords(n * g, h, w, h2, w2, x.tensor.data.dtype)
-        lattice = lattice.reshape(n, 2 * g, h2, w2)
-        if self.cfg.upsample_mode == "dynamic":
-            u = ad.offset_coords(self.offset(x_low), lattice, _SCALE, _OFFSET_RANGE)
-        else:
-            u = ad.constant(Tensor._wrap(lattice))
-        del lattice
-        return ad.pixel_sample(x, u)
+        reads the 2x resize lattice, shifted by group j's offsets from
+        x_low in "dynamic" mode."""
+        o = self.offset(x_low) if self.cfg.upsample_mode == "dynamic" else None
+        return ad.pixel_sample(x_low if x is None else x, o, _SCALE, _OFFSET_RANGE)
 
     def aligned_upsample(self, x_low: Value) -> Value:
         """align(upsample(x_low)). Sampling is linear, so where G'·skip <

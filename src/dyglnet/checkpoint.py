@@ -32,7 +32,11 @@ def write_checkpoint(
     path: str, tensors: list[tuple[str, Tensor]], config_text: str
 ) -> None:
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+    names: set[str] = set()  # read_checkpoint refuses a repeated name
     for name, t in tensors:
+        if name in names:
+            raise FormatError(f"duplicate tensor name {name!r}")
+        names.add(name)
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"tensor name too long: {name[:40]}...")

@@ -103,9 +103,11 @@ class ModelConfig:
                 f"split_ratio must lie in (0, 1) and leave both branches of "
                 f"{fused} channels non-empty, got {self.split_ratio}"
             )
-        if not self.dilation_rates or min(self.dilation_rates) < 1:
+        # each rate names its own branch weight in a checkpoint
+        if (not self.dilation_rates or min(self.dilation_rates) < 1
+                or len(set(self.dilation_rates)) < len(self.dilation_rates)):
             raise ConfigurationError(
-                f"dilation_rates must be non-empty and >= 1, got {self.dilation_rates}"
+                f"dilation_rates must be non-empty, distinct and >= 1, got {self.dilation_rates}"
             )
         configtext.check_positive(self, "ffn_ratio")
         # the product is compared as a float: at ffn_ratio 1e308 it is inf

@@ -754,30 +754,6 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Channel/space rearrangement
-
-
-def _depth_to_space_forward(x: np.ndarray, s: int) -> np.ndarray:
-    n, cs2, h, w = x.shape
-    c = cs2 // (s * s)
-    return (
-        x.reshape(n, c, s, s, h, w)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, c, h * s, w * s)
-    )
-
-
-def _space_to_depth_forward(y: np.ndarray, s: int) -> np.ndarray:
-    n, c, hs, ws = y.shape
-    h, w = hs // s, ws // s
-    return (
-        y.reshape(n, c, h, s, w, s)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, c * s * s, h, w)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Sigmoid, shared by the autodiff op, the fused BCE loss and predict
 
 

@@ -777,18 +777,22 @@ _X4 = np.zeros((2, 3, 4, 4))
         pytest.param(lambda: T.resize_bilinear(Tensor(np.zeros((3, 4, 4)), dtype="f64"), 2, 2),
                      DimensionError, id="resize-rank"),
         pytest.param(lambda: ad.pixel_sample(const64(np.zeros((3, 4, 4))),
-                                             const64(np.zeros((3, 2, 1, 5)))),
+                                             const64(np.zeros((3, 8, 4, 4))), 2, 0.25),
                      DimensionError, id="pixel-sample-x-rank"),
-        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 2, 5)))),
-                     DimensionError, id="pixel-sample-u-rank"),
-        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 3, 1, 5)))),
-                     DimensionError, id="pixel-sample-u-pair"),
-        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((3, 2, 1, 5)))),
-                     DimensionError, id="pixel-sample-u-batch"),
-        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 4, 1, 5)))),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 8, 16))), 2, 0.25),
+                     DimensionError, id="pixel-sample-offset-rank"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 6, 4, 4))), 2, 0.25),
+                     DimensionError, id="pixel-sample-offset-channels"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((3, 8, 4, 4))), 2, 0.25),
+                     DimensionError, id="pixel-sample-offset-batch"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 8, 4, 5))), 2, 0.25),
+                     DimensionError, id="pixel-sample-offset-extent"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const64(np.zeros((2, 16, 4, 4))), 2, 0.25),
                      DimensionError, id="pixel-sample-groups"),
-        pytest.param(lambda: ad.pixel_sample(const64(_X4), const32(np.zeros((2, 2, 1, 5)))),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), const32(np.zeros((2, 8, 4, 4))), 2, 0.25),
                      ContractError, id="pixel-sample-mixed-dtype"),
+        pytest.param(lambda: ad.pixel_sample(const64(_X4), None, 0, 0.25),
+                     DimensionError, id="pixel-sample-factor"),
         pytest.param(lambda: ad.attention(const64(np.zeros((2, 6, 9)))), DimensionError,
                      id="attention-rank"),
         pytest.param(lambda: ad.attention(const64(_X4[:, :2])), DimensionError,
@@ -807,16 +811,19 @@ _MAP = np.zeros((1, 6, 64, 64))
     "op, args, err",
     [
         (ad.attention, [const64(_MAP[:, :5])], DimensionError),
-        (ad.pixel_sample, [const64(_MAP), const64(_MAP[:, :3])], DimensionError),
-        (ad.pixel_sample, [const64(_MAP), const64(np.zeros((1, 8, 64, 64)))], DimensionError),
-        (ad.pixel_sample, [const64(_MAP), const64(np.zeros((2, 2, 64, 64)))], DimensionError),
-        (ad.pixel_sample, [const64(_MAP), const32(_MAP[:, :2])], ContractError),
+        (ad.pixel_sample, [const64(_MAP), const64(_MAP[:, :3]), 2, 0.25], DimensionError),
+        (ad.pixel_sample, [const64(_MAP), const64(np.zeros((1, 32, 64, 64))), 2, 0.25],
+         DimensionError),
+        (ad.pixel_sample, [const64(_MAP), const64(np.zeros((2, 8, 64, 64))), 2, 0.25],
+         DimensionError),
+        (ad.pixel_sample, [const64(_MAP), const32(np.zeros((1, 8, 64, 64))), 2, 0.25],
+         ContractError),
     ],
-    ids=["qkv-thirds", "odd-coordinate-channels", "groups", "batch", "dtype"],
+    ids=["qkv-thirds", "offset-channels", "groups", "batch", "dtype"],
 )
 def test_attention_and_pixel_sample_reject_bad_inputs_before_allocating(op, args, err):
-    # 5 qkv channels, 3 coordinate channels, 6 channels in 4 groups, a
-    # batch of 2 coordinate maps for 1 image, f32 coordinates for f64 x
+    # 5 qkv channels, 3 offset channels, 6 channels in 4 groups, a batch
+    # of 2 offset maps for 1 image, f32 offsets for f64 x
     tracemalloc.start()
     try:
         with pytest.raises(err):
@@ -824,7 +831,7 @@ def test_attention_and_pixel_sample_reject_bad_inputs_before_allocating(op, args
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 64 * 8  # less than one channel plane of an output
+    assert peak < 64 * 64 * 8  # less than one channel plane of an input
 
 
 def test_fd_softmax():
@@ -856,39 +863,49 @@ def test_fd_batchnorm_training():
         _fd_ok(lambda: loss(training), [x, gamma, beta])
 
 
-def test_fd_pixel_sample_values_and_coordinates():
+def _identity_lattice(n, h, w):
+    """The s = 1 lattice of h x w maps, [n, 2, h, w]: pixel (i, j) reads
+    (x, y) = (j, i), so the offsets of pixel_sample(x, o, 1, 1.0) are its
+    coordinates less their pixel's own position."""
+    return T._resize_coords(n, h, w, h, w, np.dtype(np.float64)).reshape(n, 2, h, w)
+
+
+def test_fd_pixel_sample_values_and_offsets():
     rng = np.random.default_rng(23)
     x = param("x", rng.normal(size=(1, 2, 5, 5)))
     # Keep coordinates away from integer lattice kinks so FD stays clean.
-    u = param("u", rng.uniform(0.3, 3.7, size=(1, 2, 1, 6)).round(1) + 0.05)
-    wgt = const64(np.random.default_rng(24).normal(size=(1, 2, 1, 6)))
+    u = rng.uniform(0.3, 3.7, size=(1, 2, 5, 5)).round(1) + 0.05
+    o = param("o", u - _identity_lattice(1, 5, 5))
+    wgt = const64(np.random.default_rng(24).normal(size=(1, 2, 5, 5)))
 
     def fn():
-        y = ad.pixel_sample(ad.watch(x), ad.watch(u))
+        y = ad.pixel_sample(ad.watch(x), ad.watch(o), 1, 1.0)
         return sum_all(ad.mul(y, wgt))
 
-    _fd_ok(fn, [x, u])
+    _fd_ok(fn, [x, o])
 
 
 def test_pixel_sample_clamped_coordinate_gradient_is_zero():
+    # Pixel (0, 0) reads (x, y) = (-2, 1.5): x clamps to the border, so
+    # its offset gets no gradient, and y's does.
     x = const64(np.arange(16.0).reshape(1, 1, 4, 4))
-    u = param("u", np.array([[[[-2.0]], [[1.5]]]]))
+    offsets = np.zeros((1, 2, 4, 4))
+    offsets[0, :, 0, 0] = (-2.0, 1.5)
+    o = param("o", offsets)
     with Tape() as tape:
-        y = ad.pixel_sample(x, ad.watch(u))
+        y = ad.pixel_sample(x, ad.watch(o), 1, 1.0)
         ad.backward(sum_all(y), tape)
-    assert u.grad[0, 0, 0, 0] == 0.0
-    assert u.grad[0, 1, 0, 0] != 0.0
+    assert o.grad[0, 0, 0, 0] == 0.0
+    assert o.grad[0, 1, 0, 0] != 0.0
 
 
-def _pixel_sample_grads(x, u, gy):
-    """(y, gx, gu) of pixel_sample(x, u) under the cotangent gy, with the
-    points u [n, 2, p] and gy [n, c, p] laid out as one map row each."""
-    xp, up = param("x", x), param("u", u[:, :, None])
+def _sample_grads(x, o, gy, s=1, scale=1.0):
+    """(y, gx, go) of pixel_sample(x, o, s, scale) under the cotangent gy."""
+    xp, op = param("x", x), param("o", o)
     with Tape() as tape:
-        y = ad.pixel_sample(ad.watch(xp), ad.watch(up))
-        yd = y.tensor.data[:, :, 0]
-        ad.backward(sum_all(ad.mul(y, const64(gy[:, :, None]))), tape)
-    return yd, xp.grad, up.grad[:, :, 0]
+        y = ad.pixel_sample(ad.watch(xp), ad.watch(op), s, scale)
+        ad.backward(sum_all(ad.mul(y, const64(gy))), tape)
+    return y.tensor.data, xp.grad, op.grad
 
 
 def _random_sample_case(rng, n_lo):
@@ -899,16 +916,16 @@ def _random_sample_case(rng, n_lo):
 
 
 def test_pixel_sample_vjp_adjoint_vs_oracle():
-    # The sampler is linear in x, so <sample(x, u), gy> = <x, gx> for any
-    # cotangent gy. Extents of 1 give a zero corner step; coordinates
-    # reach 1.5 pixels outside the image on every side.
+    # The sampler kernel is linear in x, so <sample(x, u), gy> = <x, gx>
+    # for any cotangent gy. Extents of 1 give a zero corner step;
+    # coordinates reach 1.5 pixels outside the image on every side.
     rng = np.random.default_rng(37)
     for case in range(200):
         x, n, c, h, w, p = _random_sample_case(rng, 1)
         ux = rng.uniform(-1.5, w + 0.5, size=(n, p))
         uy = rng.uniform(-1.5, h + 0.5, size=(n, p))
         gy = rng.normal(size=(n, c, p))
-        _, gx, _ = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
+        gx, _ = T._sample_pixel_vjp(x, np.stack([ux, uy], axis=1), gy, False)
         y = np.array([
             [[oracles.sample_pixel_naive(x[i, k], ux[i, j], uy[i, j]) for j in range(p)]
              for k in range(c)]
@@ -928,7 +945,7 @@ def test_pixel_sample_coordinate_grads_vs_central_differences():
         ux = rng.integers(-2, w + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
         uy = rng.integers(-2, h + 1, size=(n, p)) + rng.uniform(0.1, 0.9, size=(n, p))
         gy = rng.normal(size=(n, c, p))
-        _, _, gu = _pixel_sample_grads(x, np.stack([ux, uy], axis=1), gy)
+        _, gu = T._sample_pixel_vjp(x, np.stack([ux, uy], axis=1), gy, True)
         gux, guy = gu[:, 0], gu[:, 1]
 
         def f(i, j, dx, dy):
@@ -949,113 +966,122 @@ def test_pixel_sample_coordinate_grads_vs_central_differences():
                     assert guy[i, j] == 0.0
 
 
-def test_pixel_sample_constant_coordinates_get_no_gradient():
-    # Constant coordinates (the bilinear lattice) skip the coordinate
-    # gradient; the input gradient is the same as with watched ones.
+def test_pixel_sample_constant_offsets_get_no_gradient():
+    # Constant offsets, and none (the bare 2x lattice), skip the offset
+    # gradient; the input gradient is the same as with watched offsets.
     rng = np.random.default_rng(41)
     x = rng.normal(size=(2, 3, 4, 5))
-    u = rng.uniform(-1.0, 5.0, size=(2, 2, 7))
-    gy = rng.normal(size=(2, 3, 7))
-    xp = param("x", x)
-    with Tape() as tape:
-        gx, gu = ad.pixel_sample(ad.watch(xp), const64(u[:, :, None]))._slot.vjp(gy[:, :, None])
-    assert gu is None
-    np.testing.assert_array_equal(gx, _pixel_sample_grads(x, u, gy)[1])
+    o = rng.normal(size=(2, 8, 4, 5))
+    gy = rng.normal(size=(2, 3, 8, 10))
+    for offsets, taped in ((const64(o), o), (None, np.zeros_like(o))):
+        xp = param("x", x)
+        with Tape():
+            gx, go = ad.pixel_sample(ad.watch(xp), offsets, 2, 0.25)._slot.vjp(gy)
+        assert go is None
+        np.testing.assert_array_equal(gx, _sample_grads(x, taped, gy, 2, 0.25)[1])
 
 
-@pytest.mark.parametrize("chunk", [12, 4], ids=["partial-last-chunk", "row-longer-than-chunk"])
+@pytest.mark.parametrize("chunk", [40, 8], ids=["partial-last-chunk", "row-longer-than-chunk"])
 def test_pixel_sample_chunks_match_one_pass(monkeypatch, chunk):
-    # 5 rows of 6 points: a 12-point chunk holds 2 whole rows (the last
-    # one row), a 4-point chunk holds one row longer than itself.
-    # Coordinates keep >= 0.1 px from every integer (no FD kinks) and
-    # reach outside the 4x5 image on every side.
+    # 5 rows of 20 points (4x5 maps at s = 1): a 40-point chunk holds 2
+    # whole rows (the last one row), an 8-point chunk holds one row longer
+    # than itself. Coordinates keep >= 0.1 px from every integer (no FD
+    # kinks) and reach outside the 4x5 image on every side.
     rng = np.random.default_rng(53)
     x = rng.normal(size=(5, 3, 4, 5))
-    ux = rng.integers(-2, 6, size=(5, 6)) + rng.uniform(0.1, 0.9, size=(5, 6))
-    uy = rng.integers(-2, 5, size=(5, 6)) + rng.uniform(0.1, 0.9, size=(5, 6))
-    u = np.stack([ux, uy], axis=1)
-    gy = rng.normal(size=(5, 3, 6))
-    whole = _pixel_sample_grads(x, u, gy)
+    ux = rng.integers(-2, 6, size=(5, 4, 5)) + rng.uniform(0.1, 0.9, size=(5, 4, 5))
+    uy = rng.integers(-2, 5, size=(5, 4, 5)) + rng.uniform(0.1, 0.9, size=(5, 4, 5))
+    lattice = _identity_lattice(5, 4, 5)
+    o = np.stack([ux, uy], axis=1) - lattice
+    u = (o + lattice).reshape(5, 2, 20)  # the coordinates the op reads
+    gy = rng.normal(size=(5, 3, 4, 5))
+    whole = _sample_grads(x, o, gy)
     monkeypatch.setattr(T, "_SAMPLE_CHUNK", chunk)
-    chunked = _pixel_sample_grads(x, u, gy)
+    chunked = _sample_grads(x, o, gy)
     for a, b in zip(chunked, whole):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    grid = np.stack([(2.0 * ux + 1.0) / 5 - 1.0, (2.0 * uy + 1.0) / 4 - 1.0], axis=2)
-    np.testing.assert_allclose(chunked[0], oracles.bilinear_sample_naive(x, grid),
-                               rtol=0, atol=1e-6)
-    xp, up = param("x", x), param("u", u[:, :, None])
-    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(xp), ad.watch(up)),
-                                  const64(gy[:, :, None]))), [xp, up])
+    grid = np.stack([(2.0 * u[:, 0] + 1.0) / 5 - 1.0, (2.0 * u[:, 1] + 1.0) / 4 - 1.0], axis=2)
+    np.testing.assert_allclose(chunked[0].reshape(5, 3, 20),
+                               oracles.bilinear_sample_naive(x, grid), rtol=0, atol=1e-6)
+    xp, op = param("x", x), param("o", o)
+    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(xp), ad.watch(op), 1, 1.0),
+                                  const64(gy))), [xp, op])
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("groups", [2, 4])
 def test_grouped_pixel_sample_matches_one_call_per_group(dtype, groups):
-    # Channel group j reads coordinate pair (2j, 2j+1). The op folds the
-    # groups into the sampler's batch, whose rows are independent, so each
-    # group's y, gx and gu are the bits of its own single-group call.
+    # Channel group j reads offset channels 8j to 8j + 7 (s = 2). The op
+    # folds the groups into the sampler's batch, whose rows are
+    # independent, so each group's y, gx and go are the bits of its own
+    # single-group call. Offsets of about a pixel reach outside the image.
     rng = np.random.default_rng(59 + groups)
-    k, h2, w2 = 3, 3, 6
-    x = rng.normal(size=(2, groups * k, 4, 5))
-    u = rng.uniform(-1.0, 5.5, size=(2, 2 * groups, h2, w2))
-    gy = rng.normal(size=(2, groups * k, h2, w2))
+    k, h, w = 3, 3, 4
+    x = rng.normal(size=(2, groups * k, h, w))
+    o = rng.normal(size=(2, 8 * groups, h, w)) * 4.0
+    gy = rng.normal(size=(2, groups * k, 2 * h, 2 * w))
 
-    def grads(xa, ua, ga):
-        xp, up = Parameter("x", Tensor(xa, dtype=dtype)), Parameter("u", Tensor(ua, dtype=dtype))
+    def grads(xa, oa, ga):
+        xp, op = Parameter("x", Tensor(xa, dtype=dtype)), Parameter("o", Tensor(oa, dtype=dtype))
         with Tape() as tape:
-            y = ad.pixel_sample(ad.watch(xp), ad.watch(up))
+            y = ad.pixel_sample(ad.watch(xp), ad.watch(op), 2, 0.25)
             ad.backward(sum_all(ad.mul(y, ad.constant(Tensor(ga, dtype=dtype)))), tape)
-        return y.tensor.data, xp.grad, up.grad
+        return y.tensor.data, xp.grad, op.grad
 
-    y, gx, gu = grads(x, u, gy)
-    assert y.shape == (2, groups * k, h2, w2)
+    y, gx, go = grads(x, o, gy)
+    assert y.shape == (2, groups * k, 2 * h, 2 * w)
     for j in range(groups):
-        cs, us = slice(j * k, (j + 1) * k), slice(2 * j, 2 * j + 2)
-        for got, want in zip(grads(x[:, cs], u[:, us], gy[:, cs]), (y[:, cs], gx[:, cs], gu[:, us])):
+        cs, os_ = slice(j * k, (j + 1) * k), slice(8 * j, 8 * j + 8)
+        for got, want in zip(grads(x[:, cs], o[:, os_], gy[:, cs]),
+                             (y[:, cs], gx[:, cs], go[:, os_])):
             _same_bits(got, np.ascontiguousarray(want))
 
 
 def test_fd_grouped_pixel_sample():
     rng = np.random.default_rng(61)
-    x = param("x", rng.normal(size=(2, 4, 4, 5)))
-    # away from the integer lattice kinks, as in the single-group sweep
-    u = param("u", rng.uniform(0.3, 2.7, size=(2, 4, 2, 3)).round(1) + 0.05)
-    wgt = const64(rng.normal(size=(2, 4, 2, 3)))
-    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(x), ad.watch(u)), wgt)), [x, u])
+    x = param("x", rng.normal(size=(2, 4, 3, 3)))
+    # The 2x lattice sits on quarter pixels; offsets of at most 0.175 px
+    # keep the coordinates off the integer lattice kinks.
+    o = param("o", rng.uniform(-0.7, 0.7, size=(2, 16, 3, 3)))
+    wgt = const64(rng.normal(size=(2, 4, 6, 6)))
+    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(x), ad.watch(o), 2, 0.25), wgt)),
+           [x, o])
 
 
 def test_pixel_sample_memory_is_bounded_by_the_chunk():
-    # The tape keeps only x and u, and the VJP rebuilds corners and
-    # fractions one chunk of whole rows at a time: with 4 rows a chunk,
-    # 8 and 32 rows reach the same peak above gx + gu.
-    p = T._SAMPLE_CHUNK // 4
+    # The tape keeps only x and o, and the VJP builds the coordinates and
+    # then corners and fractions one chunk of whole rows at a time: with
+    # 4 rows a chunk (32x32 maps sampled by 4), 8 and 32 rows reach the
+    # same peak above gx and the coordinates and their gradient, each the
+    # offsets' size.
+    s = 4
+    assert s * s * 32 * 32 == T._SAMPLE_CHUNK // 4
     extra = {}
     for n in (8, 32):
         rng = np.random.default_rng(n)
         x = param("x", rng.normal(size=(n, 2, 32, 32)))
-        u = param("u", rng.uniform(-1.0, 32.0, size=(n, 2, 1, p)))
-        gy = rng.normal(size=(n, 2, 1, p))
+        o = param("o", rng.uniform(-4.0, 4.0, size=(n, 2 * s * s, 32, 32)))
+        gy = rng.normal(size=(n, 2, s * 32, s * 32))
         with Tape():
-            xv, uv = ad.watch(x), ad.watch(u)
+            xv, ov = ad.watch(x), ad.watch(o)
             tracemalloc.start()
             try:
-                y = ad.pixel_sample(xv, uv)
+                y = ad.pixel_sample(xv, ov, s, 1.0)
                 retained = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                gx, gu = y._slot.vjp(gy)
+                gx, go = y._slot.vjp(gy)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert retained - y.tensor.data.nbytes < 64 << 10, f"n={n}"
-        extra[n] = peak - retained - gx.nbytes - gu.nbytes
+        extra[n] = peak - retained - gx.nbytes - 2 * go.nbytes
     assert abs(extra[32] - extra[8]) <= 0.1 * extra[8], extra
 
 
 # ---------------------------------------------------------------------------
-# Remakes: a batchnorm, pixel_sample, 1x1 conv, relu-of-a-remake or
-# offset_coords output leaves a remake, and a conv, attention or
-# pixel_sample (its coordinates) that reads it boxes the remake, not the
-# array
+# Remakes: a batchnorm, pixel_sample, 1x1 conv or relu-of-a-remake
+# output leaves a remake, and a conv, attention or pixel_sample (its
+# offsets) that reads it boxes the remake, not the array
 
 
 def _remade_matches_kept(dtype, arrays, produce, consume, gy):
@@ -1111,22 +1137,27 @@ def test_conv_of_a_batchnorm_remake_matches_a_kept_input_bit_for_bit(dtype, trai
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("groups", [1, 4])
-@pytest.mark.parametrize("taped_u", [False, True], ids=["constant-u", "taped-u"])
+@pytest.mark.parametrize("offsets", ["none", "constant", "taped"])
 def test_conv_of_a_pixel_sample_remake_matches_a_kept_input_bit_for_bit(
-    dtype, groups, taped_u
+    dtype, groups, offsets
 ):
-    # The remake runs the sampler's forward again on the folded views of
-    # x and u that the VJP keeps; coordinates reach outside the image.
+    # The remake runs the sampler's forward again on the folded view of x
+    # that the VJP keeps, at coordinates built from the offsets it keeps;
+    # offsets of about a pixel reach outside the image.
     rng = np.random.default_rng(73 + groups)
-    arrays = {"x": rng.normal(size=(2, 2 * groups, 4, 5)),
-              "u": rng.uniform(-1.0, 5.5, size=(2, 2 * groups, 3, 6)),
+    arrays = {"x": rng.normal(size=(2, 2 * groups, 3, 4)),
+              "o": rng.normal(size=(2, 8 * groups, 3, 4)) * 4.0,
               "w": rng.normal(size=(3, 2 * groups, 1, 1)), "b": rng.normal(size=3)}
 
     def produce(ps):
-        u = ad.watch(ps["u"]) if taped_u else ad.constant(ps["u"].value)
-        return ad.pixel_sample(ad.watch(ps["x"]), u)
+        o = None
+        if offsets == "constant":
+            o = ad.constant(ps["o"].value)
+        elif offsets == "taped":
+            o = ad.watch(ps["o"])
+        return ad.pixel_sample(ad.watch(ps["x"]), o, 2, 0.25)
 
-    gy = rng.normal(size=(2, 3, 3, 6))
+    gy = rng.normal(size=(2, 3, 6, 8))
     _remade_matches_kept(dtype, arrays, produce, _conv_by(ConvSpec()), gy)
 
 
@@ -1168,22 +1199,22 @@ def test_fd_conv_of_a_remake():
         return ad.mean_all(ad.tanh(ad.conv2d(h, ad.watch(w3), ad.watch(b), ConvSpec(padding=1))))
 
     _fd_ok(bn_conv, [x, gamma, beta, w3, b])
-    xs = param("xs", rng.normal(size=(2, 4, 4, 5)))
+    xs = param("xs", rng.normal(size=(2, 4, 2, 3)))
     # away from the integer lattice kinks, as in the single-op sweeps
-    u = param("u", rng.uniform(0.3, 2.7, size=(2, 4, 2, 3)).round(1) + 0.05)
+    o = param("o", rng.uniform(-0.7, 0.7, size=(2, 16, 2, 3)))
     w1 = param("w1", rng.normal(size=(2, 4, 1, 1)))
 
     def sample_conv():
-        h = ad.pixel_sample(ad.watch(xs), ad.watch(u))
+        h = ad.pixel_sample(ad.watch(xs), ad.watch(o), 2, 0.25)
         return ad.mean_all(ad.tanh(ad.conv2d(h, ad.watch(w1), ad.watch(b), ConvSpec())))
 
-    _fd_ok(sample_conv, [xs, u, w1, b])
+    _fd_ok(sample_conv, [xs, o, w1, b])
 
 
 # The model's 1x1-conv remake paths: the FFN's expand conv -> relu ->
 # project conv, the qkv conv -> attention (after a kept input, or after a
 # batchnorm when use_dyt is false), and the upsampler's offset conv ->
-# offset_coords -> pixel_sample, whose output an align conv may read.
+# pixel_sample, whose output an align conv may read.
 
 
 def _ffn_arrays(rng):
@@ -1212,7 +1243,7 @@ def _qkv(ps, use_bn):
     return ad.conv2d(h, ad.watch(ps["wq"]), ad.watch(ps["bq"]), ConvSpec())
 
 
-def _coords_arrays(rng, groups=2):
+def _offsets_arrays(rng, groups=2):
     # offsets of at most ~0.2 pixel keep the coordinates off the integer
     # lattice, where the sampler's gradient has kinks
     return {"xl": rng.normal(size=(2, 3, 3, 4)),
@@ -1222,13 +1253,12 @@ def _coords_arrays(rng, groups=2):
             "w": rng.normal(size=(3, 2 * groups, 1, 1)), "b": rng.normal(size=3)}
 
 
-def _coords(ps):
-    xl = ad.watch(ps["xl"])
-    n, c, h, w = xl.tensor.shape
-    g = ps["wo"].value.shape[0] // 8
-    lattice = T._resize_coords(n * g, h, w, 2 * h, 2 * w, xl.tensor.data.dtype)
-    o = ad.conv2d(xl, ad.watch(ps["wo"]), ad.watch(ps["bo"]), ConvSpec())
-    return ad.offset_coords(o, lattice.reshape(n, 2 * g, 2 * h, 2 * w), 2, 0.25)
+def _offsets(ps):
+    return ad.conv2d(ad.watch(ps["xl"]), ad.watch(ps["wo"]), ad.watch(ps["bo"]), ConvSpec())
+
+
+def _sample(o, ps):
+    return ad.pixel_sample(ad.watch(ps["xs"]), o, 2, 0.25)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -1253,40 +1283,42 @@ def test_attention_of_a_qkv_remake_matches_a_kept_map_bit_for_bit(dtype, use_bn)
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("aligned", [False, True], ids=["sampled", "aligned"])
-def test_pixel_sample_of_offset_coords_remake_matches_kept_coords_bit_for_bit(
+def test_pixel_sample_of_an_offset_conv_remake_matches_kept_offsets_bit_for_bit(
     dtype, aligned
 ):
-    # offset_coords remakes the map from the offset conv's remake and a
-    # rebuilt lattice. With a 1x1 align conv after the sampler, the
-    # sampler's output remake rebuilds the map in align's VJP and hands
-    # it to the sampler's VJP.
+    # The sampler boxes the offset conv's remake and builds its
+    # coordinates from it. With a 1x1 align conv after the sampler, the
+    # sampler's output remake builds them in align's VJP and hands them
+    # to the sampler's VJP.
     rng = np.random.default_rng(101)
-    arrays = _coords_arrays(rng)
+    arrays = _offsets_arrays(rng)
 
-    def consume(u, ps):
-        y = ad.pixel_sample(ad.watch(ps["xs"]), u)
+    def consume(o, ps):
+        y = _sample(o, ps)
         return _conv_by(ConvSpec())(y, ps) if aligned else y
 
     gy = rng.normal(size=(2, 3 if aligned else 4, 6, 8))
-    _remade_matches_kept(dtype, arrays, _coords, consume, gy)
+    _remade_matches_kept(dtype, arrays, _offsets, consume, gy)
 
 
 def test_an_aligned_sample_rebuilds_its_coordinates_once(monkeypatch):
-    # In align's VJP the sampler's output remake rebuilds u, running the
-    # offset conv's forward once; the sampler's VJP takes that u, and no
-    # remake is offered on top of the sampler's (align's output has none).
+    # In align's VJP the sampler's output remake builds the coordinates,
+    # running the offset conv's forward and the lattice once; the
+    # sampler's VJP takes them, and no remake is offered on top of the
+    # sampler's (align's output has none).
     rng = np.random.default_rng(103)
-    ps = {k: param(k, a) for k, a in _coords_arrays(rng).items()}
+    ps = {k: param(k, a) for k, a in _offsets_arrays(rng).items()}
     calls = []
-    forward = T._conv2d_forward
+    forward, lattice = T._conv2d_forward, T._resize_coords
     monkeypatch.setattr(T, "_conv2d_forward", lambda *a: calls.append(a[1].shape) or forward(*a))
+    monkeypatch.setattr(T, "_resize_coords", lambda *a: calls.append("lattice") or lattice(*a))
     with Tape() as tape:
-        y = _conv_by(ConvSpec())(ad.pixel_sample(ad.watch(ps["xs"]), _coords(ps)), ps)
+        y = _conv_by(ConvSpec())(_sample(_offsets(ps), ps), ps)
         assert y._slot.remake is None
         loss = sum_all(y)
         calls.clear()
         ad.backward(loss, tape)
-    assert calls == [ps["wo"].value.shape]
+    assert calls == [ps["wo"].value.shape, "lattice"]
     assert np.all(ps["wo"].grad != 0.0) and np.all(ps["xs"].grad != 0.0)
 
 
@@ -1299,30 +1331,30 @@ def test_fd_the_1x1_conv_remake_paths():
         ps = {k: param(k, a) for k, a in _qkv_arrays(rng).items()}
         _fd_ok(lambda: ad.mean_all(ad.tanh(ad.attention(_qkv(ps, use_bn)))),
                [p for k, p in ps.items() if use_bn or k not in ("gamma", "beta")])
-    ps = {k: param(k, a) for k, a in _coords_arrays(rng).items()}
+    ps = {k: param(k, a) for k, a in _offsets_arrays(rng).items()}
 
     def aligned_sample():
-        y = ad.pixel_sample(ad.watch(ps["xs"]), _coords(ps))
+        y = _sample(_offsets(ps), ps)
         return ad.mean_all(ad.tanh(_conv_by(ConvSpec())(y, ps)))
 
     _fd_ok(aligned_sample, list(ps.values()))
 
 
-@pytest.mark.parametrize("path", ["ffn", "qkv", "bn-qkv", "coords"])
+@pytest.mark.parametrize("path", ["ffn", "qkv", "bn-qkv", "offsets"])
 def test_a_consumer_of_a_1x1_conv_remake_refuses_a_second_vjp_run(path):
     # The consumer takes the remake out of its box, so a second run finds
     # it empty. The remakes read the 1x1 conv's box, so once the conv's
     # VJP has released its input they find that box empty too.
     rng = np.random.default_rng(109)
-    arrays = {"ffn": _ffn_arrays, "coords": _coords_arrays}.get(path, _qkv_arrays)(rng)
+    arrays = {"ffn": _ffn_arrays, "offsets": _offsets_arrays}.get(path, _qkv_arrays)(rng)
     ps = {k: param(k, a) for k, a in arrays.items()}
     with Tape() as tape:
         if path == "ffn":
             h = _ffn_hidden(ps)
             y = _conv_by(ConvSpec())(h, ps)
-        elif path == "coords":
-            h = _coords(ps)
-            y = ad.pixel_sample(ad.watch(ps["xs"]), h)
+        elif path == "offsets":
+            h = _offsets(ps)
+            y = _sample(h, ps)
         else:
             h = _qkv(ps, path == "bn-qkv")
             y = ad.attention(h)
@@ -1336,18 +1368,18 @@ def test_a_consumer_of_a_1x1_conv_remake_refuses_a_second_vjp_run(path):
         h._slot.remake()
 
 
-def test_fd_resize_and_depth_to_space():
-    # pixel_sample at the constant coordinates of a 3x3 -> 6x6 resize,
-    # one pair per channel: the upsampler's path, gradient to x only.
+def test_fd_lattice_sample_without_and_with_zero_offsets():
+    # A 3x3 -> 6x6 sample of 4 channels: with no offsets (the bilinear
+    # upsampler's path) the gradient reaches x only; with zero offsets,
+    # as a fresh offset conv gives, the quarter-pixel lattice sits off the
+    # integer kinks, and the gradient reaches the offsets too.
     rng = np.random.default_rng(31)
     x = param("x", rng.normal(size=(1, 4, 3, 3)))
-    u = const64(T._resize_coords(4, 3, 3, 6, 6, np.dtype(np.float64)).reshape(1, 8, 6, 6))
+    o = param("o", np.zeros((1, 32, 3, 3)))
     wgt = const64(np.random.default_rng(32).normal(size=(1, 4, 6, 6)))
-    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(x), u), wgt)), [x])
-    wgt2 = const64(np.random.default_rng(33).normal(size=(1, 1, 6, 6)))
-    _fd_ok(
-        lambda: sum_all(ad.mul(ad.depth_to_space(ad.watch(x), 2), wgt2)), [x]
-    )
+    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(x), None, 2, 0.25), wgt)), [x])
+    _fd_ok(lambda: sum_all(ad.mul(ad.pixel_sample(ad.watch(x), ad.watch(o), 2, 0.25), wgt)),
+           [x, o])
 
 
 def test_fd_concat_split_narrow():

@@ -395,15 +395,17 @@ def test_dyfusion_unit_offset_prediction_scaled_to_quarter():
     # 2 coordinates x 2 groups x 4 sub-pixels
     assert block.offset.weight.value.shape == (16, 2, 1, 1)
     assign64(block.offset.bias, np.ones(16))
-    # One map on the doubled lattice: channel pair (2j, 2j+1) is group j's
-    # (x, y), as pixel_sample reads it: the 2x resize lattice plus (dx, dy).
-    lattice = T._resize_coords(2, 3, 3, 6, 6, np.dtype(np.float64)).reshape(1, 4, 6, 6)
-    offsets = block.offset(v64(rng.normal(size=(1, 2, 3, 3))))
-    u = ad.offset_coords(offsets, lattice, 2, _OFFSET_RANGE)
+    # A unit offset moves each group's every coordinate by _OFFSET_RANGE
+    # in x and y: the block samples the 2x resize lattice plus that.
+    x = rng.normal(size=(1, 2, 3, 3))
+    got = block.upsample(v64(x)).tensor.data
+    u = T._resize_coords(2, 3, 3, 6, 6, np.dtype(np.float64)) + _OFFSET_RANGE
     assert _OFFSET_RANGE == 0.25
-    np.testing.assert_array_equal(u.tensor.data - lattice, np.full((1, 4, 6, 6), _OFFSET_RANGE))
-    with pytest.raises(DimensionError):
-        ad.offset_coords(offsets, lattice[:, :2], 2, _OFFSET_RANGE)
+    np.testing.assert_array_equal(got, T._sample_pixel_forward(x.reshape(2, 1, 3, 3), u)
+                                  .reshape(1, 2, 6, 6))
+    with pytest.raises(DimensionError):  # offsets of another extent
+        ad.pixel_sample(v64(x), block.offset(v64(rng.normal(size=(1, 2, 3, 4)))), 2,
+                        _OFFSET_RANGE)
 
 
 @pytest.mark.parametrize("groups", [2, 4])
@@ -487,17 +489,17 @@ def test_dyfusion_bilinear_mode_matches_dynamic_at_init():
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
-def test_dyfusion_dynamic_upsample_records_three_nodes(monkeypatch):
-    # offset conv, offset_coords and pixel_sample: the coordinate map
-    # (the offsets' depth_to_space, scaled, plus the resize lattice) is
-    # one op and one map, which the sampler reads in the groups' layout,
-    # so no reshape, transpose or narrow sits around the sampler.
+def test_dyfusion_dynamic_upsample_records_two_nodes(monkeypatch):
+    # offset conv and pixel_sample: the sampler reads the offsets in the
+    # groups' layout and builds the coordinates (the offsets'
+    # depth_to_space, scaled, plus the resize lattice) itself, so no
+    # reshape, transpose or narrow sits around it.
     rng = np.random.default_rng(79)
     block = _up_block(rng, in_ch=4, groups=2)
     watched = _watched(monkeypatch)
     with ad.Tape() as tape:
         block.upsample(v64(rng.normal(size=(2, 4, 3, 3))))
-    assert recorded_ops(tape) == ["conv2d", "offset_coords", "pixel_sample"]
+    assert recorded_ops(tape) == ["conv2d", "pixel_sample"]
     _assert_leaves_are_watched(
         tape, watched, block.offset.parameters(trainable_only=True)
     )

@@ -119,6 +119,18 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_repeated_dilation_rates_exit_2(tmp_path, capsys):
+    # Two branches of one rate would share a checkpoint name, and the
+    # saved model could not be loaded.
+    path = tmp_path / "rates.cfg"
+    path.write_text("\n".join(_TINY_LINES + ["dilation_rates = [2, 2]"]) + "\n")
+    rc = main(["train", "--config", str(path), "--synthetic", "4",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "dilation_rates" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_removed_upsample_mode_exits_2(tmp_path, capsys):
     path = tmp_path / "old.cfg"
     path.write_text("\n".join(_TINY_LINES + ["upsample_mode = zero_offset"]) + "\n")

@@ -203,12 +203,15 @@ def test_ffn_ratio_must_be_finite_and_positive(value):
         (dict(input_size=MAX_INPUT_SIZE + 16), "input_size"),
         (dict(dilation_rates=(1, 10**9)), "dilation_rates"),
         (dict(dilation_rates=(65,)), "dilation_rates"),  # over the tiny input_size 64
+        # two branches would share one checkpoint name
+        (dict(dilation_rates=(1, 1)), "dilation_rates"),
         (dict(input_channels=2**40), "channels"),
         (dict(output_channels=MAX_STAGE_CHANNELS + 1), "channels"),
     ],
     ids=[
         "widths-2**40", "widths-over", "depths-1e8", "depths-over", "ffn-1e308", "ffn-over",
-        "size-2**40", "size-over", "rate-1e9", "rate-over-size", "image-channels-2**40",
+        "size-2**40", "size-over", "rate-1e9", "rate-over-size", "rate-repeated",
+        "image-channels-2**40",
         "mask-channels-over",
     ],
 )
@@ -389,14 +392,15 @@ def test_training_mode_advances_bn_stats_only():
 
 @pytest.mark.parametrize(
     "cfg, nodes",
-    [(ModelConfig(), 88), (ModelConfig.tiny(), 83), (ModelConfig(upsample_mode="bilinear"), 95)],
+    [(ModelConfig(), 84), (ModelConfig.tiny(), 79), (ModelConfig(upsample_mode="bilinear"), 95)],
     ids=["default", "tiny", "bilinear"],
 )
 def test_train_step_tape_records_each_op_on_the_blocks_layouts(cfg, nodes):
     # The attention op reads the qkv map and pixel_sample the grouped
-    # coordinate map, so no reshape, transpose or narrow sits around
-    # either, and a dynamic upsampler's coordinate map is one
-    # offset_coords node. The layout ops that remain: each fused SHDC
+    # offsets, from which it builds its coordinates, so no reshape,
+    # transpose or narrow sits around either, and a dynamic upsampler
+    # records two nodes: its offset conv and pixel_sample. The layout
+    # ops that remain: each fused SHDC
     # block splits its channels with two narrows, and an upsampler that
     # projects first lays out its grouped align weight with two reshapes
     # and a transpose.
@@ -412,7 +416,7 @@ def test_train_step_tape_records_each_op_on_the_blocks_layouts(cfg, nodes):
     if cfg == ModelConfig():
         assert ops == {
             "conv2d": 28, "add": 9, "depthwise_residual": 9, "_batchnorm2d_vjp": 6,
-            "relu": 5, "mul": 4, "narrow": 4, "pixel_sample": 4, "offset_coords": 4,
+            "relu": 5, "mul": 4, "narrow": 4, "pixel_sample": 4,
             "attention": 2, "concat": 2, "reshape": 2, "scale": 2, "tanh": 2,
             "transpose": 1, "sum_groups": 1, "bce_loss": 1, "dice_loss": 1, "sigmoid": 1,
         }
@@ -445,10 +449,10 @@ def test_default_train_forward_keeps_no_input_its_producer_can_remake(
     # Each DyFusionUp's align conv reads a pixel_sample output (up1-up3)
     # and its out conv a batchnorm output (up1-up4); each FFN's project
     # conv reads a relu of its expand conv, each attention its qkv conv
-    # and each sampler its offset conv's coordinate map. Each boxes the
-    # producer's remake, which reads arrays the tape keeps anyway, not the
-    # array (at batch 2: 10.7 + 13.0 MiB, then 10.7 FFN hiddens, less
-    # their 2.7 MiB of relu masks, 4.2 of coordinate maps and 1.8 of qkv
+    # and each sampler its offset conv. Each boxes the producer's remake,
+    # which reads arrays the tape keeps anyway, not the array (at batch
+    # 2: 10.7 + 13.0 MiB, then 10.7 FFN hiddens, less their 2.7 MiB of
+    # relu masks, 4.2 of offset maps and 1.8 of qkv
     # maps). The tape holds about 48.9 MiB: 62.8 when only the batchnorm
     # and sampler outputs were remade, 86.5 when the convs kept their
     # inputs. The backward peaks at about 59.0 MiB (69.7, 91.2): each VJP
@@ -489,7 +493,7 @@ def test_projected_path_runs_where_it_samples_fewer_channels(monkeypatch):
     sample = ad.pixel_sample
     monkeypatch.setattr(
         ad, "pixel_sample",
-        lambda x, u: sampled.append(x.tensor.shape[0] * x.tensor.shape[1]) or sample(x, u),
+        lambda x, *a: sampled.append(x.tensor.shape[0] * x.tensor.shape[1]) or sample(x, *a),
     )
     x = t32(np.zeros((1, 3, 32, 32)))
     for cfg, projects, channels in (
@@ -852,6 +856,16 @@ def test_checkpoint_low_level_round_trip(tmp_path):
     for name, t in tensors:
         assert back[name].dtype == t.dtype
         np.testing.assert_array_equal(back[name].data, t.data)
+
+
+def test_checkpoint_write_refuses_a_repeated_name_before_writing(tmp_path):
+    # read_checkpoint refuses a file with a repeated name, so the writer
+    # refuses it too, before it creates its temp file.
+    path = str(tmp_path / "dup.ckpt")
+    t = Tensor(np.arange(4.0), dtype="f64")
+    with pytest.raises(FormatError, match="duplicate tensor name 'a'"):
+        write_checkpoint(path, [("a", t), ("b", t), ("a", t)], "note = 1\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_checkpoint_write_failure_keeps_old_file(tmp_path, monkeypatch):

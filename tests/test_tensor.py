@@ -748,7 +748,7 @@ def test_resize_random_vs_oracle():
 
 
 # ---------------------------------------------------------------------------
-# elementwise / concat / depth_to_space
+# elementwise / concat / offset layout
 
 
 def test_elementwise_pinned():
@@ -790,22 +790,21 @@ def test_concat_shapes():
     assert y.tensor.shape == (1, 5, 2, 2)
 
 
-def test_depth_to_space_reference_layout():
-    # Output pixel (s*i + a, s*j + b) of channel c reads input channel
-    # c*s*s + a*s + b at (i, j).
-    x = np.arange(1 * 4 * 2 * 2, dtype=np.float64).reshape(1, 4, 2, 2)
-    y = ad.depth_to_space(c64(x), 2).tensor.data
-    assert y.shape == (1, 1, 4, 4)
-    for i in range(2):
-        for j in range(2):
-            for a in range(2):
-                for b in range(2):
-                    assert y[0, 0, 2 * i + a, 2 * j + b] == x[0, a * 2 + b, i, j]
-
-
-def test_depth_to_space_bad_channels():
-    with pytest.raises(DimensionError):
-        ad.depth_to_space(c64(np.zeros((1, 3, 2, 2))), 2)
+def test_pixel_sample_offset_channel_layout():
+    # Offset channel coord*s*s + a*s + b at (i, j) shifts output pixel
+    # (s*i + a, s*j + b) along x (coord 0) or y (coord 1). On the ramp
+    # 4y + x an interior shift by 0.125 adds 0.125 or 0.5 to that pixel
+    # alone.
+    x = np.arange(16.0).reshape(1, 1, 4, 4)
+    base = ad.pixel_sample(c64(x), None, 2, 1.0).tensor.data
+    for ch in range(8):
+        coord, a, b = ch // 4, ch % 4 // 2, ch % 2
+        o = np.zeros((1, 8, 4, 4))
+        o[0, ch, 1, 2] = 0.125
+        moved = ad.pixel_sample(c64(x), c64(o), 2, 1.0).tensor.data - base
+        want = np.zeros_like(moved)
+        want[0, 0, 2 + a, 4 + b] = 0.5 if coord else 0.125
+        np.testing.assert_allclose(moved, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
