@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, NumericError, StateError
+from .errors import ContractError, DimensionError, StateError
 from .tensor import ConvSpec, Tensor
 
 
@@ -158,12 +158,10 @@ class Tape:
 def watch(param: Parameter) -> Value:
     """Graph input for a parameter: on an active tape, a node with no
     parents whose VJP adds the gradient that reaches it into
-    ``param.grad``. A non-finite gradient raises ``NumericError``."""
+    ``param.grad``, unchecked: the optimizer checks gradients once."""
 
     def vjp(g):
         if param.trainable:
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for {param.name}")
             # a first gradient lands as a new array g + 0: bitwise zeros + g
             g0 = param._grad
             param._grad = g + g.dtype.type(0) if g0 is None else g0 + g

@@ -7,8 +7,8 @@ Layout, all integers little-endian:
                 | u8 dtype code (0=f32, 1=f64) | raw LE IEEE-754 payload
     trailer:    u32 config length | UTF-8 config snapshot
 
-Writers replace the target atomically. Readers fail with the byte offset
-of the first inconsistency and never return partial state.
+Writers replace the target atomically and durably. Readers fail with
+the byte offset of the first inconsistency and never return partial state.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def write_checkpoint(
     snapshot = config_text.encode("utf-8")
     chunks.append(struct.pack("<I", len(snapshot)))
     chunks.append(snapshot)
-    # Write a sibling temp file and rename it over the target, so a
-    # crash mid-write leaves the previous file intact.
+    # Write a sibling temp file and rename it over the target, so a crash
+    # mid-write keeps the previous file; a directory fsync makes it durable.
     tmp = f"{path}.tmp"
     f = open(tmp, "wb")
     try:
@@ -63,6 +63,12 @@ def write_checkpoint(
     except BaseException:
         os.unlink(tmp)
         raise
+    if hasattr(os, "O_DIRECTORY"):
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 class _Reader:

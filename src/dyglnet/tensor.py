@@ -2,8 +2,8 @@
 
 Tensors are immutable rank-1..4 float arrays; feature maps use NCHW
 layout. The kernels are convolution, the fused depthwise residual,
-matmul, softmax, batchnorm, bilinear sampling and resize, and
-depth-to-space; the element-wise and layout ops live in ``autodiff``.
+matmul, softmax, batchnorm, and bilinear sampling and resize; the
+element-wise and layout ops live in ``autodiff``.
 Only ``conv2d``, ``matmul``, ``bilinear_sample`` and ``resize_bilinear``
 take tensors; the others take arrays, and their ``autodiff`` ops check
 their arguments.

@@ -89,19 +89,16 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the applied scale (1.0 when untouched). The norm is
-    accumulated in f64. ``max_norm`` must be finite and positive: NaN
-    would fill every gradient with NaN.
+    Returns the applied scale (1.0 when untouched); ``max_norm`` must be
+    finite and positive. The f64 norm is ``train``'s gradient check: a
+    non-finite one raises ``NumericError``, naming each non-finite gradient.
     """
     if not 0.0 < max_norm < math.inf:
         raise ContractError(f"max_norm must be finite and positive, got {max_norm}")
-    total = 0.0
-    for p in params:
-        g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-        total += float(np.sum(g.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in params))
+    if not math.isfinite(norm):
+        bad = ", ".join(repr(p.name) for p in params if not np.isfinite(p.grad).all())
+        raise NumericError(f"gradient norm {norm}, non-finite in {bad or 'none (overflow)'}")
     if norm <= max_norm:
         return 1.0
     scale = max_norm / norm
@@ -128,6 +125,12 @@ class AdamW:
         self._v = [np.zeros_like(p.value.data) for p in params]
 
     def step(self, lr: float) -> None:
+        """One update; a bad ``lr`` or gradient raises before any state moves."""
+        if not 0.0 <= lr < math.inf:
+            raise ContractError(f"lr must be finite and >= 0, got {lr}")
+        for p in self.params:
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient for parameter {p.name!r}")
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
@@ -135,8 +138,6 @@ class AdamW:
         bc2 = 1.0 - cfg.beta2**t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {p.name!r}")
             dt = p.value.data.dtype
             b1, b2 = dt.type(cfg.beta1), dt.type(cfg.beta2)
             m *= b1
@@ -234,9 +235,9 @@ def train(
     (a trailing batch smaller than two samples is dropped), then a
     validation pass. The best-validation-Dice weights go to best.ckpt,
     the most recent completed epoch to last.ckpt, and the final weights
-    to final.ckpt. A non-finite loss aborts training and keeps the
-    last completed epoch's checkpoint. On glibc, the process keeps the
-    heap pages that a step frees, for the next step to reuse.
+    to final.ckpt. A non-finite loss or gradient norm aborts the step
+    before a weight moves and keeps the last completed epoch's
+    checkpoint. On glibc, freed heap pages are kept for the next step.
     """
     if not train_samples:
         raise ContractError("training set is empty")

@@ -16,6 +16,7 @@ from dyglnet.autodiff import Parameter, Tape, grad_check
 from dyglnet.errors import ContractError, DimensionError, NumericError, StateError
 from dyglnet.losses import dice_loss
 from dyglnet.tensor import ConvSpec, Tensor
+from dyglnet.train import clip_grad_norm
 
 
 def param(name, arr):
@@ -425,14 +426,21 @@ def test_parameter_watched_outside_a_tape_records_no_node():
 
 
 def test_non_finite_gradient_at_a_watched_parameter_names_it():
+    # watch's VJP only accumulates: backward completes with the NaN in
+    # the gradient, and the clip, the training loop's one gradient check,
+    # names the parameter before it scales anything.
     w = param("enc.stage2.block0.pre.weight", np.array([1.0, 2.0]))
+    ok = param("enc.stage2.block0.pre.bias", np.array([3.0]))
     with Tape() as tape:
         v = ad.watch(w)
         nan = ad.record_op(v.tensor, (v,), lambda g: (np.full_like(g, np.nan),))
-        loss = sum_all(nan)
-        with pytest.raises(NumericError, match=r"enc\.stage2\.block0\.pre\.weight"):
-            ad.backward(loss, tape)
-    np.testing.assert_array_equal(w.grad, np.zeros(2))
+        ad.backward(ad.add(sum_all(nan), sum_all(ad.watch(ok))), tape)
+    assert np.isnan(w.grad).all()
+    with pytest.raises(NumericError, match=r"gradient norm nan, non-finite in "
+                       r"'enc\.stage2\.block0\.pre\.weight'$"):
+        clip_grad_norm([ok, w], 1e-3)
+    assert np.isnan(w.grad).all()
+    np.testing.assert_array_equal(ok.grad, [1.0])
 
 
 def test_unreached_parameter_gets_zero_contribution():

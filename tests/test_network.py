@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 import struct
 import tracemalloc
 from collections import Counter
@@ -885,6 +886,25 @@ def test_checkpoint_write_failure_keeps_old_file(tmp_path, monkeypatch):
         write_checkpoint(path, [("a", Tensor(np.ones(4), dtype="f64"))], "note = 2\n")
     with open(path, "rb") as f:
         assert f.read() == before
+    assert os.listdir(tmp_path) == ["best.ckpt"]
+
+
+def test_checkpoint_write_fsyncs_the_directory_after_the_file(tmp_path, monkeypatch):
+    # The rename is durable only once the directory entry is on disk, so
+    # the file's fsync is followed by its directory's.
+    if not hasattr(os, "O_DIRECTORY"):
+        pytest.skip("this OS cannot open a directory for fsync")
+    path = str(tmp_path / "best.ckpt")
+    fsync, seen = os.fsync, []
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        seen.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    write_checkpoint(path, [("a", Tensor(np.arange(4.0), dtype="f64"))], "note = 1\n")
+    assert seen == [(False, os.stat(path).st_ino), (True, os.stat(tmp_path).st_ino)]
     assert os.listdir(tmp_path) == ["best.ckpt"]
 
 

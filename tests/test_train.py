@@ -119,11 +119,42 @@ def test_adamw_rejects_empty_params():
         AdamW([], TrainConfig())
 
 
+def _two_param_adamw():
+    """An AdamW one step in, over two parameters whose gradients are 1."""
+    params = [_param("a", [1.0, -1.0]), _param("b", [2.0])]
+    opt = AdamW(params, TrainConfig())
+    for p in params:
+        p.grad[:] = 1.0
+    opt.step(0.1)
+    for p in params:
+        p.grad[:] = 1.0
+    state = [p.value.data.copy() for p in params] + [m.copy() for m in opt._m + opt._v]
+    return params, opt, state
+
+
+def _assert_adamw_unchanged(params, opt, state):
+    assert opt.step_count == 1
+    now = [p.value.data for p in params] + opt._m + opt._v
+    for got, want in zip(now, state, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_adamw_rejects_nonfinite_grad():
-    p = _param("w", [1.0])
-    p.grad[:] = np.nan
-    with pytest.raises(NumericError):
-        AdamW([p], TrainConfig()).step(0.1)
+    # A NaN in the second gradient is refused before the first parameter,
+    # any moment or the step count moves.
+    params, opt, state = _two_param_adamw()
+    params[1].grad[:] = np.nan
+    with pytest.raises(NumericError, match="'b'"):
+        opt.step(0.1)
+    _assert_adamw_unchanged(params, opt, state)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1e-3])
+def test_adamw_rejects_a_bad_lr_before_any_update(lr):
+    params, opt, state = _two_param_adamw()
+    with pytest.raises(ContractError, match="lr must be finite and >= 0"):
+        opt.step(lr)
+    _assert_adamw_unchanged(params, opt, state)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +194,18 @@ def test_clip_validation():
     p.grad[:] = np.inf
     with pytest.raises(NumericError):
         clip_grad_norm([p], 1.0)
+
+
+def test_clip_raises_when_a_finite_gradients_squared_sum_overflows():
+    # Each entry is finite, but 1e200**2 overflows f64: the norm is inf,
+    # which would scale every gradient to zero. The clip refuses it and
+    # leaves the gradients as they were.
+    p = Parameter("w", Tensor(np.array([1e200, 3.0]), dtype="f64"))
+    p.grad[:] = [1e200, 3.0]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=r"gradient norm inf, non-finite in none \(overflow\)"):
+            clip_grad_norm([p], 1.0)
+    np.testing.assert_array_equal(p.grad, [1e200, 3.0])
 
 
 @pytest.mark.parametrize("max_norm", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -420,6 +463,42 @@ def test_train_divergence_aborts_cleanly(tmp_path):
         runs.append(result)
     assert logs[0] == logs[1]
     assert runs[0].step_losses == runs[1].step_losses
+
+
+def test_train_aborts_on_a_nan_gradient_before_any_weight_moves(tmp_path, monkeypatch):
+    # One parameter's VJP hands it a NaN gradient in the first step of
+    # epoch 1. backward completes; the clip's norm check aborts the run
+    # naming that parameter, and that step moves no weight.
+    target, bad_step = "enc.stage3.block0.attn.norm.alpha", 2
+    train_set, valid_set = _datasets()
+    model = Model(_MODEL_CFG, seed=0)
+    params = model.parameters(trainable_only=True)
+    watch, taped, before = ad.watch, [], {}
+
+    def nan_watch(param):
+        v = watch(param)
+        if param.name == target and v._slot is not None:
+            taped.append(param.name)
+            if len(taped) == bad_step + 1:
+                before.update({p.name: p.value.data.copy() for p in params})
+                vjp = v._slot.vjp
+                v._slot.vjp = lambda g: vjp(np.full_like(g, np.nan))
+        return v
+
+    monkeypatch.setattr(ad, "watch", nan_watch)
+    log = []
+    result = train(model, _small_cfg(), train_set, valid_set, out_dir=str(tmp_path),
+                   log=log.append)
+    assert result.aborted and result.steps_run == bad_step
+    assert log[-1] == (f"abort: gradient norm nan, non-finite in {target!r} at epoch=1 "
+                       f"step={bad_step}; keeping the last completed checkpoint")
+    assert before.keys() == {p.name for p in params}
+    for p in params:
+        np.testing.assert_array_equal(p.value.data, before[p.name], err_msg=p.name)
+    saved = {p.name: p.value.data for p in load(str(tmp_path / "last.ckpt")).parameters()}
+    for p in params:
+        np.testing.assert_array_equal(saved[p.name], before[p.name], err_msg=p.name)
+    assert not (tmp_path / "final.ckpt").exists()
 
 
 def test_evaluate_model_matches_training_validation():
