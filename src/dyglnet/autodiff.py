@@ -7,7 +7,8 @@ VJP. The other ops call a ``tensor`` kernel and the VJP defined next to
 it, and check the arguments of a kernel that takes arrays; ``attention``
 chains the matmul, softmax and scale kernels in one node, and
 ``pixel_sample`` builds its coordinates from the offsets and folds
-channel groups into the sampler's batch.
+channel groups into the sampler's batch. The kernels know nothing of the
+tape: every box, remake and ``StateError`` below lives in this module.
 
 A :class:`Tape` records every differentiable op executed inside its
 ``with`` block as a gradient slot: its parents' slots, the VJP closure
@@ -23,14 +24,16 @@ Remakes follow one rule. A producer offers one where its output is
 cheap to rebuild: ``batchnorm2d`` and ``pixel_sample`` from the arrays
 their VJPs keep, a stride-1, unpadded 1x1 ``conv2d`` by its forward on
 the input it boxes, and ``relu`` (which then keeps only its mask) from
-its input's remake. Nothing is offered on top of a remake that re-runs
-the sampler. A consumer that would keep its input, ``conv2d``,
+its input's remake. A consumer that would keep its input, ``conv2d``,
 ``attention`` and ``pixel_sample`` (its offsets), keeps the remake
-instead. ``conv2d``, ``depthwise_residual``,
-``attention`` and ``pixel_sample`` hand each kept input to the VJP in a
-one-item box, and the VJP releases it once read, so it runs once: a
-second call raises ``StateError``; a remake reads its producer's box
-without emptying it. :func:`backward` replays the slots in reverse
+instead. ``conv2d``, ``depthwise_residual``, ``attention`` and
+``pixel_sample`` keep each input in a one-item box that the VJP empties
+(``_take``), running a boxed remake, before it hands the array to a
+kernel, so a VJP runs once: a second call raises ``StateError``; a
+remake reads its producer's box without emptying it (``_peek``).
+``conv2d`` and ``depthwise_residual`` hand their kernel VJPs the array in
+a one-item list of their own, which the kernel pops to free the input
+mid-VJP. :func:`backward` replays the slots in reverse
 creation order, so every remake runs before its producer's VJP, and
 releases each slot as soon as its VJP has run. Each slot names its tape
 until then, and an op whose input belongs to another tape, or to a
@@ -100,15 +103,14 @@ class Parameter:
 class _Slot:
     """What the tape keeps of one node: its parents' slots (``None`` for
     an input off the tape), its VJP, its summed upstream gradient, its
-    tape (``None`` once backward has released it), its remake or None,
-    and whether that remake re-runs the sampler."""
+    tape (``None`` once backward has released it) and its remake or None."""
 
-    __slots__ = ("parents", "vjp", "grad", "tape", "remake", "costly")
+    __slots__ = ("parents", "vjp", "grad", "tape", "remake")
 
     def __init__(self, parents: tuple, vjp: Callable, tape: "Tape",
-                 remake: Callable | None, costly: bool):
+                 remake: Callable | None):
         self.parents, self.vjp, self.grad = parents, vjp, None
-        self.tape, self.remake, self.costly = tape, remake, costly
+        self.tape, self.remake = tape, remake
 
 
 class Value:
@@ -206,8 +208,7 @@ def backward(loss: Value, tape: Tape) -> None:
                 parent.grad = parent.grad + g
 
 
-def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = None,
-            costly: bool = False) -> Value:
+def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = None) -> Value:
     tape = _ACTIVE
     if tape is None:
         return Value(y)
@@ -217,8 +218,24 @@ def _record(y: Tensor, parents: tuple, vjp: Callable, remake: Callable | None = 
             "an op input was recorded on another tape, or its tape already "
             "ran backward"
         )
-    tape._nodes.append(slot := _Slot(slots, vjp, tape, remake, costly))
+    tape._nodes.append(slot := _Slot(slots, vjp, tape, remake))
     return Value(y, slot)
+
+
+def _take(box: list) -> np.ndarray:
+    """The array (or the remake, called) that a VJP's one-item box gives
+    up so that the VJP can free it; an empty box means it ran."""
+    x = _peek(box)
+    box.clear()
+    return x
+
+
+def _peek(box: list) -> np.ndarray:
+    """What ``_take`` gives, leaving the box as it is: a remake that reads
+    the array before the VJP frees it."""
+    if not box:
+        raise StateError("this VJP already ran and released its saved input")
+    return box[0]() if callable(box[0]) else box[0]
 
 
 def record_op(y: Tensor, parents: tuple, vjp: Callable) -> Value:
@@ -289,7 +306,7 @@ def sigmoid(x: Value) -> Value:
 
 def relu(x: Value) -> Value:
     yd, s = np.maximum(x.tensor.data, 0), x._slot
-    if s is None or s.remake is None or s.costly:
+    if s is None or s.remake is None:
         return _record(Tensor._wrap(yd), (x,), lambda g: (g * (yd > 0),))
     mask, src = yd > 0, s.remake  # keep the mask, remake the output
     return _record(Tensor._wrap(yd), (x,), lambda g: (g * mask,), lambda: np.maximum(src(), 0))
@@ -338,7 +355,7 @@ def attention(qkv: Value) -> Value:
         return q, k, T._softmax_forward(a, 2), np.ascontiguousarray(rows[:, 2].transpose(0, 2, 1))
 
     def vjp(g):
-        q, k, a, v = operands(T._take(box))
+        q, k, a, v = operands(_take(box))
         g = np.ascontiguousarray(g.reshape(n, c, p).transpose(0, 2, 1))
         ga, gv = T._matmul_vjp(a, v, g)
         gs = T._softmax_vjp(a, ga, 2)
@@ -359,13 +376,13 @@ def conv2d(x: Value, weight: Value, bias: Value, spec: ConvSpec) -> Value:
     xs = [x.tensor.data if src is None else src]  # the VJP takes x out of its box
     wd, bd = weight.tensor.data, bias.tensor.data
     with_gx = x._slot is not None  # gx is None for a constant input
-    remake, cheap = None, src is None or not x._slot.costly
-    if cheap and wd.shape[2:] == (1, 1) and (spec.stride, spec.padding) == (1, 0):
+    remake = None
+    if wd.shape[2:] == (1, 1) and (spec.stride, spec.padding) == (1, 0):
         def remake():  # a stride-1, unpadded 1x1 conv's forward on its boxed input
-            return T._conv2d_forward(T._peek(xs), wd, bd, spec)
+            return T._conv2d_forward(_peek(xs), wd, bd, spec)
 
     return _record(
-        y, (x, weight, bias), lambda g: T._conv2d_vjp(xs, wd, spec, g, with_gx), remake
+        y, (x, weight, bias), lambda g: T._conv2d_vjp([_take(xs)], wd, spec, g, with_gx), remake
     )
 
 
@@ -381,17 +398,27 @@ def depthwise_residual(
     per-channel or None. A part off the tape gets no input gradient."""
     parts, dilations = tuple(parts), tuple(dilations)
     with_bias = bias is not None
-    b = bias.tensor if with_bias else None
-    xds = [p.tensor.data for p in parts]
-    T._check_dw_residual_args(xds, [w.tensor for w in weights], dilations, b)
-    wds = [w.tensor.data for w in weights]
-    y = Tensor._wrap(T._dw_residual_forward(xds, wds, dilations, b.data if with_bias else None))
+    xds, wds = [p.tensor.data for p in parts], [w.tensor.data for w in weights]
+    bd = bias.tensor.data if with_bias else None
+    c = _check_channel_parts(xds)  # no parts fail the weight shape check below
+    if not wds or len(wds) != len(dilations):
+        raise ContractError(f"{len(wds)} weights for dilations {dilations}; need one each")
+    if any(d < 1 for d in dilations):
+        raise ContractError(f"dilations must be >= 1, got {dilations}")
+    for wd in wds:
+        if wd.shape != (c, 1, 3, 3):
+            raise DimensionError(f"depthwise weight shape {wd.shape} != ({c}, 1, 3, 3)")
+    if with_bias and bd.shape != (c,):
+        raise DimensionError(f"bias shape {bd.shape} != ({c},)")
+    T._check_same_dtype(xds[0], *wds, *([bd] if with_bias else []))
+    y = Tensor._wrap(T._dw_residual_forward(xds, wds, dilations, bd))
     xs = [[xd] for xd in xds]  # the VJP takes each part out of its box
     with_gx = [p._slot is not None for p in parts]
     parents = (*parts, *weights, bias) if with_bias else (*parts, *weights)
 
     def vjp(g):
-        gxs, gws, gb = T._dw_residual_vjp(xs, wds, dilations, g, with_gx, with_bias)
+        taken = [[_take(box)] for box in xs]  # the kernel pops each part
+        gxs, gws, gb = T._dw_residual_vjp(taken, wds, dilations, g, with_gx, with_bias)
         return (*gxs, *gws, gb) if with_bias else (*gxs, *gws)
 
     return _record(y, parents, vjp)
@@ -475,25 +502,36 @@ def pixel_sample(x: Value, o: Value | None, s: int, scale: float) -> Value:
 
     src = None if o is None or o._slot is None else o._slot.remake
     obox = [od if src is None else src]
-    ubox = [lambda: coords(T._peek(obox))]  # the VJP takes u out of its box
+    ubox = [lambda: coords(_peek(obox))]  # the VJP takes u out of its box
 
     def remake():
-        ubox[0] = u = T._peek(ubox)
+        ubox[0] = u = _peek(ubox)
         return T._sample_pixel_forward(xf, u).reshape(n, c, s * h, s * w)
 
     def vjp(gy):
-        gx, gu = T._sample_pixel_vjp(xf, T._take(ubox), gy.reshape(n * g, c // g, -1), with_go)
+        gx, gu = T._sample_pixel_vjp(xf, _take(ubox), gy.reshape(n * g, c // g, -1), with_go)
         if not with_go:
             return gx.reshape(xshape), None
         go = gu.reshape(n, 2 * g, h, s, w, s).transpose(0, 1, 3, 5, 2, 4)  # space_to_depth
         return gx.reshape(xshape), np.multiply(go, k, order="C").reshape(oshape)
 
     y = T._sample_pixel_forward(xf, coords(od)).reshape(n, c, s * h, s * w)
-    return _record(Tensor._wrap(y), (x,) if o is None else (x, o), vjp, remake, costly=True)
+    return _record(Tensor._wrap(y), (x,) if o is None else (x, o), vjp, remake)
 
 
 # ---------------------------------------------------------------------------
 # Structure ops
+
+
+def _check_channel_parts(parts: list[np.ndarray]) -> int:
+    """The channel count of rank-4 maps that differ only in channels and
+    share one dtype; 0 for no parts."""
+    for a in parts:
+        if a.ndim != 4 or a.shape[:1] + a.shape[2:] != parts[0].shape[:1] + parts[0].shape[2:]:
+            raise DimensionError(f"channel parts {parts[0].shape} and {a.shape} are "
+                                 "not rank-4 maps differing only in channels")
+    T._check_same_dtype(*parts)
+    return sum(a.shape[1] for a in parts)
 
 
 def concat(parts: Sequence[Value]) -> Value:
@@ -501,7 +539,7 @@ def concat(parts: Sequence[Value]) -> Value:
     if not parts:
         raise ContractError("concat of zero tensors")
     arrays = [p.tensor.data for p in parts]
-    T._check_channel_parts(arrays)
+    _check_channel_parts(arrays)
     y = Tensor._wrap(np.concatenate(arrays, axis=1))
     ends = np.cumsum([0] + [a.shape[1] for a in arrays]).tolist()
     return _record(y, tuple(parts), lambda g: tuple(
@@ -546,6 +584,8 @@ def transpose(x: Value, axes: tuple[int, ...]) -> Value:
 def sum_groups(x: Value, groups: int) -> Value:
     """[N, G*C, H, W] -> [N, C, H, W], the sum of the G channel groups;
     the VJP tiles the gradient into one array, not G zero-padded ones."""
+    if x.tensor.rank != 4 or groups < 1:
+        raise DimensionError(f"cannot sum {x.tensor.shape} over {groups} channel groups")
     n, gc, h, w = x.tensor.shape
     if gc % groups:
         raise DimensionError(f"{gc} channels do not split into {groups} groups")

@@ -149,8 +149,13 @@ def write_pgm(path: str, arr: np.ndarray) -> None:
 
 
 def _resize_chw(arr: np.ndarray, size: int) -> np.ndarray:
-    t = T.resize_bilinear(Tensor._wrap(arr[None].copy()), size, size)
-    return t.data[0]
+    """A new [c, size, size] bilinear resize of arr [c, h, w]; a copy
+    when the extents already match."""
+    c, h, w = arr.shape
+    if (h, w) == (size, size):
+        return arr.copy()
+    u = T._resize_coords(1, h, w, size, size, arr.dtype)
+    return T._sample_pixel_forward(np.ascontiguousarray(arr[None]), u)[0].reshape(c, size, size)
 
 
 def normalize_image(img01: np.ndarray) -> np.ndarray:
@@ -158,18 +163,26 @@ def normalize_image(img01: np.ndarray) -> np.ndarray:
     return (img01 - NORM_MEAN.reshape(3, 1, 1)) / NORM_STD.reshape(3, 1, 1)
 
 
-def load_image(path: str, size: int) -> Tensor:
-    """P6 file -> normalized f32 image tensor [3,size,size]."""
-    raw = read_ppm(path)
+def _image_tensor(raw: np.ndarray, size: int) -> Tensor:
+    """Decoded P6 pixels [H,W,3] -> normalized f32 image tensor [3,size,size]."""
     img01 = (raw.astype(np.float32) / 255.0).transpose(2, 0, 1)
     img01 = _resize_chw(img01, size)
     return Tensor._wrap(normalize_image(img01).astype(np.float32))
 
 
+def load_image(path: str, size: int) -> Tensor:
+    """P6 file -> normalized f32 image tensor [3,size,size]."""
+    return _image_tensor(read_ppm(path), size)
+
+
 def load_sample(image_path: str, mask_path: str, size: int = 224) -> SegmentationSample:
-    """Decode, scale to [0,1], resize, threshold the mask, normalize."""
-    image = load_image(image_path, size)
-    raw_mask = read_pgm(mask_path)
+    """Decode, scale to [0,1], resize, threshold the mask, normalize. A
+    mask whose extents differ from its image's raises ``FormatError``."""
+    raw, raw_mask = read_ppm(image_path), read_pgm(mask_path)
+    if raw_mask.shape != raw.shape[:2]:
+        (h, w), (mh, mw) = raw.shape[:2], raw_mask.shape
+        raise FormatError(f"mask {mask_path} is {mw}x{mh}, its image {image_path} {w}x{h}")
+    image = _image_tensor(raw, size)
     m01 = (raw_mask.astype(np.float32) / 255.0)[None]
     m01 = _resize_chw(m01, size)
     mask = Tensor._wrap((m01 > 0.5).astype(np.float32))

@@ -2,11 +2,11 @@
 
 Tensors are immutable rank-1..4 float arrays; feature maps use NCHW
 layout. The kernels are convolution, the fused depthwise residual,
-matmul, softmax, batchnorm, and bilinear sampling and resize; the
-element-wise and layout ops live in ``autodiff``.
-Only ``conv2d``, ``matmul``, ``bilinear_sample`` and ``resize_bilinear``
-take tensors; the others take arrays, and their ``autodiff`` ops check
-their arguments.
+matmul, softmax, batchnorm and bilinear sampling; the element-wise and
+layout ops live in ``autodiff``.
+Only ``conv2d``, ``matmul`` and ``bilinear_sample`` take tensors and
+check them; the other kernels take arrays, and ``autodiff``, which owns
+the tape, checks their arguments and hands their VJPs plain arrays.
 Kernels are vectorized with numpy but keep a shape discipline
 that mirrors the obvious loop nest: convolution walks kernel taps over
 runs of a flat padded lattice, bilinear sampling gathers four neighbours
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateStatisticsError,
-    DimensionError,
-    NumericError,
-    StateError,
-)
+from .errors import ContractError, DegenerateStatisticsError, DimensionError, NumericError
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
@@ -116,17 +110,6 @@ def _check_same_dtype(*arrays: np.ndarray) -> None:
             raise ContractError(f"mixed dtypes {arrays[0].dtype} and {a.dtype}")
 
 
-def _check_channel_parts(parts: list[np.ndarray]) -> int:
-    """The channel count of rank-4 maps that differ only in channels and
-    share one dtype; 0 for no parts."""
-    for a in parts:
-        if a.ndim != 4 or a.shape[:1] + a.shape[2:] != parts[0].shape[:1] + parts[0].shape[2:]:
-            raise DimensionError(f"channel parts {parts[0].shape} and {a.shape} are "
-                                 "not rank-4 maps differing only in channels")
-    _check_same_dtype(*parts)
-    return sum(a.shape[1] for a in parts)
-
-
 # ---------------------------------------------------------------------------
 # Convolution
 #
@@ -195,22 +178,6 @@ def _lattice(x: np.ndarray, s: int, p: int, slack: bool) -> tuple[np.ndarray, in
     return xl.reshape(n, c * s * s, -1), wq
 
 
-def _take(box: list) -> np.ndarray:
-    """The array (or the remake, called) that a VJP's one-item box gives
-    up so that the VJP can free it; an empty box means it ran."""
-    x = _peek(box)
-    box.clear()
-    return x
-
-
-def _peek(box: list) -> np.ndarray:
-    """What ``_take`` gives, leaving the box as it is: a remake that reads
-    the array before the VJP frees it."""
-    if not box:
-        raise StateError("this VJP already ran and released its saved input")
-    return box[0]() if callable(box[0]) else box[0]
-
-
 def _runs(kh: int, kw: int, d: int, s: int, wq: int):
     """Yield ``(i, j, phase, start)`` per kernel tap in row-major order:
     the lattice run that tap (i, j) reads, in which output (y, x) of an
@@ -251,9 +218,10 @@ def _conv2d_vjp(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(gx, gw, gb); gx is None unless ``with_gx``. gy goes on the output
     lattice with zeros in its pad columns, so every tap is two GEMMs. x
-    (in a ``_take`` box) and its lattice are dropped before the gx taps;
-    a stride-1, unpadded 1x1 conv's gx is its one GEMM."""
-    x = _take(x)
+    comes as a one-item list, so that popping it here lets x and its
+    lattice go before the gx taps; a stride-1, unpadded 1x1 conv's gx is
+    its one GEMM."""
+    x = x.pop()
     n, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
     g, s, p = spec.groups, spec.stride, spec.padding
@@ -336,17 +304,6 @@ def _dw_blocks(c: int, run: int, dtype: np.dtype) -> list[slice]:
     return [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
 
-def _dw_laid(x: np.ndarray, pad: int, blocks: list[slice]):
-    """Yield each channel block of x [n, c, h, w] on one reused zeroed
-    lattice [n, cb, rows·wq], each image padded by pad plus a zero row.
-    Only the unpadded window is written, so the pad stays zero."""
-    n, _, h, w = x.shape
-    slab = np.zeros((n, blocks[0].stop, h + 2 * pad + 1, w + 2 * pad), dtype=x.dtype)
-    for blk in blocks:
-        slab[:, : blk.stop - blk.start, pad : pad + h, pad : pad + w] = x[:, blk]
-        yield slab.reshape(n, blocks[0].stop, -1)[:, : blk.stop - blk.start]
-
-
 def _dw_residual_forward(
     xs: list[np.ndarray],
     ws: list[np.ndarray],
@@ -401,12 +358,13 @@ def _dw_residual_vjp(
     with_bias: bool,
 ) -> tuple[list[np.ndarray | None], list[np.ndarray], np.ndarray | None]:
     """([gx per part], [gw_k], gb) of ``_dw_residual_forward``. Each part
-    comes in a box (``_take``) and is dropped after its gw taps, which
-    read its blocks and gy's on per-image lattices (``_dw_laid``: folding
-    the batch would change each einsum's summation order); the branches'
-    centre taps read one run, so their gw is one einsum. A part's gx
-    (None unless its ``with_gx``) is the forward of its gy with every
-    kernel mirrored, so it lays the batch side by side too."""
+    comes as a one-item list and is popped, so it is dropped after its gw
+    taps, which read its blocks and gy's on per-image lattices
+    (``_lattice``: folding the batch would change each einsum's summation
+    order); the branches' centre taps read one run, so their gw is one
+    einsum. A part's gx (None unless its ``with_gx``) is the forward of
+    its gy with every kernel mirrored, so it lays the batch side by side
+    too."""
     n, _, h, w = gy.shape
     pad = max(dilations)
     wq = w + 2 * pad
@@ -414,13 +372,12 @@ def _dw_residual_vjp(
     gws = [np.empty_like(wk) for wk in ws]
     gxs, c0 = [], 0
     for box, want_gx in zip(xs, with_gx):
-        x = _take(box)
+        x = box.pop()
         part = slice(c0, c0 + x.shape[1])
-        blocks = _dw_blocks(x.shape[1], n * run, x.dtype)
-        laid = zip(blocks, _dw_laid(x, pad, blocks), _dw_laid(gy[:, part], pad, blocks))
-        for blk, xl, gyl in laid:
+        for blk in _dw_blocks(x.shape[1], n * run, x.dtype):
             out = slice(c0 + blk.start, c0 + blk.stop)
-            gyb = gyl[:, :, mid : mid + run]  # gy, zero in the pad columns
+            xl = _lattice(x[:, blk], 1, pad, True)[0]
+            gyb = _lattice(gy[:, out], 1, pad, True)[0][:, :, mid : mid + run]  # zero pad columns
             centre = np.einsum("ncp,ncp->c", xl[:, :, mid : mid + run], gyb)
             for gw, d in zip(gws, dilations):
                 view = xl[:, :, (pad - d) * (wq + 1) :]
@@ -428,37 +385,13 @@ def _dw_residual_vjp(
                     gw[out, 0, i, j] = centre if i == j == 1 else np.einsum(
                         "ncp,ncp->c", view[:, :, at : at + run], gyb
                     )
-        del x, laid  # the suspended generators hold x too
+        del x, xl, view  # the last block's lattice holds a copy of x
         mirrored = [wk[part, :, ::-1, ::-1] for wk in ws]
         gx = _dw_residual_forward([gy[:, part]], mirrored, dilations, None) if want_gx else None
         gxs.append(gx)
         c0 = part.stop
     gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
     return gxs, gws, gb
-
-
-def _check_dw_residual_args(
-    xs: list[np.ndarray],
-    weights: list[Tensor],
-    dilations: tuple[int, ...],
-    bias: Tensor | None,
-) -> None:
-    c = _check_channel_parts(xs)  # no parts fail the weight shape check below
-    if not weights or len(weights) != len(dilations):
-        raise ContractError(
-            f"{len(weights)} weights for dilations {tuple(dilations)}; need one each"
-        )
-    if any(d < 1 for d in dilations):
-        raise ContractError(f"dilations must be >= 1, got {tuple(dilations)}")
-    for w in weights:
-        if w.shape != (c, 1, 3, 3):
-            raise DimensionError(f"depthwise weight shape {w.shape} != ({c}, 1, 3, 3)")
-    arrays = [w.data for w in weights]
-    if bias is not None:
-        if bias.shape != (c,):
-            raise DimensionError(f"bias shape {bias.shape} != ({c},)")
-        arrays.append(bias.data)
-    _check_same_dtype(xs[0], *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -737,20 +670,6 @@ def _resize_coords(
     u[:, 0] = ux
     u[:, 1] = uy[:, None]
     return u.reshape(n, 2, -1)
-
-
-def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Resize an NCHW batch with edge-aligned-to-pixel-centers bilinear."""
-    if x.rank != 4:
-        raise DimensionError(f"resize input must be rank 4, got {x.shape}")
-    if out_h < 1 or out_w < 1:
-        raise DimensionError(f"output extents must be >= 1, got {out_h}x{out_w}")
-    n, c, h, w = x.shape
-    if (out_h, out_w) == (h, w):
-        return Tensor._wrap(x.data.copy())
-    u = _resize_coords(n, h, w, out_h, out_w, x.data.dtype)
-    y = _sample_pixel_forward(x.data, u)
-    return Tensor._wrap(y.reshape(n, c, out_h, out_w))
 
 
 # ---------------------------------------------------------------------------

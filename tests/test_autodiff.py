@@ -780,10 +780,14 @@ _X4 = np.zeros((2, 3, 4, 4))
                      DimensionError, id="transpose-repeat"),
         pytest.param(lambda: ad.transpose(const64(_X4), (0, 1, 2)), DimensionError,
                      id="transpose-rank"),
-        pytest.param(lambda: T.resize_bilinear(Tensor(_X4, dtype="f64"), 0, 4),
-                     DimensionError, id="resize-extent"),
-        pytest.param(lambda: T.resize_bilinear(Tensor(np.zeros((3, 4, 4)), dtype="f64"), 2, 2),
-                     DimensionError, id="resize-rank"),
+        pytest.param(lambda: ad.sum_groups(const64(np.zeros((2, 6, 4))), 2), DimensionError,
+                     id="sum-groups-rank"),
+        pytest.param(lambda: ad.sum_groups(const64(_X4), 0), DimensionError,
+                     id="sum-groups-zero"),
+        pytest.param(lambda: ad.sum_groups(const64(np.zeros((2, 4, 4, 4))), -2),
+                     DimensionError, id="sum-groups-negative"),
+        pytest.param(lambda: ad.sum_groups(const64(_X4), 2), DimensionError,
+                     id="sum-groups-split"),
         pytest.param(lambda: ad.pixel_sample(const64(np.zeros((3, 4, 4))),
                                              const64(np.zeros((3, 8, 4, 4))), 2, 0.25),
                      DimensionError, id="pixel-sample-x-rank"),
@@ -1312,8 +1316,8 @@ def test_pixel_sample_of_an_offset_conv_remake_matches_kept_offsets_bit_for_bit(
 def test_an_aligned_sample_rebuilds_its_coordinates_once(monkeypatch):
     # In align's VJP the sampler's output remake builds the coordinates,
     # running the offset conv's forward and the lattice once; the
-    # sampler's VJP takes them, and no remake is offered on top of the
-    # sampler's (align's output has none).
+    # sampler's VJP takes them. align offers a remake of its own on top
+    # of the sampler's, and backward never runs it.
     rng = np.random.default_rng(103)
     ps = {k: param(k, a) for k, a in _offsets_arrays(rng).items()}
     calls = []
@@ -1322,7 +1326,9 @@ def test_an_aligned_sample_rebuilds_its_coordinates_once(monkeypatch):
     monkeypatch.setattr(T, "_resize_coords", lambda *a: calls.append("lattice") or lattice(*a))
     with Tape() as tape:
         y = _conv_by(ConvSpec())(_sample(_offsets(ps), ps), ps)
-        assert y._slot.remake is None
+        align_remake = y._slot.remake
+        assert align_remake is not None
+        y._slot.remake = lambda: calls.append("align remake") or align_remake()
         loss = sum_all(y)
         calls.clear()
         ad.backward(loss, tape)

@@ -300,6 +300,18 @@ def test_eval_empty_split_exits_2(tiny_ckpt, disk_dataset, tmp_path, capsys):
     assert "no 'test' entries" in capsys.readouterr().err
 
 
+def test_eval_a_mask_of_other_extents_exits_2(tiny_ckpt, tmp_path, capsys):
+    img, msk = str(tmp_path / "img.ppm"), str(tmp_path / "msk.pgm")
+    with open(img, "wb") as f:
+        f.write(b"P6\n32 32\n255\n" + bytes(32 * 32 * 3))
+    write_pgm(msk, np.zeros((16, 32), np.uint8))
+    manifest = str(tmp_path / "mismatch.tsv")
+    _write_manifest(manifest, [(img, msk, "test")])
+    rc = main(["eval", "--ckpt", tiny_ckpt, "--data", manifest, "--split", "test"])
+    assert rc == 2
+    assert msk in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
 def test_eval_bad_threshold_exits_2(tiny_ckpt, disk_dataset, value, capsys):
     # NaN or a value outside [0, 1] would score every pixel as background.

@@ -186,6 +186,22 @@ def test_netpbm_sample_round_trip(tmp_path):
     np.testing.assert_array_equal(back.mask.data[0], raw_mask / 255.0)
 
 
+def test_load_sample_rejects_a_mask_of_other_extents(tmp_path, monkeypatch):
+    # Both files would resize to 64x64 and pass as a sample: the extents
+    # are compared as decoded, before anything is resized.
+    img_path, mask_path = str(tmp_path / "wide.ppm"), str(tmp_path / "wide.pgm")
+    with open(img_path, "wb") as f:
+        f.write(b"P6\n100 100\n255\n" + bytes(100 * 100 * 3))
+    write_pgm(mask_path, np.zeros((50, 80), np.uint8))
+    resized = []
+    monkeypatch.setattr(data, "_resize_chw", lambda *a: resized.append(a))
+    with pytest.raises(FormatError) as err:
+        load_sample(img_path, mask_path, size=64)
+    assert "80x50" in str(err.value) and "100x100" in str(err.value)
+    assert mask_path in str(err.value)
+    assert resized == []
+
+
 # ---------------------------------------------------------------------------
 # Augmentation
 

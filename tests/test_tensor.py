@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from dyglnet import autodiff as ad
+from dyglnet import data
 from dyglnet import tensor as T
 from dyglnet.errors import (
     ContractError,
@@ -707,43 +708,43 @@ def test_bilinear_sample_grid_shape_error():
 
 
 # ---------------------------------------------------------------------------
-# resize_bilinear
+# Bilinear resize: data._resize_chw on the sampler kernel
 
 
 def test_resize_constant_stays_constant():
-    x = Tensor(np.full((1, 1, 2, 2), 7.0), dtype="f32")
-    y = T.resize_bilinear(x, 224, 224)
-    assert y.shape == (1, 1, 224, 224)
-    np.testing.assert_array_equal(y.data, np.full((1, 1, 224, 224), 7.0, np.float32))
+    y = data._resize_chw(np.full((1, 2, 2), 7.0, np.float32), 224)
+    assert y.shape == (1, 224, 224)
+    np.testing.assert_array_equal(y, np.full((1, 224, 224), 7.0, np.float32))
 
 
 def test_resize_2x_corners_pinned():
-    x = t64(np.array([[[[0.0, 1.0], [2.0, 3.0]]]]))
-    y = T.resize_bilinear(x, 4, 4).data[0, 0]
+    x = np.array([[[0.0, 1.0], [2.0, 3.0]]])
+    y = data._resize_chw(x, 4)[0]
     assert y[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert y[0, 3] == pytest.approx(1.0, abs=1e-12)
     assert y[3, 0] == pytest.approx(2.0, abs=1e-12)
     assert y[3, 3] == pytest.approx(3.0, abs=1e-12)
-    want = oracles.resize_bilinear_naive(x.data, 4, 4)
+    want = oracles.resize_bilinear_naive(x[None], 4, 4)
     np.testing.assert_allclose(y, want[0, 0], atol=1e-12)
 
 
 def test_resize_identity_bit_exact():
     rng = np.random.default_rng(29)
-    x = Tensor(rng.normal(size=(2, 3, 5, 7)).astype(np.float32), dtype="f32")
-    y = T.resize_bilinear(x, 5, 7)
-    np.testing.assert_array_equal(y.data, x.data)
+    x = rng.normal(size=(3, 5, 5)).astype(np.float32)
+    y = data._resize_chw(x, 5)
+    np.testing.assert_array_equal(y, x)
+    assert not np.shares_memory(y, x)  # a copy, as every other size gives
 
 
 def test_resize_random_vs_oracle():
     rng = np.random.default_rng(31)
     for _ in range(20):
         h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        oh, ow = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        x = rng.normal(size=(1, 2, h, w))
-        got = T.resize_bilinear(t64(x), oh, ow).data
+        size = int(rng.integers(1, 9))
+        x = rng.normal(size=(2, h, w))
+        got = data._resize_chw(x, size)
         np.testing.assert_allclose(
-            got, oracles.resize_bilinear_naive(x, oh, ow), atol=1e-6
+            got, oracles.resize_bilinear_naive(x[None], size, size)[0], atol=1e-6
         )
 
 
