@@ -7,7 +7,8 @@ Layout, all integers little-endian:
                 | u8 dtype code (0=f32, 1=f64) | raw LE IEEE-754 payload
     trailer:    u32 config length | UTF-8 config snapshot
 
-Writers replace the target atomically and durably. Readers fail with
+Writers replace the target atomically and durably, and raise
+``StorageError`` when the file system refuses the write. Readers fail with
 the byte offset of the first inconsistency and never return partial state.
 """
 
@@ -19,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, VersionError
+from .errors import FormatError, StorageError, VersionError
 from .tensor import Tensor
 
 MAGIC = b"DYGL"
@@ -53,22 +54,25 @@ def write_checkpoint(
     # Write a sibling temp file and rename it over the target, so a crash
     # mid-write keeps the previous file; a directory fsync makes it durable.
     tmp = f"{path}.tmp"
-    f = open(tmp, "wb")
     try:
-        with f:
-            f.write(b"".join(chunks))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    if hasattr(os, "O_DIRECTORY"):
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY | os.O_DIRECTORY)
+        f = open(tmp, "wb")
         try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+            with f:
+                f.write(b"".join(chunks))
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        if hasattr(os, "O_DIRECTORY"):
+            fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+    except OSError as e:
+        raise StorageError(f"cannot write checkpoint {path}: {e}") from e
 
 
 class _Reader:

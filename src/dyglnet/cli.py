@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when an operation runs but fails its goal
 (training aborts on a non-finite loss, a gradient check exceeds its
-tolerance), 2 for usage, config, or input-format errors.
+tolerance), 2 for usage, config, or input-format errors, 3 when a
+checkpoint cannot be written at run time (a full disk, a file-size
+limit).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     DimensionError,
     DyglError,
     FormatError,
+    StorageError,
 )
 from .gradsuite import run_suite
 from .losses import _check_threshold
@@ -207,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except StorageError as e:  # an OSError too, so ahead of the usage tuple
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -31,6 +31,12 @@ class NumericError(DyglError):
     """A non-finite value appeared where only finite values are allowed."""
 
 
+class StorageError(DyglError, OSError):
+    """A file could not be written at run time (a full disk, a file-size
+    limit, a vanished directory). It is an ``OSError`` too, so callers
+    that catch one keep working."""
+
+
 class DegenerateStatisticsError(DyglError):
     """Batch statistics were requested over a single element."""
 

@@ -1063,17 +1063,17 @@ def test_fd_grouped_pixel_sample():
 def test_pixel_sample_memory_is_bounded_by_the_chunk():
     # The tape keeps only x and o, and the VJP builds the coordinates and
     # then corners and fractions one chunk of whole rows at a time: with
-    # 4 rows a chunk (32x32 maps sampled by 4), 8 and 32 rows reach the
+    # 4 rows a chunk (16x16 maps sampled by 4), 8 and 32 rows reach the
     # same peak above gx and the coordinates and their gradient, each the
     # offsets' size.
     s = 4
-    assert s * s * 32 * 32 == T._SAMPLE_CHUNK // 4
+    assert s * s * 16 * 16 == T._SAMPLE_CHUNK // 4
     extra = {}
     for n in (8, 32):
         rng = np.random.default_rng(n)
-        x = param("x", rng.normal(size=(n, 2, 32, 32)))
-        o = param("o", rng.uniform(-4.0, 4.0, size=(n, 2 * s * s, 32, 32)))
-        gy = rng.normal(size=(n, 2, s * 32, s * 32))
+        x = param("x", rng.normal(size=(n, 2, 16, 16)))
+        o = param("o", rng.uniform(-4.0, 4.0, size=(n, 2 * s * s, 16, 16)))
+        gy = rng.normal(size=(n, 2, s * 16, s * 16))
         with Tape():
             xv, ov = ad.watch(x), ad.watch(o)
             tracemalloc.start()

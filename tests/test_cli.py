@@ -3,6 +3,8 @@ file parsing (including the ``lambda`` alias), and end-to-end train /
 eval / predict / gradcheck / info runs."""
 from __future__ import annotations
 
+import errno
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +267,24 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert rc == 1
     assert "abort:" in captured
+
+
+def test_train_checkpoint_write_failure_exits_3(tiny_config, tmp_path, capsys, monkeypatch):
+    # A disk that fills while train writes a checkpoint is a run-time
+    # storage failure, not a usage error (2): the error names the file,
+    # and the temp file is gone.
+    def full(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", full)
+    out = tmp_path / "run"
+    rc = main(["train", "--config", tiny_config, "--synthetic", "8",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert str(out / "last.ckpt") in err
+    assert os.strerror(errno.ENOSPC) in err
+    assert list(out.iterdir()) == []  # no checkpoint and no *.tmp
 
 
 # ---------------------------------------------------------------------------

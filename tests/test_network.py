@@ -423,14 +423,14 @@ def test_train_step_tape_records_each_op_on_the_blocks_layouts(cfg, nodes):
         }
 
 
-@pytest.fixture(scope="module")
-def default_step_memory():
-    """Traced bytes a default batch-2 train step's tape holds after the
-    forward, and the peak its backward reaches."""
-    model = Model(ModelConfig(), seed=0)
+def _step_memory(cfg, batch):
+    """Traced bytes an f32 train step's tape holds after the forward, and
+    the peak its backward reaches, at cfg's input size."""
+    model = Model(cfg, seed=0)
     rng = np.random.default_rng(9)
-    x = t32(rng.normal(size=(2, 3, 224, 224)))
-    y = t32(rng.uniform(size=(2, 1, 224, 224)) < 0.4)
+    size = cfg.input_size
+    x = t32(rng.normal(size=(batch, 3, size, size)))
+    y = t32(rng.uniform(size=(batch, 1, size, size)) < 0.4)
     tracemalloc.start()
     try:
         with ad.Tape() as tape:
@@ -442,6 +442,18 @@ def default_step_memory():
     finally:
         tracemalloc.stop()
     return held, peak
+
+
+@pytest.fixture(scope="module")
+def default_step_memory():
+    """A default batch-2 step at 224x224."""
+    return _step_memory(ModelConfig(), 2)
+
+
+@pytest.fixture(scope="module")
+def tiny_step_memory():
+    """A tiny batch-16 step at 64x64: the tiny-train workload's step."""
+    return _step_memory(ModelConfig.tiny(), 16)
 
 
 def test_default_train_forward_keeps_no_input_its_producer_can_remake(
@@ -484,6 +496,25 @@ def test_default_train_forward_holds_no_skip_concatenation_or_attention_weights(
     # the convs kept remakes (48.9 now), 98 with both.
     held, _ = default_step_memory
     assert held <= 90 * 2**20
+
+
+def test_tiny_train_step_peaks_within_a_sampler_chunk_of_its_tape(tiny_step_memory):
+    # A tiny batch-16 step at 64x64 peaks in dec.up4's sampler VJP, whose
+    # 64 rows of 4,096 points it walks in chunks of whole rows. Each
+    # chunk's plan, corner buffer and temporaries add to the peak: it
+    # reaches about 14.7 MiB in all, over a 10.5 MiB tape, with 16K-point
+    # chunks and 18.1 MiB with 64K-point chunks.
+    _, peak = tiny_step_memory
+    assert peak <= 16 * 2**20
+
+
+def test_tiny_predict_peaks_within_a_sampler_chunk():
+    # A tiny batch-8 predict at 64x64 peaks at about 4.4 MiB with
+    # 16K-point sampler chunks, 7.8 MiB with 64K-point chunks.
+    model = Model(ModelConfig.tiny(), seed=0)
+    x = t32(np.random.default_rng(5).normal(size=(8, 3, 64, 64)))
+    _, _, peak = _traced(lambda: model.predict(x))
+    assert peak <= 6 * 2**20
 
 
 def test_projected_path_runs_where_it_samples_fewer_channels(monkeypatch):

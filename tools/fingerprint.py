@@ -14,6 +14,8 @@ One digest per array covers:
   logits, for the default config at 64x64 (batch 2) and the tiny config
   at 32x32 (batch 3), each in f32 and f64, in "dynamic" and "bilinear"
   mode, with DyT on and off, and with non-zero offset weights;
+- the same for the tiny config at 64x64, batch 16, f32, dynamic mode:
+  the tiny-train benchmark's step, whose samplers walk several chunks;
 - one default 224x224 f32 train step at batch 2;
 - a tiny two-epoch augmented ``train()``: its step losses and the bytes
   of each checkpoint it writes;
@@ -76,21 +78,26 @@ def _emit(src: str) -> dict[str, str]:
             if p.trainable:
                 out[f"{tag}/grad/{p.name}"] = _array(p.grad)
 
+    def model_step(tag: str, cfg, size: int, batch: int, dtype: str) -> None:
+        """A step and a ``predict`` of cfg, with non-zero offset weights in
+        dynamic mode."""
+        model = Model(cfg, seed=0, dtype=dtype)
+        rng = np.random.default_rng(1)
+        for up in model.ups if cfg.upsample_mode == "dynamic" else ():
+            w = up.offset.weight
+            w.assign(Tensor(rng.uniform(-0.05, 0.05, w.value.shape), dtype=dtype))
+        x = rng.normal(size=(batch, 3, size, size))
+        step(tag, model, x, (rng.random((batch, 1, size, size)) < 0.3) * 1.0, dtype)
+        out[f"{tag}/predict"] = _array(model.predict(Tensor(x, dtype=dtype)).data)
+
     for name, base, size, batch in (("default", ModelConfig(), 64, 2),
                                     ("tiny", ModelConfig.tiny(), 32, 3)):
         for dtype in ("f32", "f64"):
             for mode in ("dynamic", "bilinear"):
                 for dyt in (True, False):
-                    tag = f"{name}{size}/{dtype}/{mode}/dyt={dyt}"
                     cfg = dataclasses.replace(base, upsample_mode=mode, use_dyt=dyt)
-                    model = Model(cfg, seed=0, dtype=dtype)
-                    rng = np.random.default_rng(1)
-                    for up in model.ups if mode == "dynamic" else ():
-                        w = up.offset.weight
-                        w.assign(Tensor(rng.uniform(-0.05, 0.05, w.value.shape), dtype=dtype))
-                    x = rng.normal(size=(batch, 3, size, size))
-                    step(tag, model, x, (rng.random((batch, 1, size, size)) < 0.3) * 1.0, dtype)
-                    out[f"{tag}/predict"] = _array(model.predict(Tensor(x, dtype=dtype)).data)
+                    model_step(f"{name}{size}/{dtype}/{mode}/dyt={dyt}", cfg, size, batch, dtype)
+    model_step("tiny64/f32/b16", ModelConfig.tiny(), 64, 16, "f32")
 
     rng = np.random.default_rng(2)
     step("default224/f32", Model(ModelConfig(), seed=0), rng.normal(size=(2, 3, 224, 224)),
